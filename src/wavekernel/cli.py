@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, intervals, predictor
-from .errors import ConfigError, InvalidInputError, WavekernelError
+from .errors import ConfigError, InvalidInputError, LevelError, WavekernelError
 from .predictor import KernelSpec, PipelineConfig
 from .similarity import ScaleRange
 from .wavelet import FILTERS, DEFAULT_FILTER
@@ -174,12 +174,18 @@ def _segments(cfg: RunConfig) -> np.ndarray:
 
 
 def _select_bandwidth(cfg: RunConfig, segments):
-    """Resolve h, running cross-validation when a grid was requested."""
+    """Resolve h, running cross-validation when a grid was requested.
+
+    Grid and CV share one prepared history, so the auto grid's pairwise
+    distances are the ones CV reads.
+    """
     if cfg.bandwidth is not None:
         return cfg.bandwidth, None
-    grid = cfg.grid(segments)
+    history = predictor.History(*predictor.scaling_coefficients(segments),
+                                cfg.pipeline())
+    grid = cfg.grid(history)
     h_star, cv_values = predictor.cv_bandwidth(
-        segments, grid, kernel_family=cfg.kernel, config=cfg.pipeline()
+        history, grid, kernel_family=cfg.kernel, config=cfg.pipeline()
     )
     table = [
         {"h": float(h), "cv": float(v), "selected": bool(h == h_star)}
@@ -214,25 +220,19 @@ def _run_cv(cfg: RunConfig) -> int:
     segments = _segments(cfg)
     if cfg.bandwidth is not None:
         raise ConfigError("cv takes --cv-grid (or its auto default), not --h")
-    grid = cfg.grid(segments)
-    h_star, cv_values = predictor.cv_bandwidth(
-        segments, grid, kernel_family=cfg.kernel, config=cfg.pipeline()
-    )
+    h_star, cv_table = _select_bandwidth(cfg, segments)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "cv.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["h", "cv", "selected"])
-        for h, v in zip(grid, cv_values):
-            writer.writerow([_fmt(h), _fmt(v), int(h == h_star)])
+        for row in cv_table:
+            writer.writerow([_fmt(row["h"]), _fmt(row["cv"]), int(row["selected"])])
     summary = {
         "command": "cv",
         "config": asdict(cfg),
         "h_selected": float(h_star),
-        "cv_table": [
-            {"h": float(h), "cv": float(v), "selected": bool(h == h_star)}
-            for h, v in zip(grid, cv_values)
-        ],
+        "cv_table": cv_table,
         "n_segments": int(segments.shape[0]),
     }
     _write_summary(out / "summary.json", summary)
@@ -245,9 +245,8 @@ def _run_interval(cfg: RunConfig) -> int:
     kernel = KernelSpec(cfg.kernel, h)
     pipeline = cfg.pipeline()
     result = predictor.predict_one_ahead(segments, kernel, config=pipeline)
-    weights = intervals.resample_weights(segments, kernel, config=pipeline)
     plan = intervals.ResamplingPlan(B=cfg.b, alpha=cfg.alpha, seed=cfg.seed,
-                                    weights=weights)
+                                    weights=result.weights)
     band = intervals.prediction_interval(segments, result, plan)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,6 +283,8 @@ def _run_eval(cfg: RunConfig) -> int:
                      "n_segments": int(segments.shape[0])}
     if cv_table is not None:
         summary["cv_table"] = cv_table
+    truth = segments[-1]
+    pred = predictor.predict_one_ahead(segments[:-1], kernel, config=pipeline).curve
     if cfg.rolling:
         wk_reports = evaluation.rolling_eval(
             segments.reshape(-1), cfg.p, evaluation.wk_method(kernel, pipeline)
@@ -296,11 +297,7 @@ def _run_eval(cfg: RunConfig) -> int:
             "wk": evaluation.summarize(wk_reports),
             "naive": evaluation.summarize(naive_reports),
         }
-        truth = segments[-1]
-        pred = predictor.predict_one_ahead(segments[:-1], kernel, config=pipeline).curve
     else:
-        truth = segments[-1]
-        pred = predictor.predict_one_ahead(segments[:-1], kernel, config=pipeline).curve
         naive = evaluation.naive_seasonal(segments[:-1])
         summary["holdout"] = {
             "segment_index": int(segments.shape[0]),
@@ -407,7 +404,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _RUNNERS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, LevelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

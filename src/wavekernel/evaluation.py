@@ -7,7 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientHistoryError, InvalidInputError
-from .predictor import KernelSpec, PipelineConfig, predict_one_ahead
+from .predictor import (
+    History,
+    KernelSpec,
+    PipelineConfig,
+    predict_one_ahead,
+    scaling_coefficients,
+)
 
 __all__ = [
     "EvalReport",
@@ -85,12 +91,30 @@ def naive_seasonal(segments) -> np.ndarray:
 
 
 def wk_method(kernel: KernelSpec, config: PipelineConfig = PipelineConfig()):
-    """Wrap the wavelet-kernel predictor as a rolling-eval method."""
+    """Wrap the wavelet-kernel predictor as a rolling-eval method.
+
+    ``method.batch(segments, start)`` returns the forecasts of segments
+    start..n-1, each from the segments before it, in one causal pass of
+    the predictor instead of one fit per origin.
+    """
 
     def method(history):
         return predict_one_ahead(history, kernel, config=config).curve
 
+    def batch(segments, start):
+        if start < 2:
+            raise InsufficientHistoryError(f"need at least 2 segments, got {start}")
+        history = History(*scaling_coefficients(segments), config)
+        n = len(history)
+        out = np.empty((n - start, history.P))
+        hs = np.array([kernel.bandwidth])
+        for r0, r1, F, _ in history.forecasts(hs, kernel.family, "normalized",
+                                              start - 1, n - 1):
+            out[r0 + 1 - start:r1 + 1 - start] = F[0]
+        return out
+
     method.method_id = "wk"
+    method.batch = batch
     return method
 
 
@@ -101,7 +125,8 @@ def rolling_eval(series, P: int, method, min_history: int = 2,
 
     ``method`` is a callable mapping a list of past segments to a
     length-P forecast; it only ever sees segments strictly before the
-    one being scored.
+    one being scored.  A method with a ``batch(segments, start)``
+    attribute (see :func:`wk_method`) gives all forecasts in one call.
     """
     segs = split_segments(series, P, drop_remainder=drop_remainder)
     n = segs.shape[0]
@@ -111,11 +136,13 @@ def rolling_eval(series, P: int, method, min_history: int = 2,
         )
     if method_id is None:
         method_id = getattr(method, "method_id", getattr(method, "__name__", "method"))
-    reports = []
-    for i in range(min_history, n):
-        pred = method([segs[m] for m in range(i)])
-        reports.append(rmae(pred, segs[i], n0=i + 1, method_id=method_id))
-    return reports
+    origins = range(min_history, n)
+    if hasattr(method, "batch"):
+        preds = method.batch(segs, min_history)
+    else:
+        preds = [method([segs[m] for m in range(i)]) for i in origins]
+    return [rmae(pred, segs[i], n0=i + 1, method_id=method_id)
+            for i, pred in zip(origins, preds)]
 
 
 def summarize(reports) -> dict:

@@ -24,11 +24,10 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientHistoryError, ShapeError
 from .predictor import (
+    History,
     KernelSpec,
     PipelineConfig,
     PredictionResult,
-    _distances_to_query,
-    _scale_blocks,
     kernel_eval,
     normalized_weights,
     scaling_coefficients,
@@ -86,12 +85,11 @@ def resample_weights(history, kernel: KernelSpec,
     of segments 1..n; the weight of segment m reflects how close its
     pyramid is to the current segment's pyramid.
     """
-    X, _ = scaling_coefficients(history)
+    X, P = scaling_coefficients(history)
     n = X.shape[0]
     if n < 2:
         raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
-    blocks = _scale_blocks(X, config)
-    dists = _distances_to_query(blocks, query_row=n - 1, n_cand=n - 1)
+    dists = next(History(X, P, config).rows(n - 1, n))[2][0]
     k = kernel_eval(kernel, dists / kernel.bandwidth)
     return normalized_weights(k, n)
 

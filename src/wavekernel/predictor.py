@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientHistoryError, ShapeError
+from .errors import ConfigError, InsufficientHistoryError, LevelError, ShapeError
 from .similarity import ScaleRange
 from .wavelet import (
     DEFAULT_FILTER,
@@ -36,10 +36,12 @@ __all__ = [
     "predict_one_ahead",
     "cv_bandwidth",
     "default_bandwidth_grid",
+    "History",
     "scaling_coefficients",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SCRATCH = 1 << 16  # doubles per row block of the causal pass (512 KiB)
 
 _KERNELS = {
     "gaussian": lambda u: np.exp(-0.5 * u * u) / _SQRT_2PI,
@@ -137,7 +139,7 @@ def _scale_blocks(X: np.ndarray, config: PipelineConfig):
     J = X.shape[-1].bit_length() - 1
     rng = config.scale_range or ScaleRange(config.j0, J - 1)
     if rng.j_lo < config.j0 or rng.j_hi > J - 1:
-        raise ShapeError(
+        raise LevelError(
             f"scale range [{rng.j_lo}, {rng.j_hi}] outside pyramid "
             f"scales [{config.j0}, {J - 1}]"
         )
@@ -149,26 +151,78 @@ def _scale_blocks(X: np.ndarray, config: PipelineConfig):
     return blocks
 
 
-def _distances_to_query(blocks, query_row: int, n_cand: int) -> np.ndarray:
-    """Combined distances from rows 0..n_cand-1 to a query row."""
-    total = np.zeros(n_cand)
-    for j, block in blocks:
-        diff = block[:n_cand] - block[query_row]
-        total += math.ldexp(1.0, -j) * np.sqrt(np.sum(diff * diff, axis=-1))
-    return total
+class History:
+    """Rows ``X`` prepared once with ``config``; forecasts cover their first
+    ``P`` columns.  ``tri`` keeps the distances of all pairs m < q, row by
+    row, once :func:`default_bandwidth_grid` built them."""
+
+    def __init__(self, X: np.ndarray, P: int,
+                 config: PipelineConfig = PipelineConfig()):
+        self.X, self.P, self.config = X, P, config
+        self.blocks = _scale_blocks(X, config)
+        self.tri = None
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    def rows(self, lo: int, hi: int, depth: int = 1):
+        """Yield (r0, r1, D[r0:r1, :r1-1], causal mask) for rows [lo, hi), lo >= 1.
+
+        The one distance arithmetic (direct differences, or their copy in
+        ``tri``), so a row reads bit-identically in any block.  Entries
+        m >= q read +inf, zero weight under every kernel.  One scratch
+        buffer holds about _SCRATCH doubles per value derived from a
+        distance (``depth``).
+        """
+        n = len(self)
+        width = max(depth, max(b.shape[-1] for _, b in self.blocks))
+        step = max(1, min(hi - lo, _SCRATCH // (n * width)))
+        buf = np.empty(step * n * width)
+        for r0 in range(lo, hi, step):
+            r1 = min(r0 + step, hi)
+            causal = np.tri(r1 - r0, r1 - 1, r0 - 1, dtype=bool)
+            if self.tri is None:
+                total = np.zeros(causal.shape)
+                for j, block in self.blocks:
+                    shape = causal.shape + block.shape[-1:]
+                    diff = np.subtract(block[None, :r1 - 1], block[r0:r1, None],
+                                       out=buf[:math.prod(shape)].reshape(shape))
+                    diff *= diff
+                    total += math.ldexp(1.0, -j) * np.sqrt(diff.sum(axis=-1))
+            D = np.full(causal.shape, np.inf)
+            D[causal] = (total[causal] if self.tri is None
+                         else self.tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2])
+            yield r0, r1, D, causal
+
+    def forecasts(self, hs: np.ndarray, family: str, weight_mode: str,
+                  lo: int, hi: int):
+        """Yield (r0, r1, F, K): for each cut q = r0+i in [lo, hi), F[g, i]
+        forecasts row q+1 from rows 0..q as predict_coefficients does, with
+        kernel values K[g, i] at bandwidth hs[g].  Normalized mode spreads
+        the damping mass of normalized_weights by running sums of rows."""
+        if weight_mode not in ("raw", "normalized"):
+            raise ConfigError(f"unknown weight_mode {weight_mode!r}")
+        futures = self.X[1:, :self.P]
+        before = futures[:lo - 1].sum(axis=0)  # sum of futures[:q-1] at q = lo
+        for r0, r1, D, _ in self.rows(lo, hi, hs.size):
+            q = np.arange(r0, r1)[:, None]
+            K = _KERNELS[family](D / hs[:, None, None])
+            S = K.sum(axis=-1)[..., None]
+            KF = K.reshape(-1, r1 - 1) @ futures[:r1 - 1]  # one GEMM for all h
+            F = KF.reshape(K.shape[:2] + (-1,)) / (1.0 / (q + 1) + S)
+            if weight_mode == "normalized":
+                prefix = before + np.cumsum(futures[r0 - 1:r1 - 1], axis=0)
+                F += prefix / (q * (1.0 + (q + 1) * S))
+                before = prefix[-1]
+            yield r0, r1, F, K
 
 
-def _pairwise_distances(blocks, n: int) -> np.ndarray:
-    """Full matrix of combined distances among the first n rows."""
-    total = np.zeros((n, n))
-    for j, block in blocks:
-        b = block[:n]
-        sq = np.sum(b * b, axis=-1)
-        gram = b @ b.T
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-        total += math.ldexp(1.0, -j) * np.sqrt(d2)
-    np.fill_diagonal(total, 0.0)
-    return total
+def _history(segments, config: PipelineConfig) -> History:
+    if not isinstance(segments, History):
+        return History(*scaling_coefficients(segments), config)
+    if segments.config != config:
+        raise ConfigError("history was prepared with another pipeline config")
+    return segments
 
 
 def predict_coefficients(history, kernel: KernelSpec,
@@ -193,15 +247,9 @@ def predict_coefficients(history, kernel: KernelSpec,
     n = X.shape[0]
     if n < 2:
         raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
-    blocks = _scale_blocks(X, config)
-    dists = _distances_to_query(blocks, query_row=n - 1, n_cand=n - 1)
-    k = kernel_eval(kernel, dists / kernel.bandwidth)
-    if weight_mode == "raw":
-        xi = (k @ X[1:]) / (1.0 / n + float(k.sum()))
-    elif weight_mode == "normalized":
-        xi = normalized_weights(k, n) @ X[1:]
-    else:
-        raise ConfigError(f"unknown weight_mode {weight_mode!r}")
+    _, _, F, K = next(History(X, X.shape[1], config).forecasts(
+        np.array([kernel.bandwidth]), kernel.family, weight_mode, n - 1, n))
+    xi, k = F[0, 0], K[0, 0]
     # reconstruct through the transform round trip (an identity for the
     # interpolating convention, kept as a structural check)
     coarse, details = forward_array(xi, j0=config.j0, filter_id=config.filter_id)
@@ -228,10 +276,6 @@ def predict_one_ahead(segments, kernel: KernelSpec,
     form.
     """
     X, P = scaling_coefficients(segments)
-    if X.shape[0] < 2:
-        raise InsufficientHistoryError(
-            f"need at least 2 segments, got {X.shape[0]}"
-        )
     return predict_coefficients(X, kernel, config=config, orig_len=P,
                                 weight_mode=weight_mode)
 
@@ -248,52 +292,46 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     discrete mean-square prediction error over all cut points with at
     least one candidate pair, and the smallest h attaining the minimum
     is returned.
+
+    ``segments`` may be a :class:`History` prepared with ``config``.
+    All h share one pass over row blocks of the distance matrix.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ConfigError("bandwidth grid is empty")
-    if np.any(grid <= 0):
-        raise ConfigError("bandwidth grid must be positive")
-    X, P = scaling_coefficients(segments)
-    n = X.shape[0]
-    if n < 3:
-        raise InsufficientHistoryError(f"cross-validation needs n >= 3, got {n}")
-    blocks = _scale_blocks(X, config)
-    D = _pairwise_distances(blocks, n)
+    if not np.all((grid > 0) & np.isfinite(grid)):
+        raise ConfigError("bandwidth grid must be positive and finite")
     if kernel_family not in _KERNELS:
         raise ConfigError(f"unknown kernel family {kernel_family!r}")
-    kern = _KERNELS[kernel_family]
-    if weight_mode not in ("raw", "normalized"):
-        raise ConfigError(f"unknown weight_mode {weight_mode!r}")
-    cv_values = np.empty(grid.size)
-    for gi, h in enumerate(grid):
-        errs = []
-        # query index q predicts segment q+1 from history rows 0..q
-        for q in range(1, n - 1):
-            k = kern(D[q, :q] / h)
-            if weight_mode == "raw":
-                xi = (k @ X[1:q + 1]) / (1.0 / (q + 1) + float(k.sum()))
-            else:
-                xi = normalized_weights(k, q + 1) @ X[1:q + 1]
-            diff = xi[:P] - X[q + 1, :P]
-            errs.append(float(np.mean(diff * diff)))
-        cv_values[gi] = float(np.mean(errs))
+    history = _history(segments, config)
+    n = len(history)
+    if n < 3:
+        raise InsufficientHistoryError(f"cross-validation needs n >= 3, got {n}")
+    sq_err = np.zeros(grid.size)
+    for r0, r1, F, _ in history.forecasts(grid, kernel_family, weight_mode, 1, n - 1):
+        diff = F - history.X[r0 + 1:r1 + 1, :history.P]
+        sq_err += np.mean(diff * diff, axis=-1).sum(axis=-1)
+    cv_values = sq_err / (n - 2)
     best = int(np.argmin(cv_values))  # argmin takes the first, i.e. smallest h
     return float(grid[best]), cv_values
 
 
 def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
                            count: int = 32) -> np.ndarray:
-    """Log-spaced grid spanning the 1%..99% quantiles of pairwise distances."""
-    X, _ = scaling_coefficients(segments)
-    n = X.shape[0]
-    blocks = _scale_blocks(X, config)
-    D = _pairwise_distances(blocks, n)
-    vals = D[np.triu_indices(n, k=1)]
-    vals = vals[vals > 0]
+    """Log-spaced grid spanning the 1%..99% quantiles of pairwise distances.
+
+    A :class:`History` passed as ``segments`` keeps them for CV.
+    """
+    history = _history(segments, config)
+    if history.tri is None:
+        n = len(history)
+        rows = [D[causal] for _, _, D, causal in history.rows(1, n)]
+        history.tri = np.concatenate([np.empty(0)] + rows)
+    vals = history.tri[history.tri > 0]
     if vals.size == 0:
         # degenerate history (all segments identical): any h works
         return np.logspace(-3, 0, count)
-    lo = max(float(np.quantile(vals, 0.01)), 1e-12)
-    hi = max(float(np.quantile(vals, 0.99)), lo * 10)
+    q_lo, q_hi = np.quantile(vals, [0.01, 0.99])
+    lo = max(float(q_lo), 1e-12)
+    hi = max(float(q_hi), lo * 10)
     return np.logspace(math.log10(lo), math.log10(hi), count)

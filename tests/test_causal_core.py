@@ -1,0 +1,172 @@
+"""Differential tests pinning the row-blocked causal core to per-cut loops.
+
+The oracles below are the straightforward loops the core replaces: one
+kernel evaluation, weight vector and forecast per cut point, with the
+distances ``predict`` uses (one query row at a time).
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wavekernel import (
+    ConfigError,
+    InsufficientHistoryError,
+    KernelSpec,
+    PipelineConfig,
+    ScaleRange,
+    cv_bandwidth,
+    default_bandwidth_grid,
+    kernel_eval,
+    predictor,
+    rolling_eval,
+)
+from wavekernel.evaluation import wk_method
+from wavekernel.predictor import (
+    History,
+    normalized_weights,
+    scaling_coefficients,
+)
+from wavekernel.wavelet import FILTERS
+
+
+def query_distances(X, config, q):
+    """Distances from rows 0..q-1 to row q, as predict computes them."""
+    return next(History(X[:q + 1], X.shape[1], config).rows(q, q + 1))[2][0]
+
+
+def loop_cv(segments, grid, family, config, weight_mode):
+    """Per-cut leave-one-out CV: cut q predicts row q+1 from rows 0..q."""
+    X, P = scaling_coefficients(segments)
+    n = X.shape[0]
+    dists = {q: query_distances(X, config, q) for q in range(1, n - 1)}
+    cv = np.empty(len(grid))
+    for gi, h in enumerate(grid):
+        errs = []
+        for q in range(1, n - 1):
+            k = kernel_eval(KernelSpec(family, h), dists[q] / h)
+            if weight_mode == "raw":
+                xi = (k @ X[1:q + 1]) / (1.0 / (q + 1) + float(k.sum()))
+            else:
+                xi = normalized_weights(k, q + 1) @ X[1:q + 1]
+            diff = xi[:P] - X[q + 1, :P]
+            errs.append(float(np.mean(diff * diff)))
+        cv[gi] = float(np.mean(errs))
+    return cv
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(3, 40))
+    P = draw(st.integers(2, 20))
+    J = (1 << (P - 1).bit_length()).bit_length() - 1  # levels after padding
+    j0 = draw(st.integers(0, J - 1))
+    scale_range = None
+    if draw(st.booleans()):
+        lo = draw(st.integers(j0, J - 1))
+        scale_range = ScaleRange(lo, draw(st.integers(lo, J - 1)))
+    config = PipelineConfig(filter_id=draw(st.sampled_from(sorted(FILTERS))),
+                            j0=j0, scale_range=scale_range,
+                            include_coarse=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    segments = rng.normal(size=(n, P)) * scale + draw(st.sampled_from([0.0, 5.0]))
+    grid = [10.0 ** e for e in draw(st.lists(st.floats(-2.5, 2.5), min_size=1,
+                                             max_size=6))]
+    return segments, config, grid, {
+        "family": draw(st.sampled_from(["gaussian", "laplace"])),
+        "weight_mode": draw(st.sampled_from(["raw", "normalized"])),
+        # rows per block: one row, a few rows, and the production size
+        "scratch": draw(st.sampled_from([1, 200, predictor._SCRATCH])),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_cv_matches_per_cut_loop(case):
+    segments, config, grid, opts = case
+    with mock.patch.object(predictor, "_SCRATCH", opts["scratch"]):
+        h, cv = cv_bandwidth(segments, grid, kernel_family=opts["family"],
+                             config=config, weight_mode=opts["weight_mode"])
+    want = loop_cv(segments, grid, opts["family"], config, opts["weight_mode"])
+    np.testing.assert_allclose(cv, want, rtol=1e-12, atol=0)
+    assert h == grid[int(np.argmin(cv))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_batched_rolling_matches_per_prefix_fits(case):
+    segments, config, grid, opts = case
+    method = wk_method(KernelSpec(opts["family"], grid[0]), config)
+    with mock.patch.object(predictor, "_SCRATCH", opts["scratch"]):
+        batched = method.batch(segments, 2)
+    per_prefix = np.stack([method(list(segments[:i]))
+                           for i in range(2, len(segments))])
+    # the per-prefix curve passes the forward/inverse transform round trip
+    atol = 1e-13 * np.max(np.abs(segments))
+    np.testing.assert_allclose(batched, per_prefix, rtol=1e-12, atol=atol)
+
+
+def test_rolling_eval_uses_batch_with_same_scores():
+    segments = np.random.default_rng(3).normal(size=(25, 12)) + 10.0
+    method = wk_method(KernelSpec("laplace", 0.7), PipelineConfig(filter_id="dd6"))
+
+    def per_prefix(history):
+        return method(history)
+
+    fast = rolling_eval(segments.reshape(-1), 12, method)
+    slow = rolling_eval(segments.reshape(-1), 12, per_prefix, method_id="wk")
+    assert [r.n0 for r in fast] == [r.n0 for r in slow] == list(range(3, 26))
+    np.testing.assert_allclose([r.rmae for r in fast], [r.rmae for r in slow],
+                               rtol=1e-12)
+
+
+def test_rolling_needs_two_segments_per_cut():
+    method = wk_method(KernelSpec("gaussian", 1.0))
+    with pytest.raises(InsufficientHistoryError):
+        rolling_eval(np.arange(1.0, 41.0), 8, method, min_history=1)
+
+
+@pytest.mark.parametrize("scratch", [1, 100, 1 << 17])
+def test_offset_history_distances_bit_identical(scratch):
+    # 1e-7 differences on a 1000 offset: the Gram-trick sq+sq-2ab form
+    # loses most digits here; every path must read predict's distances
+    rng = np.random.default_rng(0)
+    segments = 1000.0 + 1e-7 * rng.normal(size=(60, 24))
+    history = History(*scaling_coefficients(segments))
+    n = len(history)
+    with mock.patch.object(predictor, "_SCRATCH", scratch):
+        blocks = list(history.rows(1, n, depth=4))
+        default_bandwidth_grid(history)
+    tri = history.tri
+    offset = 0
+    for r0, r1, D, _ in blocks:
+        for q in range(r0, r1):
+            want = query_distances(history.X, history.config, q)
+            np.testing.assert_array_equal(D[q - r0, :q], want)
+            np.testing.assert_array_equal(tri[offset:offset + q], want)
+            offset += q
+    assert offset == tri.size
+
+
+def test_grid_and_cv_share_history_distances():
+    segments = np.random.default_rng(1).normal(size=(30, 12))
+    history = History(*scaling_coefficients(segments))
+    grid = default_bandwidth_grid(history)
+    np.testing.assert_array_equal(grid, default_bandwidth_grid(segments))
+    h_shared, cv_shared = cv_bandwidth(history, grid)
+    h_fresh, cv_fresh = cv_bandwidth(segments, grid)
+    assert h_shared == h_fresh
+    np.testing.assert_allclose(cv_shared, cv_fresh, rtol=1e-13)
+
+
+def test_history_config_mismatch_rejected():
+    history = History(*scaling_coefficients(np.ones((6, 8))))
+    with pytest.raises(ConfigError):
+        cv_bandwidth(history, [1.0], config=PipelineConfig(filter_id="dd2"))
+    with pytest.raises(ConfigError):
+        default_bandwidth_grid(history, config=PipelineConfig(j0=1))
+

@@ -110,6 +110,18 @@ class TestPredictCommand:
         assert rc == 1
 
 
+class TestScaleFlags:
+    @pytest.mark.parametrize("flags", [
+        ["--j0", "5"],          # P=12 pads to 16: levels 0..3 only
+        ["--scales", "0:9"],    # beyond the finest scale
+        ["--scales", "3:1"],    # empty range
+    ])
+    def test_out_of_pyramid_is_config_error(self, series_file, tmp_path, flags):
+        rc = main(["predict", "--input", str(series_file), "--p", "12",
+                   "--h", "1.0", "--output-dir", str(tmp_path / "o")] + flags)
+        assert rc == 2
+
+
 class TestCvCommand:
     def test_emits_full_table_with_selection(self, series_file, tmp_path):
         out = tmp_path / "out"

@@ -52,6 +52,12 @@ class TestResampleWeights:
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.all(w >= 0) and np.all(w <= 1)
 
+    def test_equals_prediction_weights(self):
+        hist = np.random.default_rng(8).normal(size=(40, 12))
+        kernel = KernelSpec("laplace", 0.6)
+        np.testing.assert_array_equal(resample_weights(hist, kernel),
+                                      predict_one_ahead(hist, kernel).weights)
+
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
             resample_weights(np.ones((1, 8)), KernelSpec())

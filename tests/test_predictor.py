@@ -212,6 +212,11 @@ class TestCvBandwidth:
         with pytest.raises(ConfigError):
             cv_bandwidth(np.ones((5, 8)), [])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_nonpositive_or_nonfinite_grid_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            cv_bandwidth(np.random.default_rng(0).normal(size=(5, 8)), [1.0, bad])
+
     def test_needs_three_segments(self):
         with pytest.raises(InsufficientHistoryError):
             cv_bandwidth(np.ones((2, 8)), [1.0])
@@ -241,3 +246,7 @@ class TestDefaultGrid:
         hist = np.tile(np.arange(8.0), (5, 1))
         grid = default_bandwidth_grid(hist)
         assert np.all(grid > 0)
+
+    def test_single_segment_fallback(self):
+        grid = default_bandwidth_grid(np.arange(8.0)[None])
+        np.testing.assert_array_equal(grid, np.logspace(-3, 0, 32))

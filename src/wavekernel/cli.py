@@ -19,7 +19,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -162,30 +162,23 @@ def _write_summary(path, payload: dict) -> None:
 
 def _segments(cfg: RunConfig) -> np.ndarray:
     series = load_series(cfg.input)
-    rem = series.size % cfg.p
-    if rem and not cfg.drop_remainder:
-        raise ConfigError(
-            f"series length {series.size} leaves {rem} trailing values for "
-            f"P={cfg.p}; pass --drop-remainder to discard them"
-        )
-    if rem:
-        print(f"dropping {rem} trailing values", file=sys.stderr)
-    return evaluation.split_segments(series, cfg.p, drop_remainder=True)
+    segments = evaluation.split_segments(series, cfg.p,
+                                         drop_remainder=cfg.drop_remainder)
+    if segments.size < series.size:
+        print(f"dropping {series.size - segments.size} trailing values",
+              file=sys.stderr)
+    return segments
 
 
-def _select_bandwidth(cfg: RunConfig, segments):
-    """Resolve h, running cross-validation when a grid was requested.
+def _select_bandwidth(cfg: RunConfig, history: predictor.History):
+    """Cross-validate h over the requested grid; return (h, CV table).
 
-    Grid and CV share one prepared history, so the auto grid's pairwise
+    Grid and CV share the prepared history, so the auto grid's pairwise
     distances are the ones CV reads.
     """
-    if cfg.bandwidth is not None:
-        return cfg.bandwidth, None
-    history = predictor.History(*predictor.scaling_coefficients(segments),
-                                cfg.pipeline())
     grid = cfg.grid(history)
     h_star, cv_values = predictor.cv_bandwidth(
-        history, grid, kernel_family=cfg.kernel, config=cfg.pipeline()
+        history, grid, kernel_family=cfg.kernel, config=history.config
     )
     table = [
         {"h": float(h), "cv": float(v), "selected": bool(h == h_star)}
@@ -194,11 +187,24 @@ def _select_bandwidth(cfg: RunConfig, segments):
     return h_star, table
 
 
+def _forecast(cfg: RunConfig, segments: np.ndarray):
+    """Forecast the block after ``segments``; return (result, CV table or None).
+
+    One history, prepared here, serves grid, CV and prediction, and is
+    freed on return.
+    """
+    history = predictor._history(segments, cfg.pipeline())
+    h, cv_table = cfg.bandwidth, None
+    if h is None:
+        h, cv_table = _select_bandwidth(cfg, history)
+    result = predictor.predict_one_ahead(history, KernelSpec(cfg.kernel, h),
+                                         config=history.config)
+    return result, cv_table
+
+
 def _run_predict(cfg: RunConfig) -> int:
     segments = _segments(cfg)
-    h, cv_table = _select_bandwidth(cfg, segments)
-    kernel = KernelSpec(cfg.kernel, h)
-    result = predictor.predict_one_ahead(segments, kernel, config=cfg.pipeline())
+    result, cv_table = _forecast(cfg, segments)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_prediction(out / "prediction.csv", result.curve)
@@ -220,7 +226,8 @@ def _run_cv(cfg: RunConfig) -> int:
     segments = _segments(cfg)
     if cfg.bandwidth is not None:
         raise ConfigError("cv takes --cv-grid (or its auto default), not --h")
-    h_star, cv_table = _select_bandwidth(cfg, segments)
+    h_star, cv_table = _select_bandwidth(
+        cfg, predictor._history(segments, cfg.pipeline()))
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "cv.csv").open("w", newline="") as fh:
@@ -241,10 +248,7 @@ def _run_cv(cfg: RunConfig) -> int:
 
 def _run_interval(cfg: RunConfig) -> int:
     segments = _segments(cfg)
-    h, cv_table = _select_bandwidth(cfg, segments)
-    kernel = KernelSpec(cfg.kernel, h)
-    pipeline = cfg.pipeline()
-    result = predictor.predict_one_ahead(segments, kernel, config=pipeline)
+    result, cv_table = _forecast(cfg, segments)
     plan = intervals.ResamplingPlan(B=cfg.b, alpha=cfg.alpha, seed=cfg.seed,
                                     weights=result.weights)
     band = intervals.prediction_interval(segments, result, plan)
@@ -274,20 +278,19 @@ def _run_interval(cfg: RunConfig) -> int:
 
 def _run_eval(cfg: RunConfig) -> int:
     segments = _segments(cfg)
-    h, cv_table = _select_bandwidth(cfg, segments)
-    kernel = KernelSpec(cfg.kernel, h)
-    pipeline = cfg.pipeline()
+    # h is selected without the held-out block that is scored below
+    result, cv_table = _forecast(cfg, segments[:-1])
+    pred, truth = result.curve, segments[-1]
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary: dict = {"command": "eval", "config": asdict(cfg), "h_used": h,
-                     "n_segments": int(segments.shape[0])}
+    summary: dict = {"command": "eval", "config": asdict(cfg),
+                     "h_used": result.h_used, "n_segments": int(segments.shape[0])}
     if cv_table is not None:
         summary["cv_table"] = cv_table
-    truth = segments[-1]
-    pred = predictor.predict_one_ahead(segments[:-1], kernel, config=pipeline).curve
     if cfg.rolling:
+        kernel = KernelSpec(cfg.kernel, result.h_used)
         wk_reports = evaluation.rolling_eval(
-            segments.reshape(-1), cfg.p, evaluation.wk_method(kernel, pipeline)
+            segments.reshape(-1), cfg.p, evaluation.wk_method(kernel, cfg.pipeline())
         )
         naive_reports = evaluation.rolling_eval(
             segments.reshape(-1), cfg.p, evaluation.naive_seasonal,
@@ -362,11 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "input", "output_dir", "p", "filter_id", "j0", "kernel", "bandwidth",
-        "cv_grid", "alpha", "b", "seed", "scales", "drop_remainder",
-        "rolling", "external_forecast",
-    }
+    names = {f.name for f in fields(RunConfig)}
     merged: dict = {}
     if args.config:
         path = Path(args.config)
@@ -376,21 +375,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-        unknown = set(loaded) - fields - {"command"}
+        unknown = set(loaded) - names
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    for name in fields:
+    for name in names:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    merged.setdefault("drop_remainder", False)
-    merged.setdefault("rolling", False)
     if not merged.get("input"):
         raise ConfigError("--input is required")
     if merged.get("p") is None:
         raise ConfigError("--p is required")
-    merged["command"] = args.command
     if args.command == "cv":
         merged.setdefault("cv_grid", "auto")
     elif merged.get("bandwidth") is None and merged.get("cv_grid") is None:

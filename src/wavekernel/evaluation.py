@@ -7,13 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientHistoryError, InvalidInputError
-from .predictor import (
-    History,
-    KernelSpec,
-    PipelineConfig,
-    predict_one_ahead,
-    scaling_coefficients,
-)
+from .predictor import KernelSpec, PipelineConfig, _history, predict_one_ahead
 
 __all__ = [
     "EvalReport",
@@ -104,7 +98,7 @@ def wk_method(kernel: KernelSpec, config: PipelineConfig = PipelineConfig()):
     def batch(segments, start):
         if start < 2:
             raise InsufficientHistoryError(f"need at least 2 segments, got {start}")
-        history = History(*scaling_coefficients(segments), config)
+        history = _history(segments, config)
         n = len(history)
         out = np.empty((n - start, history.P))
         hs = np.array([kernel.bandwidth])

@@ -24,12 +24,10 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientHistoryError, ShapeError
 from .predictor import (
-    History,
     KernelSpec,
     PipelineConfig,
     PredictionResult,
-    kernel_eval,
-    normalized_weights,
+    predict_one_ahead,
     scaling_coefficients,
 )
 
@@ -81,17 +79,11 @@ def resample_weights(history, kernel: KernelSpec,
                      config: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """Normalized similarity weights of the n-1 past segments.
 
-    ``history`` holds the scaling-coefficient vectors (or raw segments)
-    of segments 1..n; the weight of segment m reflects how close its
-    pyramid is to the current segment's pyramid.
+    ``history`` holds segments 1..n (or a prepared ``History``); the weight
+    of segment m reflects how close its pyramid is to the current
+    segment's pyramid.  These are the weights of :func:`predict_one_ahead`.
     """
-    X, P = scaling_coefficients(history)
-    n = X.shape[0]
-    if n < 2:
-        raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
-    dists = next(History(X, P, config).rows(n - 1, n))[2][0]
-    k = kernel_eval(kernel, dists / kernel.bandwidth)
-    return normalized_weights(k, n)
+    return predict_one_ahead(history, kernel, config).weights
 
 
 def draw_pseudo_blocks(plan: ResamplingPlan, future_segments) -> np.ndarray:

@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientHistoryError, LevelError, ShapeError
-from .similarity import ScaleRange
-from .wavelet import (
-    DEFAULT_FILTER,
-    Segment,
-    forward_array,
-    inverse_array,
-    pad_to_pow2,
+from .errors import (
+    ConfigError,
+    InsufficientHistoryError,
+    InvalidInputError,
+    LevelError,
+    ShapeError,
 )
+from .similarity import ScaleRange
+from .wavelet import DEFAULT_FILTER, forward_array, inverse_array
 
 __all__ = [
     "KernelSpec",
@@ -43,10 +43,27 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SCRATCH = 1 << 16  # doubles per row block of the causal pass (512 KiB)
 
-_KERNELS = {
-    "gaussian": lambda u: np.exp(-0.5 * u * u) / _SQRT_2PI,
-    "laplace": lambda u: 0.5 * np.exp(-np.abs(u)),
-}
+
+def _gaussian(u: np.ndarray) -> np.ndarray:
+    """exp(-u**2 / 2) / sqrt(2 pi), overwriting the float array u."""
+    u *= u
+    u *= -0.5
+    np.exp(u, out=u)
+    u /= _SQRT_2PI
+    return u
+
+
+def _laplace(u: np.ndarray) -> np.ndarray:
+    """exp(-|u|) / 2, overwriting the float array u."""
+    np.abs(u, out=u)
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    u *= 0.5
+    return u
+
+
+# evaluated in place: no temporaries of the size of a distance block
+_KERNELS = {"gaussian": _gaussian, "laplace": _laplace}
 
 
 @dataclass(frozen=True)
@@ -68,7 +85,8 @@ class KernelSpec:
 
 def kernel_eval(spec: KernelSpec, u) -> np.ndarray:
     """Evaluate the kernel density at |u| (bandwidth is applied by callers)."""
-    return _KERNELS[spec.family](np.asarray(u, dtype=float))
+    k = _KERNELS[spec.family](np.array(u, dtype=float, ndmin=1))
+    return k if np.ndim(u) else k[0]
 
 
 @dataclass(frozen=True)
@@ -110,31 +128,35 @@ def normalized_weights(kernel_values: np.ndarray, n: int) -> np.ndarray:
 
 
 def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
-    """Stack segments into a matrix of padded finest-level coefficients.
+    """Stack equal-length segments into padded finest-level coefficients.
 
-    Accepts Segment objects or plain vectors, all of one length P.
-    Returns ``(X, P)`` with X of shape (n, 2**J); under the
-    interpolating convention the rows are the padded sample values.
+    Returns ``(X, P)`` with X of shape (n, 2**J): each row is its segment
+    extended periodically on the right to the next power of two, which
+    under the interpolating convention are its scaling coefficients.
     """
-    rows = []
-    orig_len = None
-    for i, seg in enumerate(segments):
-        if not isinstance(seg, Segment):
-            seg = Segment(np.asarray(seg, dtype=float), segment_index=i + 1)
-        if orig_len is None:
-            orig_len = len(seg)
-        elif len(seg) != orig_len:
-            raise ShapeError(
-                f"segment {i + 1} has length {len(seg)}, expected {orig_len}"
-            )
-        rows.append(pad_to_pow2(seg).values)
-    if not rows:
+    try:
+        X = np.array(segments, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"segments must be equal-length numeric vectors: {exc}") from None
+    if X.ndim > 0 and len(X) == 0:
         raise InsufficientHistoryError("no segments given")
-    return np.stack(rows), orig_len
+    if X.ndim != 2 or X.shape[1] < 2:
+        raise InvalidInputError(
+            f"segments must be vectors of at least 2 samples, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("segments contain non-finite values")
+    P = X.shape[1]
+    return X[:, np.arange(1 << (P - 1).bit_length()) % P], P
 
 
 def _scale_blocks(X: np.ndarray, config: PipelineConfig):
-    """Decompose rows of X and list (scale, block) pairs entering D."""
+    """Decompose rows of X and list the (weight, block) pairs entering D.
+
+    Blocks are scaled by 2**-e, e the exponent of their largest magnitude,
+    and each scale weight 2**-j takes 2**e back.  Both are exact powers of
+    two, so distances are bit-identical to unscaled arithmetic wherever
+    that is finite, and squares no longer overflow near 1e160.
+    """
     coarse, details = forward_array(X, j0=config.j0, filter_id=config.filter_id)
     J = X.shape[-1].bit_length() - 1
     rng = config.scale_range or ScaleRange(config.j0, J - 1)
@@ -143,12 +165,10 @@ def _scale_blocks(X: np.ndarray, config: PipelineConfig):
             f"scale range [{rng.j_lo}, {rng.j_hi}] outside pyramid "
             f"scales [{config.j0}, {J - 1}]"
         )
-    blocks = []
-    if config.include_coarse:
-        blocks.append((config.j0, coarse))
-    for j in range(rng.j_lo, rng.j_hi + 1):
-        blocks.append((j, details[j]))
-    return blocks
+    blocks = [(config.j0, coarse)] if config.include_coarse else []
+    blocks += [(j, details[j]) for j in range(rng.j_lo, rng.j_hi + 1)]
+    e = math.frexp(max(float(np.abs(b).max()) for _, b in blocks))[1]
+    return [(math.ldexp(1.0, e - j), b * math.ldexp(1.0, -e)) for j, b in blocks]
 
 
 class History:
@@ -183,12 +203,12 @@ class History:
             causal = np.tri(r1 - r0, r1 - 1, r0 - 1, dtype=bool)
             if self.tri is None:
                 total = np.zeros(causal.shape)
-                for j, block in self.blocks:
+                for weight, block in self.blocks:
                     shape = causal.shape + block.shape[-1:]
                     diff = np.subtract(block[None, :r1 - 1], block[r0:r1, None],
                                        out=buf[:math.prod(shape)].reshape(shape))
                     diff *= diff
-                    total += math.ldexp(1.0, -j) * np.sqrt(diff.sum(axis=-1))
+                    total += weight * np.sqrt(diff.sum(axis=-1))
             D = np.full(causal.shape, np.inf)
             D[causal] = (total[causal] if self.tri is None
                          else self.tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2])
@@ -198,31 +218,61 @@ class History:
                   lo: int, hi: int):
         """Yield (r0, r1, F, K): for each cut q = r0+i in [lo, hi), F[g, i]
         forecasts row q+1 from rows 0..q as predict_coefficients does, with
-        kernel values K[g, i] at bandwidth hs[g].  Normalized mode spreads
-        the damping mass of normalized_weights by running sums of rows."""
+        kernel values K[g, i] at bandwidth hs[g].  Normalized mode weights
+        the rows by normalized_weights' own arithmetic, so a forecast is
+        exactly the convex combination its reported weights describe (a
+        single candidate row is reproduced bit for bit)."""
         if weight_mode not in ("raw", "normalized"):
             raise ConfigError(f"unknown weight_mode {weight_mode!r}")
         futures = self.X[1:, :self.P]
-        before = futures[:lo - 1].sum(axis=0)  # sum of futures[:q-1] at q = lo
-        for r0, r1, D, _ in self.rows(lo, hi, hs.size):
+        for r0, r1, D, causal in self.rows(lo, hi, hs.size):
             q = np.arange(r0, r1)[:, None]
             K = _KERNELS[family](D / hs[:, None, None])
             S = K.sum(axis=-1)[..., None]
-            KF = K.reshape(-1, r1 - 1) @ futures[:r1 - 1]  # one GEMM for all h
-            F = KF.reshape(K.shape[:2] + (-1,)) / (1.0 / (q + 1) + S)
             if weight_mode == "normalized":
-                prefix = before + np.cumsum(futures[r0 - 1:r1 - 1], axis=0)
-                F += prefix / (q * (1.0 + (q + 1) * S))
-                before = prefix[-1]
+                W = K / (1.0 / (q + 1) + S)
+                np.add(W, 1.0 / (q * (1.0 + (q + 1) * S)), out=W, where=causal)
+                np.minimum(W, 1.0, out=W)  # W >= 0 already
+                F = W.reshape(-1, r1 - 1) @ futures[:r1 - 1]  # one GEMM for all h
+            else:
+                F = K.reshape(-1, r1 - 1) @ futures[:r1 - 1]
+            F = F.reshape(K.shape[:2] + (-1,))
+            if weight_mode == "raw":
+                F /= 1.0 / (q + 1) + S
             yield r0, r1, F, K
 
 
 def _history(segments, config: PipelineConfig) -> History:
+    """The one way segments become a History; a prepared one passes through."""
     if not isinstance(segments, History):
         return History(*scaling_coefficients(segments), config)
     if segments.config != config:
         raise ConfigError("history was prepared with another pipeline config")
     return segments
+
+
+def _predict(history: History, kernel: KernelSpec, weight_mode: str,
+             orig_len: int | None) -> PredictionResult:
+    """Forecast the row after the last of ``history`` from its distance row."""
+    n = len(history)
+    if n < 2:
+        raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
+    _, _, F, K = next(history.forecasts(
+        np.array([kernel.bandwidth]), kernel.family, weight_mode, n - 1, n))
+    # periodic padding of the P forecast columns, as in scaling_coefficients
+    xi, k = F[0, 0][np.arange(history.X.shape[1]) % history.P], K[0, 0]
+    # reconstruct through the transform round trip (an identity for the
+    # interpolating convention, kept as a structural check)
+    config = history.config
+    coarse, details = forward_array(xi, j0=config.j0, filter_id=config.filter_id)
+    curve = inverse_array(coarse, details, filter_id=config.filter_id)
+    return PredictionResult(
+        xi_pred=xi,
+        curve=curve[:orig_len],
+        weights=normalized_weights(k, n),
+        h_used=kernel.bandwidth,
+        effective_sample=float(k.sum()),
+    )
 
 
 def predict_coefficients(history, kernel: KernelSpec,
@@ -231,8 +281,9 @@ def predict_coefficients(history, kernel: KernelSpec,
                          weight_mode: str = "raw") -> PredictionResult:
     """Predict the next scaling-coefficient vector from history rows 1..n.
 
-    ``history`` is a sequence (or matrix) of n >= 2 equal-length
-    power-of-two coefficient vectors; row n is the current segment.
+    ``history`` is a matrix (or sequence) of n >= 2 equal-length
+    power-of-two coefficient vectors, row n being the current segment, or
+    a :class:`History` prepared with ``config``.
 
     ``weight_mode`` selects the weighting of the observed next-segments:
     "raw" divides the kernel-weighted sum by the 1/n-damped kernel total
@@ -241,28 +292,7 @@ def predict_coefficients(history, kernel: KernelSpec,
     the exactly-normalized resampling weights, making the prediction a
     convex combination of the next-segments.
     """
-    X = np.asarray(history, dtype=float)
-    if X.ndim != 2:
-        X = np.stack([np.asarray(r, dtype=float) for r in history])
-    n = X.shape[0]
-    if n < 2:
-        raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
-    _, _, F, K = next(History(X, X.shape[1], config).forecasts(
-        np.array([kernel.bandwidth]), kernel.family, weight_mode, n - 1, n))
-    xi, k = F[0, 0], K[0, 0]
-    # reconstruct through the transform round trip (an identity for the
-    # interpolating convention, kept as a structural check)
-    coarse, details = forward_array(xi, j0=config.j0, filter_id=config.filter_id)
-    curve = inverse_array(coarse, details, filter_id=config.filter_id)
-    if orig_len is not None:
-        curve = curve[:orig_len]
-    return PredictionResult(
-        xi_pred=xi,
-        curve=curve,
-        weights=normalized_weights(k, n),
-        h_used=kernel.bandwidth,
-        effective_sample=float(k.sum()),
-    )
+    return _predict(_history(history, config), kernel, weight_mode, orig_len)
 
 
 def predict_one_ahead(segments, kernel: KernelSpec,
@@ -270,14 +300,14 @@ def predict_one_ahead(segments, kernel: KernelSpec,
                       weight_mode: str = "normalized") -> PredictionResult:
     """Full pipeline from raw equal-length segments to the predicted curve.
 
+    ``segments`` may be a :class:`History` prepared with ``config``.
     Defaults to the normalized weighting so the forecast is a convex
     combination of observed next-segments (an exactly periodic history
     is reproduced exactly); pass ``weight_mode="raw"`` for the damped
     form.
     """
-    X, P = scaling_coefficients(segments)
-    return predict_coefficients(X, kernel, config=config, orig_len=P,
-                                weight_mode=weight_mode)
+    history = _history(segments, config)
+    return _predict(history, kernel, weight_mode, history.P)
 
 
 def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
@@ -310,8 +340,13 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     sq_err = np.zeros(grid.size)
     for r0, r1, F, _ in history.forecasts(grid, kernel_family, weight_mode, 1, n - 1):
         diff = F - history.X[r0 + 1:r1 + 1, :history.P]
-        sq_err += np.mean(diff * diff, axis=-1).sum(axis=-1)
+        with np.errstate(over="ignore"):  # checked below
+            sq_err += np.mean(diff * diff, axis=-1).sum(axis=-1)
     cv_values = sq_err / (n - 2)
+    if not np.all(np.isfinite(cv_values)):
+        raise InvalidInputError(
+            "cross-validation scores overflow: squared errors of this "
+            "series are not representable; rescale it")
     best = int(np.argmin(cv_values))  # argmin takes the first, i.e. smallest h
     return float(grid[best]), cv_values
 
@@ -332,6 +367,6 @@ def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
         # degenerate history (all segments identical): any h works
         return np.logspace(-3, 0, count)
     q_lo, q_hi = np.quantile(vals, [0.01, 0.99])
-    lo = max(float(q_lo), 1e-12)
+    lo = max(float(q_lo), 1e-12 * float(q_hi))
     hi = max(float(q_hi), lo * 10)
     return np.logspace(math.log10(lo), math.log10(hi), count)

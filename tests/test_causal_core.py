@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavekernel import (
@@ -86,6 +86,12 @@ def cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(cases())
+# one cut with a single candidate row, whose normalized weight is exactly 1:
+# the forecast must be that row bit for bit, as the scored error (1e-3 on a
+# level of 5) would magnify any rounding past rtol
+@example((np.random.default_rng(0).normal(size=(3, 2)) * 10.0 ** -3 + 5.0,
+          PipelineConfig(filter_id="dd2"), [1.0],
+          {"family": "gaussian", "weight_mode": "normalized", "scratch": 1}))
 def test_cv_matches_per_cut_loop(case):
     segments, config, grid, opts = case
     with mock.patch.object(predictor, "_SCRATCH", opts["scratch"]):

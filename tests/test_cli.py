@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from wavekernel import InvalidInputError, gen_synthetic
+from wavekernel import (
+    InvalidInputError,
+    cv_bandwidth,
+    default_bandwidth_grid,
+    gen_synthetic,
+    predictor,
+)
 from wavekernel.cli import load_series, main, write_series
 
 
@@ -104,6 +110,27 @@ class TestPredictCommand:
                    "--drop-remainder", "--output-dir", str(tmp_path / "o")])
         assert rc == 0
 
+    def test_cv_prepares_one_history(self, series_file, tmp_path, monkeypatch):
+        built = []
+        init = predictor.History.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(predictor.History, "__init__", counting_init)
+        rc = main(["predict", "--input", str(series_file), "--p", "12",
+                   "--cv-grid", "auto", "--output-dir", str(tmp_path / "o")])
+        assert rc == 0
+        assert len(built) == 1
+
+    def test_overflowing_cv_scores_are_runtime_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_series(path, 1e160 * gen_synthetic("seasonal_ar", 20, 12, 0.3, seed=5))
+        rc = main(["predict", "--input", str(path), "--p", "12",
+                   "--cv-grid", "auto", "--output-dir", str(tmp_path / "o")])
+        assert rc == 1
+
     def test_missing_input_is_runtime_error(self, tmp_path):
         rc = main(["predict", "--input", str(tmp_path / "nope.csv"),
                    "--p", "12", "--h", "1", "--output-dir", str(tmp_path)])
@@ -172,6 +199,16 @@ class TestEvalCommand:
         holdout = read_summary(out)["holdout"]
         assert 0 <= holdout["wk_rmae"] < 1
         assert 0 <= holdout["naive_rmae"] < 1
+
+    def test_cv_selects_without_scored_block(self, series_file, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["eval", "--input", str(series_file), "--p", "12",
+                   "--cv-grid", "auto", "--output-dir", str(out)])
+        assert rc == 0
+        history = load_series(series_file).reshape(-1, 12)[:-1]
+        _, want = cv_bandwidth(history, default_bandwidth_grid(history))
+        got = [row["cv"] for row in read_summary(out)["cv_table"]]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_external_forecast_scored(self, series_file, tmp_path):
         truth = load_series(series_file)[-12:]

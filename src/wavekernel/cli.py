@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -96,29 +97,69 @@ class RunConfig:
 
 
 def load_series(path, fmt: str = "csv") -> np.ndarray:
-    """Read one numeric value per row; a non-numeric first row is a header."""
+    """Read the first field of each row as one value (format: README, CLI).
+
+    Blank rows are skipped and a non-numeric row 1 is a header.  The rows
+    after row 1 are parsed in one C pass.  An unparseable or non-finite
+    value, or no value at all, sends the file to the row reader instead,
+    which gives the same values and names the first bad row.
+    """
     if fmt != "csv":
         raise ConfigError(f"unsupported input format {fmt!r}")
     p = Path(path)
     if not p.exists():
         raise InvalidInputError(f"input file not found: {p}")
-    values = []
-    with p.open(newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            token = row[0].strip()
+    try:
+        with p.open(newline="") as fh:
             try:
-                v = float(token)
+                values = _parse_whole(fh)
             except ValueError:
-                if row_no == 1 and not values:
-                    continue  # header row
-                raise InvalidInputError(
-                    f"{p}: cannot parse row {row_no}: {token!r}"
-                ) from None
-            if not np.isfinite(v):
-                raise InvalidInputError(f"{p}: non-finite value at row {row_no}")
-            values.append(v)
+                values = None
+            if values is None or values.size == 0 or not np.isfinite(values).all():
+                fh.seek(0)
+                values = _parse_rows(fh, p)
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{p}: not {exc.encoding} text: {exc.reason}") from None
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read input file {p}: {exc.strerror}") from None
+    return values
+
+
+def _parse_whole(fh) -> np.ndarray:
+    """Row 1 as the row reader reads it, then every later row in one C parse."""
+    row = next(csv.reader(fh), [])
+    token = row[0].strip() if row else ""
+    try:
+        head = [float(token)] if token else []
+    except ValueError:
+        head = []  # header row
+    # np.loadtxt warns on input without rows: start it at the first non-empty line
+    for line in fh:
+        if line.strip("\r\n"):
+            body = np.loadtxt(itertools.chain([line], fh), delimiter=",", usecols=0,
+                              comments=None, quotechar='"', ndmin=1)
+            return np.concatenate([head, body]) if head else body
+    return np.array(head)
+
+
+def _parse_rows(fh, p: Path) -> np.ndarray:
+    """The row-by-row reader: rejects the first bad value by its row number."""
+    values = []
+    for row_no, row in enumerate(csv.reader(fh), start=1):
+        if not row or not row[0].strip():
+            continue
+        token = row[0].strip()
+        try:
+            v = float(token)
+        except ValueError:
+            if row_no == 1 and not values:
+                continue  # header row
+            raise InvalidInputError(
+                f"{p}: cannot parse row {row_no}: {token!r}"
+            ) from None
+        if not np.isfinite(v):
+            raise InvalidInputError(f"{p}: non-finite value at row {row_no}")
+        values.append(v)
     if not values:
         raise InvalidInputError(f"{p}: no numeric data")
     return np.array(values)

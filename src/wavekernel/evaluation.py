@@ -77,11 +77,14 @@ def split_segments(series, P: int, drop_remainder: bool = False) -> np.ndarray:
 
 
 def naive_seasonal(segments) -> np.ndarray:
-    """Forecast the next segment by repeating the last observed one."""
-    segs = list(segments)
-    if not segs:
+    """Forecast the next segment by repeating the last observed one.
+
+    ``segments`` is a sequence of past segments (a list, or the rows of
+    an array).
+    """
+    if len(segments) == 0:
         raise InsufficientHistoryError("empty history")
-    return np.asarray(segs[-1], dtype=float)
+    return np.asarray(segments[-1], dtype=float)
 
 
 def wk_method(kernel: KernelSpec, config: PipelineConfig = PipelineConfig()):
@@ -117,10 +120,11 @@ def rolling_eval(series, P: int, method, min_history: int = 2,
                  drop_remainder: bool = False) -> list[EvalReport]:
     """Rolling-origin evaluation: fit on each prefix, score the next segment.
 
-    ``method`` is a callable mapping a list of past segments to a
-    length-P forecast; it only ever sees segments strictly before the
-    one being scored.  A method with a ``batch(segments, start)``
-    attribute (see :func:`wk_method`) gives all forecasts in one call.
+    ``method`` is a callable mapping a sequence of past segments (the
+    rows of an array view) to a length-P forecast; it only ever sees
+    segments strictly before the one being scored.  A method with a
+    ``batch(segments, start)`` attribute (see :func:`wk_method`) gives
+    all forecasts in one call.
     """
     segs = split_segments(series, P, drop_remainder=drop_remainder)
     n = segs.shape[0]
@@ -134,7 +138,7 @@ def rolling_eval(series, P: int, method, min_history: int = 2,
     if hasattr(method, "batch"):
         preds = method.batch(segs, min_history)
     else:
-        preds = [method([segs[m] for m in range(i)]) for i in origins]
+        preds = [method(segs[:i]) for i in origins]
     return [rmae(pred, segs[i], n0=i + 1, method_id=method_id)
             for i, pred in zip(origins, preds)]
 

@@ -126,6 +126,23 @@ class TestRollingEval:
         with pytest.raises(ConfigError):
             rolling_eval(np.arange(16.0), 8, naive_seasonal)
 
+    def test_naive_reports_equal_list_based_loop(self):
+        series = gen_synthetic("seasonal_ar", 40, 12, 0.3, seed=4)
+        segs = split_segments(series, 12)
+        # the per-origin loop before prefix views: a fresh list per origin
+        want = [rmae(naive_seasonal([segs[m] for m in range(i)]), segs[i],
+                     n0=i + 1, method_id="naive") for i in range(2, 40)]
+        got = rolling_eval(series, 12, naive_seasonal, method_id="naive")
+        assert [(r.rmae, r.n0, r.method_id) for r in got] == \
+            [(r.rmae, r.n0, r.method_id) for r in want]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.per_point_abs_rel_err,
+                                          w.per_point_abs_rel_err)
+
+    def test_naive_empty_array_history(self):
+        with pytest.raises(InsufficientHistoryError):
+            naive_seasonal(np.empty((0, 4)))
+
 
 class TestGenSynthetic:
     def test_zero_noise_is_periodic(self):

@@ -120,6 +120,8 @@ def load_series(path, fmt: str = "csv") -> np.ndarray:
                 values = _parse_rows(fh, p)
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{p}: not {exc.encoding} text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise InvalidInputError(f"{p}: cannot parse: {exc}") from None
     except OSError as exc:
         raise InvalidInputError(f"cannot read input file {p}: {exc.strerror}") from None
     return values
@@ -173,21 +175,7 @@ def write_series(path, values) -> None:
             writer.writerow([_fmt(v)])
 
 
-def _write_prediction(path, curve, lower=None, upper=None) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["t_index", "predicted"]
-        if lower is not None:
-            header += ["lower", "upper"]
-        writer.writerow(header)
-        for i, v in enumerate(curve):
-            row = [i, _fmt(v)]
-            if lower is not None:
-                row += [_fmt(lower[i]), _fmt(upper[i])]
-            writer.writerow(row)
-
-
-def _write_plotdata(path, columns: dict) -> None:
+def _write_columns(path, columns: dict) -> None:
     names = list(columns)
     length = len(next(iter(columns.values())))
     with Path(path).open("w", newline="") as fh:
@@ -248,8 +236,8 @@ def _run_predict(cfg: RunConfig) -> int:
     result, cv_table = _forecast(cfg, segments)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_prediction(out / "prediction.csv", result.curve)
-    _write_plotdata(out / "plotdata.csv", {"predicted": result.curve})
+    for name in ("prediction.csv", "plotdata.csv"):
+        _write_columns(out / name, {"predicted": result.curve})
     summary = {
         "command": "predict",
         "config": asdict(cfg),
@@ -295,12 +283,9 @@ def _run_interval(cfg: RunConfig) -> int:
     band = intervals.prediction_interval(segments, result, plan)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_prediction(out / "prediction.csv", result.curve, band.lower, band.upper)
-    _write_plotdata(out / "plotdata.csv", {
-        "predicted": result.curve,
-        "lower": band.lower,
-        "upper": band.upper,
-    })
+    columns = {"predicted": result.curve, "lower": band.lower, "upper": band.upper}
+    for name in ("prediction.csv", "plotdata.csv"):
+        _write_columns(out / name, columns)
     summary = {
         "command": "interval",
         "config": asdict(cfg),
@@ -357,8 +342,8 @@ def _run_eval(cfg: RunConfig) -> int:
             summary["holdout"]["external_rmae"] = evaluation.rmae(
                 ext, truth, method_id="external"
             ).rmae
-    _write_prediction(out / "prediction.csv", pred)
-    _write_plotdata(out / "plotdata.csv", {"truth": truth, "predicted": pred})
+    _write_columns(out / "prediction.csv", {"predicted": pred})
+    _write_columns(out / "plotdata.csv", {"truth": truth, "predicted": pred})
     _write_summary(out / "summary.json", summary)
     return 0
 

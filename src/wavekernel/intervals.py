@@ -6,12 +6,17 @@ similarity weights.  Residuals of the pseudo-blocks around the point
 predictor give per-time-point quantiles, which shifted back by the
 predictor yield the interval bounds.  Since the same curve is
 subtracted and added, the bounds equal quantiles of the pseudo-block
-values directly; an exact weighted-quantile mode exploiting this is
-available alongside the Monte Carlo default.
+values directly.
 
-Quantiles use the inverse empirical CDF (type 1), so every bound is an
-observed past-segment value and results are bit-reproducible for a
-fixed seed.  The generator is Philox (counter-based) keyed by the seed.
+Both methods take one type-1 quantile (inverse empirical CDF) of a
+discrete distribution over the n-1 observed next-segments: the
+"exact" method weighs each by its similarity weight, the Monte Carlo
+default by how often B seeded draws picked it.  The k-th smallest of
+the B drawn values is the first sorted observed value whose cumulative
+draw count reaches k, so no pseudo-block matrix is built or sorted.
+Every bound is an observed past-segment value, and results are
+bit-reproducible for a fixed seed.  The generator is Philox
+(counter-based) keyed by the seed.
 """
 
 from __future__ import annotations
@@ -86,6 +91,12 @@ def resample_weights(history, kernel: KernelSpec,
     return predict_one_ahead(history, kernel, config).weights
 
 
+def _draw(plan: ResamplingPlan, m: int) -> np.ndarray:
+    """Indices of B seeded i.i.d. draws from 0..m-1 with the plan's weights."""
+    rng = np.random.Generator(np.random.Philox(key=plan.seed))
+    return rng.choice(m, size=plan.B, p=plan.weights)
+
+
 def draw_pseudo_blocks(plan: ResamplingPlan, future_segments) -> np.ndarray:
     """Draw B pseudo-blocks i.i.d. from Z_2..Z_n with the plan's weights."""
     futures = np.asarray(future_segments, dtype=float)
@@ -93,34 +104,38 @@ def draw_pseudo_blocks(plan: ResamplingPlan, future_segments) -> np.ndarray:
         raise ShapeError(
             f"expected {plan.weights.size} future segments, got shape {futures.shape}"
         )
-    rng = np.random.Generator(np.random.Philox(key=plan.seed))
-    idx = rng.choice(futures.shape[0], size=plan.B, p=plan.weights)
-    return futures[idx]
+    return futures[_draw(plan, futures.shape[0])]
 
 
-def _ecdf_quantile(sorted_cols: np.ndarray, q: float) -> np.ndarray:
-    """Type-1 quantile per column of a row-sorted matrix."""
-    b = sorted_cols.shape[0]
-    k = max(int(math.ceil(q * b)), 1)
-    k = min(k, b)
-    return sorted_cols[k - 1]
+def _type1_quantiles(atoms: np.ndarray, mass: np.ndarray, thresholds) -> list:
+    """Per column, the smallest atom whose cumulative mass reaches each threshold.
+
+    ``atoms`` has one row per support point and ``mass`` one entry per
+    row.  The sort is stable, so which of two equal atoms (such as 0.0 and
+    -0.0) is returned does not depend on numpy's sort implementation.
+    """
+    order = np.argsort(atoms, axis=0, kind="stable")
+    cum = np.cumsum(mass[order], axis=0)
+    cols = np.arange(atoms.shape[1])
+    return [atoms[order[np.argmax(cum >= t, axis=0), cols], cols] for t in thresholds]
 
 
 def weighted_quantile(atoms: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
     """Exact type-1 quantile of a discrete column-wise distribution.
 
-    ``atoms`` has one row per support point (columns are time points);
-    returns, per column, the smallest atom whose cumulative weight
-    reaches q.
+    ``atoms`` has one row per support point (columns are time points) and
+    ``weights`` one entry per row; returns, per column, the smallest atom
+    whose cumulative weight reaches q.
     """
     atoms = np.asarray(atoms, dtype=float)
-    order = np.argsort(atoms, axis=0, kind="stable")
-    sorted_atoms = np.take_along_axis(atoms, order, axis=0)
-    w = np.asarray(weights, dtype=float)[order]
-    cumw = np.cumsum(w, axis=0)
-    mask = cumw >= q - 1e-12
-    first = np.argmax(mask, axis=0)
-    return sorted_atoms[first, np.arange(atoms.shape[1])]
+    w = np.asarray(weights, dtype=float)
+    if atoms.ndim != 2 or w.ndim != 1 or not 0 < w.size == atoms.shape[0]:
+        raise ShapeError(
+            f"need one weight per atom row, got weights {w.shape} for atoms {atoms.shape}"
+        )
+    if not 0.0 <= q <= 1.0:
+        raise ConfigError(f"q must lie in [0, 1], got {q}")
+    return _type1_quantiles(atoms, w, [q - 1e-12])[0]
 
 
 def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan,
@@ -142,23 +157,19 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     curve = np.asarray(center.curve, dtype=float)
     if curve.size != P:
         raise ShapeError(f"center curve has {curve.size} points, segments have {P}")
-    if plan.B < math.ceil(1.0 / plan.alpha):
+    if plan.B < 1.0 / plan.alpha:  # inf for a subnormal alpha
         warnings.warn(
-            f"B={plan.B} draws resolve the {plan.alpha} tail poorly "
-            f"(need at least {math.ceil(1.0 / plan.alpha)})",
+            f"B={plan.B} draws resolve the {plan.alpha} tail poorly (need B >= 1/alpha)",
             stacklevel=2,
         )
+    qs = (plan.alpha, 1.0 - plan.alpha)
     if method == "exact":
-        lower = weighted_quantile(futures, plan.weights, plan.alpha)
-        upper = weighted_quantile(futures, plan.weights, 1.0 - plan.alpha)
+        lower, upper = _type1_quantiles(futures, plan.weights, [q - 1e-12 for q in qs])
     elif method == "monte-carlo":
-        blocks = draw_pseudo_blocks(plan, futures)
-        # residual quantiles shifted back by the center curve reduce to
-        # quantiles of the pseudo-block values themselves; computing them
-        # directly keeps every bound an observed past-segment value
-        sorted_blocks = np.sort(blocks, axis=0)
-        lower = _ecdf_quantile(sorted_blocks, plan.alpha)
-        upper = _ecdf_quantile(sorted_blocks, 1.0 - plan.alpha)
+        # the k-th smallest of the B drawn values, read off the draw counts
+        counts = np.bincount(_draw(plan, futures.shape[0]), minlength=futures.shape[0])
+        ranks = [min(max(math.ceil(q * plan.B), 1), plan.B) for q in qs]
+        lower, upper = _type1_quantiles(futures, counts, ranks)
     else:
         raise ConfigError(f"unknown interval method {method!r}")
     return PredictionInterval(lower=lower, upper=upper, alpha=plan.alpha,

@@ -230,6 +230,18 @@ class TestEvalCommand:
         assert rolling["wk"]["count"] == rolling["naive"]["count"] == 28
 
 
+@pytest.mark.parametrize("command, flags, header", [
+    ("predict", [], "t_index,predicted"),
+    ("interval", ["--b", "50"], "t_index,predicted,lower,upper"),
+    ("eval", [], "t_index,predicted"),
+])
+def test_prediction_csv_header(series_file, tmp_path, command, flags, header):
+    out = tmp_path / "out"
+    assert main([command, "--input", str(series_file), "--p", "12", "--h", "1.0",
+                 "--output-dir", str(out), *flags]) == 0
+    assert (out / "prediction.csv").read_text().splitlines()[0] == header
+
+
 class TestConfigFile:
     def test_config_echo_supports_replay(self, series_file, tmp_path):
         out1 = tmp_path / "o1"

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavekernel import (
     ConfigError,
@@ -124,6 +128,16 @@ class TestWeightedQuantile:
         assert weighted_quantile(atoms, w, 0.025)[0] == 2.0
         assert weighted_quantile(atoms, w, 0.975)[0] == 2.0
 
+    @pytest.mark.parametrize("q", [-0.1, 1.5, float("nan")])
+    def test_rejects_q_outside_unit_interval(self, q):
+        with pytest.raises(ConfigError):
+            weighted_quantile(np.arange(6.0).reshape(3, 2), np.full(3, 1 / 3), q)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_rejects_weight_count_mismatch(self, size):
+        with pytest.raises(ShapeError):
+            weighted_quantile(np.arange(6.0).reshape(3, 2), np.full(size, 1 / size), 0.5)
+
 
 class TestPredictionInterval:
     def _setup(self, seed=4, n=20, P=12, h=1.0):
@@ -184,3 +198,52 @@ class TestPredictionInterval:
         b2 = prediction_interval(hist, center, plan)
         np.testing.assert_array_equal(b1.lower, b2.lower)
         np.testing.assert_array_equal(b1.upper, b2.upper)
+
+
+def sorted_draws_quantile(plan, futures, q):
+    """The k-th smallest of B drawn pseudo-blocks, by a full sort of the draws."""
+    blocks = np.sort(draw_pseudo_blocks(plan, futures), axis=0)
+    k = min(max(math.ceil(q * plan.B), 1), plan.B)
+    return blocks[k - 1]
+
+
+def argsort_weighted_quantile(atoms, weights, q):
+    """One argsort per quantile: the smallest atom whose cumulative weight reaches q."""
+    order = np.argsort(atoms, axis=0, kind="stable")
+    cumw = np.cumsum(weights[order], axis=0)
+    first = np.argmax(cumw >= q - 1e-12, axis=0)
+    return np.take_along_axis(atoms, order, axis=0)[first, np.arange(atoms.shape[1])]
+
+
+# B = 30, alpha = 0.1: 0.1 * 30 is exactly 3.0, rank 3.  B = 100, alpha = 0.07:
+# 0.07 * 100 is 7.000000000000001, so the lower bound is rank 8, not 7.
+# alpha = 5e-324: 1 / alpha overflows to inf.
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 30), P=st.integers(2, 8), decimals=st.integers(0, 2),
+       concentration=st.sampled_from([0.05, 0.2, 1.0, 10.0]),
+       sharpen=st.sampled_from([1, 8]),
+       B=st.integers(1, 3000),
+       alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=12, P=4, decimals=0, concentration=1.0, sharpen=1, B=30, alpha=0.1, seed=3)
+@example(n=12, P=4, decimals=0, concentration=1.0, sharpen=1, B=100, alpha=0.07, seed=3)
+@example(n=2, P=2, decimals=0, concentration=1.0, sharpen=1, B=1, alpha=5e-324, seed=0)
+def test_bounds_match_sorted_draws(n, P, decimals, concentration, sharpen, B, alpha, seed):
+    rng = np.random.default_rng(seed)
+    hist = np.round(rng.normal(size=(n, P)) * 2, decimals)  # rounding makes ties
+    # a power of a Dirichlet draw is close to a point mass
+    weights = rng.dirichlet(np.full(n - 1, concentration)) ** sharpen
+    plan = make_plan(weights / weights.sum(), B=B, alpha=alpha, seed=seed)
+    center = predict_one_ahead(hist, KernelSpec("gaussian", 1.0))
+    futures = hist[1:]
+    mc = prediction_interval(hist, center, plan)
+    np.testing.assert_array_equal(mc.lower,
+                                  sorted_draws_quantile(plan, futures, alpha))
+    np.testing.assert_array_equal(mc.upper,
+                                  sorted_draws_quantile(plan, futures, 1 - alpha))
+    exact = prediction_interval(hist, center, plan, method="exact")
+    np.testing.assert_array_equal(exact.lower,
+                                  argsort_weighted_quantile(futures, plan.weights, alpha))
+    np.testing.assert_array_equal(exact.upper,
+                                  argsort_weighted_quantile(futures, plan.weights, 1 - alpha))

@@ -138,3 +138,17 @@ def test_directory_input_is_runtime_error(tmp_path, capsys):
                  "--output-dir", str(tmp_path / "out")])
     assert code == 1
     assert "cannot read input file" in capsys.readouterr().err
+
+
+# a field over csv's 131072-character limit, in row 1 or in a later row
+# whose failed whole-file parse sends the file to the row reader
+@pytest.mark.parametrize("text", ["1" * 200_000 + "\n1\n2\n",
+                                  "value\n1\n2\n" + "x" * 200_000 + "\n3\n"],
+                         ids=["row1", "later_row"])
+def test_overlong_field_is_runtime_error(tmp_path, capsys, text):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    code = main(["predict", "--input", str(path), "--p", "2", "--h", "1",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{path}: cannot parse: field larger than field limit" in capsys.readouterr().err

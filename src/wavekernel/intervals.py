@@ -11,9 +11,9 @@ values directly.
 Both methods take one type-1 quantile (inverse empirical CDF) of a
 discrete distribution over the n-1 observed next-segments: the
 "exact" method weighs each by its similarity weight, the Monte Carlo
-default by how often B seeded draws picked it.  The k-th smallest of
-the B drawn values is the first sorted observed value whose cumulative
-draw count reaches k, so no pseudo-block matrix is built or sorted.
+default by how often B seeded draws picked it, over the drawn ones only.
+The k-th smallest of the B drawn values is the first sorted one whose
+cumulative draw count reaches k, so no pseudo-block matrix is built.
 Every bound is an observed past-segment value, and results are
 bit-reproducible for a fixed seed.  The generator is Philox
 (counter-based) keyed by the seed.
@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 
+def _check_weights(w: np.ndarray) -> None:
+    if np.any(w < 0) or np.any(w > 1) or not abs(w.sum() - 1.0) <= 1e-12:
+        raise ConfigError("weights must lie in [0,1] and sum to 1")
+
+
 @dataclass(frozen=True)
 class ResamplingPlan:
     """How to draw pseudo-blocks: count, tail mass, seed and weights."""
@@ -60,12 +65,10 @@ class ResamplingPlan:
             raise ConfigError(f"B must be >= 1, got {self.B}")
         if not 0.0 < self.alpha < 0.5:
             raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ShapeError("weights must be a nonempty vector")
-        if np.any(w < 0) or np.any(w > 1) or abs(w.sum() - 1.0) > 1e-12:
-            raise ConfigError("weights must lie in [0,1] and sum to 1")
-        w = w.copy()
+        _check_weights(w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -107,14 +110,14 @@ def draw_pseudo_blocks(plan: ResamplingPlan, future_segments) -> np.ndarray:
     return futures[_draw(plan, futures.shape[0])]
 
 
-def _type1_quantiles(atoms: np.ndarray, mass: np.ndarray, thresholds) -> list:
+def _type1_quantiles(atoms, mass, thresholds, kind="stable") -> list:
     """Per column, the smallest atom whose cumulative mass reaches each threshold.
 
-    ``atoms`` has one row per support point and ``mass`` one entry per
-    row.  The sort is stable, so which of two equal atoms (such as 0.0 and
-    -0.0) is returned does not depend on numpy's sort implementation.
+    ``atoms`` has one row per support point and ``mass`` one entry per row.
+    Equal atoms differ only in the sign of a tied zero, which a stable
+    ``kind`` of argsort takes from the first such row.
     """
-    order = np.argsort(atoms, axis=0, kind="stable")
+    order = np.argsort(atoms, axis=0, kind=kind)
     cum = np.cumsum(mass[order], axis=0)
     cols = np.arange(atoms.shape[1])
     return [atoms[order[np.argmax(cum >= t, axis=0), cols], cols] for t in thresholds]
@@ -124,8 +127,8 @@ def weighted_quantile(atoms: np.ndarray, weights: np.ndarray, q: float) -> np.nd
     """Exact type-1 quantile of a discrete column-wise distribution.
 
     ``atoms`` has one row per support point (columns are time points) and
-    ``weights`` one entry per row; returns, per column, the smallest atom
-    whose cumulative weight reaches q.
+    ``weights`` one entry per row, in [0, 1] and summing to 1; returns,
+    per column, the smallest atom whose cumulative weight reaches q.
     """
     atoms = np.asarray(atoms, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -133,6 +136,7 @@ def weighted_quantile(atoms: np.ndarray, weights: np.ndarray, q: float) -> np.nd
         raise ShapeError(
             f"need one weight per atom row, got weights {w.shape} for atoms {atoms.shape}"
         )
+    _check_weights(w)
     if not 0.0 <= q <= 1.0:
         raise ConfigError(f"q must lie in [0, 1], got {q}")
     return _type1_quantiles(atoms, w, [q - 1e-12])[0]
@@ -166,10 +170,12 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     if method == "exact":
         lower, upper = _type1_quantiles(futures, plan.weights, [q - 1e-12 for q in qs])
     elif method == "monte-carlo":
-        # the k-th smallest of the B drawn values, read off the draw counts
-        counts = np.bincount(_draw(plan, futures.shape[0]), minlength=futures.shape[0])
+        # the k-th smallest of the B draws, off the counts of the drawn rows;
+        # unstable like a sort of the draws, so a tied zero's sign is open
+        counts = np.bincount(_draw(plan, futures.shape[0]))
+        drawn = np.flatnonzero(counts)
         ranks = [min(max(math.ceil(q * plan.B), 1), plan.B) for q in qs]
-        lower, upper = _type1_quantiles(futures, counts, ranks)
+        lower, upper = _type1_quantiles(futures[drawn], counts[drawn], ranks, kind=None)
     else:
         raise ConfigError(f"unknown interval method {method!r}")
     return PredictionInterval(lower=lower, upper=upper, alpha=plan.alpha,

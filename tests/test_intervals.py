@@ -133,6 +133,13 @@ class TestWeightedQuantile:
         with pytest.raises(ConfigError):
             weighted_quantile(np.arange(6.0).reshape(3, 2), np.full(3, 1 / 3), q)
 
+    # at least one entry is negative, NaN, or the weights do not sum to 1
+    @pytest.mark.parametrize("w", [[0.2, 0.2, 0.2], [0.5, 0.7, -0.2],
+                                   [0.5, 0.5, float("nan")]])
+    def test_rejects_weights_off_the_simplex(self, w):
+        with pytest.raises(ConfigError):
+            weighted_quantile(np.arange(6.0).reshape(3, 2), np.array(w), 0.9)
+
     @pytest.mark.parametrize("size", [2, 4])
     def test_rejects_weight_count_mismatch(self, size):
         with pytest.raises(ShapeError):
@@ -238,12 +245,15 @@ def test_bounds_match_sorted_draws(n, P, decimals, concentration, sharpen, B, al
     center = predict_one_ahead(hist, KernelSpec("gaussian", 1.0))
     futures = hist[1:]
     mc = prediction_interval(hist, center, plan)
+    # values only: neither this sort nor the one under test is stable, so
+    # which of a tied 0.0 and -0.0 lands at rank k is each sort's choice
     np.testing.assert_array_equal(mc.lower,
                                   sorted_draws_quantile(plan, futures, alpha))
     np.testing.assert_array_equal(mc.upper,
                                   sorted_draws_quantile(plan, futures, 1 - alpha))
     exact = prediction_interval(hist, center, plan, method="exact")
-    np.testing.assert_array_equal(exact.lower,
-                                  argsort_weighted_quantile(futures, plan.weights, alpha))
-    np.testing.assert_array_equal(exact.upper,
-                                  argsort_weighted_quantile(futures, plan.weights, 1 - alpha))
+    # both exact paths sort stably, so even the sign of a tied zero agrees
+    for got, q in ((exact.lower, alpha), (exact.upper, 1 - alpha)):
+        expect = argsort_weighted_quantile(futures, plan.weights, q)
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))

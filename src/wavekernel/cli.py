@@ -7,8 +7,9 @@ cv        bandwidth selection table by time-series cross-validation
 interval  point forecast plus resampling prediction interval
 eval      holdout / rolling scoring against the naive seasonal baseline
 
-Each run writes a prediction CSV, a JSON summary echoing the full
-configuration (sufficient to replay the run) and a plot-data CSV.
+``predict``, ``interval`` and ``eval`` write a prediction CSV, a plot-data
+CSV and a JSON summary echoing the full configuration (sufficient to
+replay the run); ``cv`` writes its CV table and the summary.
 Numbers are written with 17 significant digits so files round-trip
 doubles exactly; a fixed seed therefore yields byte-identical outputs.
 """
@@ -38,6 +39,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# the accepted types of each RunConfig annotation, exactly: a bool is no int
+_TYPES = {"int": (int,), "float": (float, int), "str": (str,), "bool": (bool,)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to replay a run."""
@@ -60,6 +65,11 @@ class RunConfig:
     external_forecast: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if not (value is None and optional or type(value) in _TYPES[kind]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.p < 2:
             raise ConfigError(f"--p must be >= 2, got {self.p}")
         if self.filter_id not in FILTERS:
@@ -68,8 +78,13 @@ class RunConfig:
             raise ConfigError(f"--alpha must lie in (0, 0.5), got {self.alpha}")
         if self.b < 1:
             raise ConfigError(f"--b must be >= 1, got {self.b}")
+        if not 0 <= self.seed < 1 << 128:
+            raise ConfigError(f"--seed must lie in [0, 2**128), got {self.seed}")
         if self.bandwidth is not None and self.cv_grid is not None:
             raise ConfigError("pass exactly one of --h and --cv-grid, not both")
+        if self.rolling and self.external_forecast is not None:
+            raise ConfigError("--external-forecast scores the holdout; "
+                              "it cannot be combined with --rolling")
 
     def pipeline(self) -> PipelineConfig:
         rng = None
@@ -81,9 +96,9 @@ class RunConfig:
             rng = ScaleRange(lo, hi)
         return PipelineConfig(filter_id=self.filter_id, j0=self.j0, scale_range=rng)
 
-    def grid(self, segments) -> np.ndarray:
+    def grid(self, history: predictor.History) -> np.ndarray:
         if self.cv_grid in (None, "auto"):
-            return predictor.default_bandwidth_grid(segments, config=self.pipeline())
+            return predictor.default_bandwidth_grid(history, config=history.config)
         try:
             lo_s, hi_s, count_s = self.cv_grid.split(":")
             lo, hi, count = float(lo_s), float(hi_s), int(count_s)
@@ -96,28 +111,26 @@ class RunConfig:
         return np.geomspace(lo, hi, count)
 
 
-def load_series(path, fmt: str = "csv") -> np.ndarray:
+def load_series(path) -> np.ndarray:
     """Read the first field of each row as one value (format: README, CLI).
 
-    Blank rows are skipped and a non-numeric row 1 is a header.  The rows
-    after row 1 are parsed in one C pass.  An unparseable or non-finite
-    value, or no value at all, sends the file to the row reader instead,
-    which gives the same values and names the first bad row.
+    A leading byte-order mark is skipped, blank rows are skipped and a
+    non-numeric row 1 is a header.  The rows after row 1 are parsed in one
+    C pass.  An unparseable or non-finite value, or no value at all, sends
+    the file to the row reader instead, which gives the same values and
+    names the first bad row.
     """
-    if fmt != "csv":
-        raise ConfigError(f"unsupported input format {fmt!r}")
     p = Path(path)
     if not p.exists():
         raise InvalidInputError(f"input file not found: {p}")
     try:
         with p.open(newline="") as fh:
             try:
-                values = _parse_whole(fh)
+                values = _parse_whole(_rewind(fh))
             except ValueError:
                 values = None
             if values is None or values.size == 0 or not np.isfinite(values).all():
-                fh.seek(0)
-                values = _parse_rows(fh, p)
+                values = _parse_rows(_rewind(fh), p)
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{p}: not {exc.encoding} text: {exc.reason}") from None
     except csv.Error as exc:
@@ -125,6 +138,14 @@ def load_series(path, fmt: str = "csv") -> np.ndarray:
     except OSError as exc:
         raise InvalidInputError(f"cannot read input file {p}: {exc.strerror}") from None
     return values
+
+
+def _rewind(fh):
+    """Seek ``fh`` to its first character after a leading byte-order mark."""
+    fh.seek(0)
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
+    return fh
 
 
 def _parse_whole(fh) -> np.ndarray:
@@ -216,13 +237,9 @@ def _select_bandwidth(cfg: RunConfig, history: predictor.History):
     return h_star, table
 
 
-def _forecast(cfg: RunConfig, segments: np.ndarray):
-    """Forecast the block after ``segments``; return (result, CV table or None).
-
-    One history, prepared here, serves grid, CV and prediction, and is
-    freed on return.
-    """
-    history = predictor._history(segments, cfg.pipeline())
+def _forecast(cfg: RunConfig, history: predictor.History):
+    """Forecast the block after ``history`` with ``--h``, or h selected by
+    CV on it; return (result, CV table or None)."""
     h, cv_table = cfg.bandwidth, None
     if h is None:
         h, cv_table = _select_bandwidth(cfg, history)
@@ -231,104 +248,81 @@ def _forecast(cfg: RunConfig, segments: np.ndarray):
     return result, cv_table
 
 
-def _run_predict(cfg: RunConfig) -> int:
-    segments = _segments(cfg)
-    result, cv_table = _forecast(cfg, segments)
+def _write_run(cfg: RunConfig, segments: np.ndarray, tables: dict, **run) -> Path:
+    """Make ``--output-dir``, write each named table and ``summary.json``.
+
+    The summary holds the command, the config, the segment count and
+    every field of ``run`` that is not None.
+    """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in ("prediction.csv", "plotdata.csv"):
-        _write_columns(out / name, {"predicted": result.curve})
-    summary = {
-        "command": "predict",
-        "config": asdict(cfg),
-        "h_used": result.h_used,
-        "effective_sample": result.effective_sample,
-        "n_segments": int(segments.shape[0]),
-    }
-    if cv_table is not None:
-        summary["cv_table"] = cv_table
+    for name, columns in tables.items():
+        _write_columns(out / name, columns)
+    summary = {"command": cfg.command, "config": asdict(cfg),
+               "n_segments": int(segments.shape[0])}
+    summary.update((k, v) for k, v in run.items() if v is not None)
     _write_summary(out / "summary.json", summary)
-    return 0
+    return out
 
 
-def _run_cv(cfg: RunConfig) -> int:
+def _run_predict(cfg: RunConfig) -> None:
+    segments = _segments(cfg)
+    result, cv_table = _forecast(cfg, predictor._history(segments, cfg.pipeline()))
+    columns = {"predicted": result.curve}
+    _write_run(cfg, segments, {"prediction.csv": columns, "plotdata.csv": columns},
+               h_used=result.h_used, effective_sample=result.effective_sample,
+               cv_table=cv_table)
+
+
+def _run_cv(cfg: RunConfig) -> None:
     segments = _segments(cfg)
     if cfg.bandwidth is not None:
         raise ConfigError("cv takes --cv-grid (or its auto default), not --h")
     h_star, cv_table = _select_bandwidth(
         cfg, predictor._history(segments, cfg.pipeline()))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _write_run(cfg, segments, {}, h_selected=float(h_star), cv_table=cv_table)
     with (out / "cv.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["h", "cv", "selected"])
         for row in cv_table:
             writer.writerow([_fmt(row["h"]), _fmt(row["cv"]), int(row["selected"])])
-    summary = {
-        "command": "cv",
-        "config": asdict(cfg),
-        "h_selected": float(h_star),
-        "cv_table": cv_table,
-        "n_segments": int(segments.shape[0]),
-    }
-    _write_summary(out / "summary.json", summary)
-    return 0
 
 
-def _run_interval(cfg: RunConfig) -> int:
+def _run_interval(cfg: RunConfig) -> None:
     segments = _segments(cfg)
-    result, cv_table = _forecast(cfg, segments)
+    # the history is freed on return, before the draw
+    result, cv_table = _forecast(cfg, predictor._history(segments, cfg.pipeline()))
     plan = intervals.ResamplingPlan(B=cfg.b, alpha=cfg.alpha, seed=cfg.seed,
                                     weights=result.weights)
     band = intervals.prediction_interval(segments, result, plan)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     columns = {"predicted": result.curve, "lower": band.lower, "upper": band.upper}
-    for name in ("prediction.csv", "plotdata.csv"):
-        _write_columns(out / name, columns)
-    summary = {
-        "command": "interval",
-        "config": asdict(cfg),
-        "h_used": result.h_used,
-        "effective_sample": result.effective_sample,
-        "alpha": cfg.alpha,
-        "B": cfg.b,
-        "seed": cfg.seed,
-        "n_segments": int(segments.shape[0]),
-    }
-    if cv_table is not None:
-        summary["cv_table"] = cv_table
-    _write_summary(out / "summary.json", summary)
-    return 0
+    _write_run(cfg, segments, {"prediction.csv": columns, "plotdata.csv": columns},
+               h_used=result.h_used, effective_sample=result.effective_sample,
+               alpha=cfg.alpha, B=cfg.b, seed=cfg.seed, cv_table=cv_table)
 
 
-def _run_eval(cfg: RunConfig) -> int:
+def _run_eval(cfg: RunConfig) -> None:
     segments = _segments(cfg)
-    # h is selected without the held-out block that is scored below
-    result, cv_table = _forecast(cfg, segments[:-1])
+    # the held-out block stays out of the one history, so CV never selects
+    # h on it; the rolling forecasts of the earlier blocks come from it too
+    history = predictor._history(segments[:-1], cfg.pipeline())
+    result, cv_table = _forecast(cfg, history)
     pred, truth = result.curve, segments[-1]
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary: dict = {"command": "eval", "config": asdict(cfg),
-                     "h_used": result.h_used, "n_segments": int(segments.shape[0])}
-    if cv_table is not None:
-        summary["cv_table"] = cv_table
+    holdout = rolling = None
     if cfg.rolling:
-        kernel = KernelSpec(cfg.kernel, result.h_used)
-        wk_reports = evaluation.rolling_eval(
-            segments.reshape(-1), cfg.p, evaluation.wk_method(kernel, cfg.pipeline())
-        )
+        wk = evaluation.wk_method(KernelSpec(cfg.kernel, result.h_used), history.config)
+        preds = [*wk.batch(history, 2), pred]  # origins 2..n-1
+        wk_reports = [evaluation.rmae(f, segments[i], n0=i + 1, method_id="wk")
+                      for i, f in enumerate(preds, start=2)]
         naive_reports = evaluation.rolling_eval(
             segments.reshape(-1), cfg.p, evaluation.naive_seasonal,
             method_id="naive",
         )
-        summary["rolling"] = {
-            "wk": evaluation.summarize(wk_reports),
-            "naive": evaluation.summarize(naive_reports),
-        }
+        rolling = {"wk": evaluation.summarize(wk_reports),
+                   "naive": evaluation.summarize(naive_reports)}
     else:
         naive = evaluation.naive_seasonal(segments[:-1])
-        summary["holdout"] = {
+        holdout = {
             "segment_index": int(segments.shape[0]),
             "wk_rmae": evaluation.rmae(pred, truth, method_id="wk").rmae,
             "naive_rmae": evaluation.rmae(naive, truth, method_id="naive").rmae,
@@ -339,13 +333,13 @@ def _run_eval(cfg: RunConfig) -> int:
                 raise ConfigError(
                     f"external forecast has {ext.size} values, expected {cfg.p}"
                 )
-            summary["holdout"]["external_rmae"] = evaluation.rmae(
+            holdout["external_rmae"] = evaluation.rmae(
                 ext, truth, method_id="external"
             ).rmae
-    _write_columns(out / "prediction.csv", {"predicted": pred})
-    _write_columns(out / "plotdata.csv", {"truth": truth, "predicted": pred})
-    _write_summary(out / "summary.json", summary)
-    return 0
+    _write_run(cfg, segments, {"prediction.csv": {"predicted": pred},
+                               "plotdata.csv": {"truth": truth, "predicted": pred}},
+               h_used=result.h_used, cv_table=cv_table, holdout=holdout,
+               rolling=rolling)
 
 
 _RUNNERS = {
@@ -424,8 +418,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _RUNNERS[args.command](cfg)
+        _RUNNERS[args.command](_config_from_args(args))
+        return 0
     except (ConfigError, LevelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -22,6 +22,7 @@ bit-reproducible for a fixed seed.  The generator is Philox
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -65,6 +66,10 @@ class ResamplingPlan:
             raise ConfigError(f"B must be >= 1, got {self.B}")
         if not 0.0 < self.alpha < 0.5:
             raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        # Philox's key range; a bool is no seed
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or not 0 <= int(self.seed) < 1 << 128):
+            raise ConfigError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ShapeError("weights must be a nonempty vector")

@@ -6,12 +6,15 @@ import pytest
 
 from wavekernel import (
     InvalidInputError,
+    KernelSpec,
     cv_bandwidth,
     default_bandwidth_grid,
     gen_synthetic,
     predictor,
+    rolling_eval,
 )
 from wavekernel.cli import load_series, main, write_series
+from wavekernel.evaluation import summarize, wk_method
 
 
 @pytest.fixture
@@ -230,6 +233,65 @@ class TestEvalCommand:
         assert rolling["wk"]["count"] == rolling["naive"]["count"] == 28
 
 
+@pytest.fixture
+def histories(monkeypatch):
+    """The History objects prepared while the test runs."""
+    built = []
+    init = predictor.History.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(predictor.History, "__init__", counting_init)
+    return built
+
+
+BANDWIDTHS = {"h": ["--h", "1.0"], "grid": ["--cv-grid", "auto"]}
+RUN_KEYS = {"command", "config", "n_segments"}
+
+
+@pytest.mark.parametrize("bandwidth", sorted(BANDWIDTHS))
+@pytest.mark.parametrize("command, flags, keys", [
+    ("predict", [], {"h_used", "effective_sample"}),
+    ("interval", ["--b", "50"], {"h_used", "effective_sample", "alpha", "B", "seed"}),
+    ("eval", [], {"h_used", "holdout"}),
+    ("eval", ["--rolling"], {"h_used", "rolling"}),
+])
+def test_one_history_and_summary_keys(series_file, tmp_path, histories,
+                                      command, flags, keys, bandwidth):
+    out = tmp_path / "out"
+    assert main([command, "--input", str(series_file), "--p", "12",
+                 "--output-dir", str(out), *BANDWIDTHS[bandwidth], *flags]) == 0
+    assert len(histories) == 1
+    if bandwidth == "grid":
+        keys = keys | {"cv_table"}
+    assert set(read_summary(out)) == RUN_KEYS | keys
+
+
+def test_cv_one_history_and_summary_keys(series_file, tmp_path, histories):
+    out = tmp_path / "out"
+    assert main(["cv", "--input", str(series_file), "--p", "12",
+                 "--output-dir", str(out)]) == 0
+    assert len(histories) == 1
+    assert set(read_summary(out)) == RUN_KEYS | {"h_selected", "cv_table"}
+    assert sorted(p.name for p in out.iterdir()) == ["cv.csv", "summary.json"]
+
+
+@pytest.mark.parametrize("bandwidth", sorted(BANDWIDTHS))
+def test_rolling_scores_match_rolling_eval(series_file, tmp_path, bandwidth):
+    out = tmp_path / "out"
+    assert main(["eval", "--input", str(series_file), "--p", "12", "--rolling",
+                 "--output-dir", str(out), *BANDWIDTHS[bandwidth]]) == 0
+    summary = read_summary(out)
+    kernel = KernelSpec("gaussian", summary["h_used"])
+    want = summarize(rolling_eval(load_series(series_file), 12, wk_method(kernel)))
+    got = summary["rolling"]["wk"]
+    assert got["count"] == want["count"] == 28
+    np.testing.assert_allclose([got["mean_rmae"], got["median_rmae"]],
+                               [want["mean_rmae"], want["median_rmae"]], rtol=1e-12)
+
+
 @pytest.mark.parametrize("command, flags, header", [
     ("predict", [], "t_index,predicted"),
     ("interval", ["--b", "50"], "t_index,predicted,lower,upper"),
@@ -269,3 +331,30 @@ class TestConfigFile:
         rc = main(["predict", "--config", str(cfg), "--h", "1.0",
                    "--output-dir", str(tmp_path / "o")])
         assert rc == 2
+
+
+# each setting is rejected as a config error (exit 2), naming what is wrong;
+# --input names no file, so these are rejected before the input is read
+@pytest.mark.parametrize("flags, message", [
+    (["interval", "--h", "1", "--seed", "-3"], "--seed"),
+    (["interval", "--h", "1", "--seed", str(2**128)], "--seed"),
+    (["eval", "--h", "1", "--rolling", "--external-forecast", "nope.csv"],
+     "--external-forecast"),
+])
+def test_bad_flags_are_config_errors(tmp_path, capsys, flags, message):
+    rc = main([*flags, "--input", str(tmp_path / "nope.csv"), "--p", "12",
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p", "12"), ("p", 12.0), ("b", 1.5), ("alpha", "0.1"), ("b", True),
+])
+def test_config_value_of_wrong_type_rejected(series_file, tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"input": str(series_file), "p": 12, "bandwidth": 1.0,
+                               key: value}))
+    rc = main(["interval", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{key} must be" in capsys.readouterr().err

@@ -82,6 +82,16 @@ class TestResamplingPlan:
         with pytest.raises(ConfigError):
             make_plan([0.6, 0.6])
 
+    @pytest.mark.parametrize("seed", [-3, 2**128, 1.5, True, "3", None])
+    def test_rejects_seed_outside_philox_keys(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            make_plan([1.0], seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**128 - 1, np.uint64(5)])
+    def test_accepts_any_philox_key(self, seed):
+        plan = make_plan([0.5, 0.5], B=3, seed=seed)
+        draw_pseudo_blocks(plan, np.eye(2))
+
 
 class TestDrawPseudoBlocks:
     def test_point_mass(self):

@@ -152,3 +152,15 @@ def test_overlong_field_is_runtime_error(tmp_path, capsys, text):
                  "--output-dir", str(tmp_path / "out")])
     assert code == 1
     assert f"{path}: cannot parse: field larger than field limit" in capsys.readouterr().err
+
+
+# a byte-order mark is not part of the first value, nor of a header
+@pytest.mark.parametrize("text, want", [
+    ("\ufeff1.5\n2.5\n3.5\n4.5\n", [1.5, 2.5, 3.5, 4.5]),
+    ("\ufeff1.5\n1_000\n", [1.5, 1000.0]),  # via the row reader
+    ("\ufeffvalue\n1.5\n2.5\n", [1.5, 2.5]),
+])
+def test_byte_order_mark_skipped(tmp_path, text, want):
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode("utf-8"))
+    np.testing.assert_array_equal(load_series(path), want)

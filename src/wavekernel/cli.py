@@ -80,11 +80,16 @@ class RunConfig:
             raise ConfigError(f"--b must be >= 1, got {self.b}")
         if not 0 <= self.seed < 1 << 128:
             raise ConfigError(f"--seed must lie in [0, 2**128), got {self.seed}")
+        if self.command == "cv" and self.bandwidth is not None:
+            raise ConfigError("cv takes --cv-grid (or its auto default), not --h")
         if self.bandwidth is not None and self.cv_grid is not None:
             raise ConfigError("pass exactly one of --h and --cv-grid, not both")
         if self.rolling and self.external_forecast is not None:
             raise ConfigError("--external-forecast scores the holdout; "
                               "it cannot be combined with --rolling")
+        # parse --scales and --cv-grid now, before any input is read
+        self.pipeline()
+        self._grid_bounds()
 
     def pipeline(self) -> PipelineConfig:
         rng = None
@@ -96,9 +101,10 @@ class RunConfig:
             rng = ScaleRange(lo, hi)
         return PipelineConfig(filter_id=self.filter_id, j0=self.j0, scale_range=rng)
 
-    def grid(self, history: predictor.History) -> np.ndarray:
+    def _grid_bounds(self) -> tuple[float, float, int] | None:
+        """(lo, hi, count) of a lo:hi:count ``--cv-grid``; None for auto."""
         if self.cv_grid in (None, "auto"):
-            return predictor.default_bandwidth_grid(history, config=history.config)
+            return None
         try:
             lo_s, hi_s, count_s = self.cv_grid.split(":")
             lo, hi, count = float(lo_s), float(hi_s), int(count_s)
@@ -106,9 +112,15 @@ class RunConfig:
             raise ConfigError(
                 f"--cv-grid must be lo:hi:count or 'auto', got {self.cv_grid!r}"
             ) from exc
-        if not (0 < lo <= hi and count >= 1):
+        if not (0 < lo <= hi < np.inf and count >= 1):
             raise ConfigError(f"invalid --cv-grid bounds {self.cv_grid!r}")
-        return np.geomspace(lo, hi, count)
+        return lo, hi, count
+
+    def grid(self, history: predictor.History) -> np.ndarray:
+        bounds = self._grid_bounds()
+        if bounds is None:
+            return predictor.default_bandwidth_grid(history, config=history.config)
+        return np.geomspace(*bounds)
 
 
 def load_series(path) -> np.ndarray:
@@ -276,8 +288,6 @@ def _run_predict(cfg: RunConfig) -> None:
 
 def _run_cv(cfg: RunConfig) -> None:
     segments = _segments(cfg)
-    if cfg.bandwidth is not None:
-        raise ConfigError("cv takes --cv-grid (or its auto default), not --h")
     h_star, cv_table = _select_bandwidth(
         cfg, predictor._history(segments, cfg.pipeline()))
     out = _write_run(cfg, segments, {}, h_selected=float(h_star), cv_table=cv_table)

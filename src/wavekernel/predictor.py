@@ -40,30 +40,14 @@ __all__ = [
     "scaling_coefficients",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SCRATCH = 1 << 16  # doubles per row block of the causal pass (512 KiB)
+_PIECE = 1 << 14  # doubles per piece of the centred futures (128 KiB)
 
-
-def _gaussian(u: np.ndarray) -> np.ndarray:
-    """exp(-u**2 / 2) / sqrt(2 pi), overwriting the float array u."""
-    u *= u
-    u *= -0.5
-    np.exp(u, out=u)
-    u /= _SQRT_2PI
-    return u
-
-
-def _laplace(u: np.ndarray) -> np.ndarray:
-    """exp(-|u|) / 2, overwriting the float array u."""
-    np.abs(u, out=u)
-    np.negative(u, out=u)
-    np.exp(u, out=u)
-    u *= 0.5
-    return u
-
-
-# evaluated in place: no temporaries of the size of a distance block
-_KERNELS = {"gaussian": _gaussian, "laplace": _laplace}
+# kernel(u) = exp(-a |u|**p) / c per family, as (p, a, c): c = 1/kernel(0)
+_KERNELS = {"gaussian": (2, 0.5, math.sqrt(2.0 * math.pi)),
+            "laplace": (1, 1.0, 2.0)}
+# bandwidths sharing one distance transform lie within 2**±400 of its scale
+_GROUP_SPAN = 800
 
 
 @dataclass(frozen=True)
@@ -85,7 +69,14 @@ class KernelSpec:
 
 def kernel_eval(spec: KernelSpec, u) -> np.ndarray:
     """Evaluate the kernel density at |u| (bandwidth is applied by callers)."""
-    k = _KERNELS[spec.family](np.array(u, dtype=float, ndmin=1))
+    p, a, c = _KERNELS[spec.family]
+    k = np.abs(np.array(u, dtype=float, ndmin=1))
+    if p == 2:
+        with np.errstate(over="ignore"):  # u**2 past the largest double: k = 0
+            k *= k
+    k *= -a
+    np.exp(k, out=k)
+    k /= c
     return k if np.ndim(u) else k[0]
 
 
@@ -111,20 +102,21 @@ class PredictionResult:
 
 
 def normalized_weights(kernel_values: np.ndarray, n: int) -> np.ndarray:
-    """Resampling weights over the n-1 past segments; sums to 1 exactly.
+    """Resampling weights over the n-1 past segments.
 
     First term is each kernel value over the damped denominator of the
     prediction formula; the second term redistributes the 1/n damping
-    mass equally so the total is exactly one, even when every kernel
-    value underflows to zero (then all weights equal 1/(n-1)).
+    mass equally, even when every kernel value underflows to zero (then
+    all weights equal 1/(n-1)).  The weights sum to 1 up to rounding; a
+    single weight is exactly 1.
     """
     k = np.asarray(kernel_values, dtype=float)
     if k.size != n - 1:
         raise ShapeError(f"expected {n - 1} kernel values, got {k.size}")
+    if n == 2:
+        return np.ones(1)
     total = float(k.sum())
-    w = k / (1.0 / n + total) + 1.0 / ((n - 1) * (1.0 + n * total))
-    # rounding can land a hair outside [0, 1] (e.g. the single n=2 weight)
-    return np.clip(w, 0.0, 1.0)
+    return k / (1.0 / n + total) + 1.0 / ((n - 1) * (1.0 + n * total))
 
 
 def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
@@ -214,32 +206,103 @@ class History:
                          else self.tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2])
             yield r0, r1, D, causal
 
+    def _centred_futures(self, m0: int, m1: int) -> np.ndarray:
+        """Rows m0..m1-1 of X[1:, :P] - X[1, :P], with a ones column."""
+        Z = np.empty((m1 - m0, self.P + 1))
+        Z[:, self.P] = 1.0
+        np.subtract(self.X[m0 + 1:m1 + 1, :self.P], self.X[1, :self.P],
+                    out=Z[:, :self.P])
+        return Z
+
     def forecasts(self, hs: np.ndarray, family: str, weight_mode: str,
                   lo: int, hi: int):
-        """Yield (r0, r1, F, K): for each cut q = r0+i in [lo, hi), F[g, i]
+        """Yield (r0, r1, F, E): for each cut q = r0+i in [lo, hi), F[g, i]
         forecasts row q+1 from rows 0..q as predict_coefficients does, with
-        kernel values K[g, i] at bandwidth hs[g].  Normalized mode weights
-        the rows by normalized_weights' own arithmetic, so a forecast is
-        exactly the convex combination its reported weights describe (a
-        single candidate row is reproduced bit for bit)."""
+        E[g, i] the kernel values at bandwidth hs[g] times c = 1/kernel(0).
+
+        No weights are formed; each forecast is normalized after the
+        product.  Per row block the distance transform (D**2 or |D|, scaled
+        by a power of two) is made once for all h, and each h costs one
+        multiply and one exp.  One GEMM takes E, and a row of ones over the
+        q candidates, against the futures centred on the first,
+        Z = X[1:, :P] - X[1, :P], with a ones column: it gives E.Z, the
+        mass S = sum(E) and sum(Z[:q]).  Each mode is then an affine map
+        per row, over d = c/(q+1) + S:
+
+            raw:        (E.Z + S X[1, :P]) / d
+            normalized: X[1, :P] + (E.Z + c/(q(q+1)) sum(Z[:q])) / d
+
+        The normalized map is X[1, :P] + sum_m w_m Z_m with the weights of
+        normalized_weights, as they sum to 1: a single candidate row
+        (Z = 0) is reproduced bit for bit, and a forecast is the convex
+        combination of its reported weights up to rounding.  Z is made in
+        pieces of about _PIECE doubles, one product each (one in all for
+        n - 1 <= _PIECE / (P + 1)), so a one-row call (predict) never holds
+        a copy of the futures.
+        """
         if weight_mode not in ("raw", "normalized"):
             raise ConfigError(f"unknown weight_mode {weight_mode!r}")
-        futures = self.X[1:, :self.P]
-        for r0, r1, D, causal in self.rows(lo, hi, hs.size):
-            q = np.arange(r0, r1)[:, None]
-            K = _KERNELS[family](D / hs[:, None, None])
-            S = K.sum(axis=-1)[..., None]
+        p, a, c = _KERNELS[family]
+        G, P = hs.size, self.P
+        groups = _rate_groups(hs, p, a)
+        n, C = len(self), max(1, _PIECE // (P + 1))
+        fut0 = self.X[1, :P]
+        q = np.arange(lo, hi)[:, None]
+        damp, share = c / (q + 1), c / (q * (q + 1))
+        pieces = []  # Z in pieces of C rows, kept while a later block needs them
+        for r0, r1, D, causal in self.rows(lo, hi, G):
+            E = np.empty((G + 1,) + D.shape)
+            # an exponent past the largest double is a kernel value of 0
+            with np.errstate(over="ignore"):
+                for run, scale, neg_rates in groups:
+                    T = np.multiply(D, scale)  # D = inf off the causal set
+                    if p == 2:
+                        T *= T
+                    np.multiply(T, neg_rates, out=E[run])
+            np.exp(E[:G], out=E[:G])
+            E[G] = causal
+            E2 = E.reshape(-1, r1 - 1)
+            for k, m0 in enumerate(range(0, r1 - 1, C)):  # all h in one GEMM per piece
+                Z = (pieces[k] if k < len(pieces)
+                     else self._centred_futures(m0, min(m0 + C, n - 1)))
+                if k == len(pieces) and r1 < hi:
+                    pieces.append(Z)
+                part = E2[:, m0:m0 + C] @ Z[:r1 - 1 - m0]
+                R = R + part if k else part
+            R = R.reshape(E.shape[:2] + (P + 1,))
+            S, i = R[:G, :, P:], slice(r0 - lo, r1 - lo)
+            F = R[:G, :, :P] + (S * fut0 if weight_mode == "raw"
+                                else R[G, :, :P] * share[i])
+            F /= damp[i] + S
             if weight_mode == "normalized":
-                W = K / (1.0 / (q + 1) + S)
-                np.add(W, 1.0 / (q * (1.0 + (q + 1) * S)), out=W, where=causal)
-                np.minimum(W, 1.0, out=W)  # W >= 0 already
-                F = W.reshape(-1, r1 - 1) @ futures[:r1 - 1]  # one GEMM for all h
-            else:
-                F = K.reshape(-1, r1 - 1) @ futures[:r1 - 1]
-            F = F.reshape(K.shape[:2] + (-1,))
-            if weight_mode == "raw":
-                F /= 1.0 / (q + 1) + S
-            yield r0, r1, F, K
+                F += fut0
+            yield r0, r1, F, E[:G]
+
+
+def _rate_groups(hs: np.ndarray, p: int, a: float):
+    """Split the bandwidths into runs that share one distance transform.
+
+    Returns [(run, 2**-e, -rates), ...], run a slice of hs and rates[g] =
+    a * (2**e / hs[g])**p: the run's distances D scaled by 2**-e and raised
+    to p, times each rate, give a * (D / h)**p.  Each h of a run lies
+    within about 2**±400 of its 2**e, and |e| <= 1000 keeps 2**±e normal,
+    so no rate overflows or vanishes, whatever the span of the grid.
+    """
+    exps = np.frexp(hs)[1]
+    starts = [0]
+    lo = hi = exps[0]
+    for g, e in enumerate(exps):
+        lo, hi = min(lo, e), max(hi, e)
+        if hi - lo > _GROUP_SPAN:
+            starts.append(g)
+            lo = hi = e
+    groups = []
+    for g0, g1 in zip(starts, starts[1:] + [hs.size]):
+        run = exps[g0:g1]
+        e = min(max((int(run.min()) + int(run.max())) // 2, -1000), 1000)
+        rates = a * (math.ldexp(1.0, e) / hs[g0:g1]) ** p
+        groups.append((slice(g0, g1), math.ldexp(1.0, -e), -rates[:, None, None]))
+    return groups
 
 
 def _history(segments, config: PipelineConfig) -> History:
@@ -257,10 +320,11 @@ def _predict(history: History, kernel: KernelSpec, weight_mode: str,
     n = len(history)
     if n < 2:
         raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
-    _, _, F, K = next(history.forecasts(
+    _, _, F, E = next(history.forecasts(
         np.array([kernel.bandwidth]), kernel.family, weight_mode, n - 1, n))
     # periodic padding of the P forecast columns, as in scaling_coefficients
-    xi, k = F[0, 0][np.arange(history.X.shape[1]) % history.P], K[0, 0]
+    xi = F[0, 0][np.arange(history.X.shape[1]) % history.P]
+    k = E[0, 0] / _KERNELS[kernel.family][2]
     # reconstruct through the transform round trip (an identity for the
     # interpolating convention, kept as a structural check)
     config = history.config
@@ -289,8 +353,8 @@ def predict_coefficients(history, kernel: KernelSpec,
     "raw" divides the kernel-weighted sum by the 1/n-damped kernel total
     (when every kernel value underflows the prediction tends to zero,
     but the denominator never drops below 1/n), while "normalized" uses
-    the exactly-normalized resampling weights, making the prediction a
-    convex combination of the next-segments.
+    the resampling weights of :func:`normalized_weights`, making the
+    prediction a convex combination of the next-segments (up to rounding).
     """
     return _predict(_history(history, config), kernel, weight_mode, orig_len)
 

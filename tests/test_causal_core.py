@@ -28,6 +28,7 @@ from wavekernel.evaluation import wk_method
 from wavekernel.predictor import (
     History,
     normalized_weights,
+    predict_one_ahead,
     scaling_coefficients,
 )
 from wavekernel.wavelet import FILTERS
@@ -38,20 +39,24 @@ def query_distances(X, config, q):
     return next(History(X[:q + 1], X.shape[1], config).rows(q, q + 1))[2][0]
 
 
+def loop_forecast(X, q, h, family, config, weight_mode):
+    """Forecast of row q+1 from rows 0..q with its kernel values."""
+    with np.errstate(over="ignore"):  # d / h past the largest double: k = 0
+        k = kernel_eval(KernelSpec(family, h), query_distances(X, config, q) / h)
+    if weight_mode == "raw":
+        return (k @ X[1:q + 1]) / (1.0 / (q + 1) + float(k.sum())), k
+    return normalized_weights(k, q + 1) @ X[1:q + 1], k
+
+
 def loop_cv(segments, grid, family, config, weight_mode):
     """Per-cut leave-one-out CV: cut q predicts row q+1 from rows 0..q."""
     X, P = scaling_coefficients(segments)
     n = X.shape[0]
-    dists = {q: query_distances(X, config, q) for q in range(1, n - 1)}
     cv = np.empty(len(grid))
     for gi, h in enumerate(grid):
         errs = []
         for q in range(1, n - 1):
-            k = kernel_eval(KernelSpec(family, h), dists[q] / h)
-            if weight_mode == "raw":
-                xi = (k @ X[1:q + 1]) / (1.0 / (q + 1) + float(k.sum()))
-            else:
-                xi = normalized_weights(k, q + 1) @ X[1:q + 1]
+            xi, _ = loop_forecast(X, q, h, family, config, weight_mode)
             diff = xi[:P] - X[q + 1, :P]
             errs.append(float(np.mean(diff * diff)))
         cv[gi] = float(np.mean(errs))
@@ -100,6 +105,77 @@ def test_cv_matches_per_cut_loop(case):
     want = loop_cv(segments, grid, opts["family"], config, opts["weight_mode"])
     np.testing.assert_allclose(cv, want, rtol=1e-12, atol=0)
     assert h == grid[int(np.argmin(cv))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(), st.sampled_from([1, 7, predictor._PIECE]))
+def test_predict_and_cv_share_one_forecast(case, piece):
+    # with one bandwidth and one row per block, CV's forecast of cut q and
+    # predict on rows 0..q make the same calls on the same values, for
+    # centred futures in pieces of one row, a few rows, or all of them
+    segments, config, grid, opts = case
+    family, mode, h = opts["family"], opts["weight_mode"], grid[0]
+    seen = {}
+    forecasts = History.forecasts
+
+    def spy(self, *args):
+        for r0, r1, F, E in forecasts(self, *args):
+            seen.update((r0 + i, F[0, i].copy()) for i in range(r1 - r0))
+            yield r0, r1, F, E
+
+    with mock.patch.object(predictor, "_PIECE", piece):
+        with mock.patch.object(predictor, "_SCRATCH", 1):
+            with mock.patch.object(History, "forecasts", spy):
+                cv_bandwidth(segments, [h], kernel_family=family, config=config,
+                             weight_mode=mode)
+            assert sorted(seen) == list(range(1, len(segments) - 1))
+            P = segments.shape[1]
+            for q, want in seen.items():
+                got = predict_one_ahead(segments[:q + 1], KernelSpec(family, h),
+                                        config, mode)
+                np.testing.assert_array_equal(got.xi_pred[:P], want)
+        # the whole history against the per-cut loop; effective_sample stays
+        # the raw kernel mass (subnormal kernel values carry no relative
+        # precision)
+        X, _ = scaling_coefficients(segments)
+        n = X.shape[0]
+        result = predict_one_ahead(segments, KernelSpec(family, h), config, mode)
+        _, cv = cv_bandwidth(segments, grid, kernel_family=family, config=config,
+                             weight_mode=mode)
+    xi, k = loop_forecast(X, n - 1, h, family, config, mode)
+    # centring the futures on the first rounds each to ulp(max |X|), so a
+    # component that cancels to near 0 carries that absolute error
+    atol = 1e-13 * np.max(np.abs(X))
+    np.testing.assert_allclose(result.xi_pred, xi, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(result.effective_sample, k.sum(), rtol=1e-12, atol=1e-300)
+    if mode == "normalized":
+        np.testing.assert_allclose(result.xi_pred, result.weights @ X[1:],
+                                   rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(cv, loop_cv(segments, grid, family, config, mode),
+                               rtol=1e-12, atol=0)
+
+
+# bandwidths at which every kernel value is 0, or 1, or the grid spans more
+# decades than one shared exponent scale can hold
+@pytest.mark.parametrize("grid", [[1e-200, 1e200], [1e-170, 1.0], [1e-300, 1e-10]])
+@pytest.mark.parametrize("family", ["gaussian", "laplace"])
+@pytest.mark.parametrize("weight_mode", ["raw", "normalized"])
+def test_extreme_bandwidths_match_per_cut_loop(grid, family, weight_mode):
+    segments = np.random.default_rng(8).normal(size=(12, 10)) + 3.0
+    config = PipelineConfig()
+    _, cv = cv_bandwidth(segments, grid, kernel_family=family, config=config,
+                         weight_mode=weight_mode)
+    want = loop_cv(segments, grid, family, config, weight_mode)
+    assert np.all(np.isfinite(cv))
+    np.testing.assert_allclose(cv, want, rtol=1e-12, atol=0)
+    X, _ = scaling_coefficients(segments)
+    for h in (1e-300, 1e300):
+        result = predict_one_ahead(segments, KernelSpec(family, h), config,
+                                   weight_mode)
+        xi, k = loop_forecast(X, len(X) - 1, h, family, config, weight_mode)
+        assert np.all(np.isfinite(result.xi_pred))
+        np.testing.assert_allclose(result.xi_pred, xi, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.effective_sample, k.sum(), rtol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,6 +13,7 @@ from wavekernel import (
     predictor,
     rolling_eval,
 )
+from wavekernel import cli
 from wavekernel.cli import load_series, main, write_series
 from wavekernel.evaluation import summarize, wk_method
 
@@ -340,12 +341,35 @@ class TestConfigFile:
     (["interval", "--h", "1", "--seed", str(2**128)], "--seed"),
     (["eval", "--h", "1", "--rolling", "--external-forecast", "nope.csv"],
      "--external-forecast"),
+    (["cv", "--cv-grid", "bogus"], "--cv-grid"),
+    (["cv", "--h", "1"], "not --h"),
+    (["predict", "--cv-grid", "1:2"], "--cv-grid"),
+    (["predict", "--cv-grid", "0:2:3"], "--cv-grid"),
+    (["predict", "--cv-grid", "1:inf:3"], "--cv-grid"),
+    (["predict", "--cv-grid", "1:2:0"], "--cv-grid"),
+    (["predict", "--cv-grid", "1:2:3", "--scales", "x"], "--scales"),
+    (["interval", "--h", "1", "--scales", "3:1"], "j_lo <= j_hi"),
 ])
 def test_bad_flags_are_config_errors(tmp_path, capsys, flags, message):
     rc = main([*flags, "--input", str(tmp_path / "nope.csv"), "--p", "12",
                "--output-dir", str(tmp_path / "o")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["cv", "--cv-grid", "bogus"],
+    ["predict", "--cv-grid", "1:2:3", "--scales", "x"],
+])
+def test_bad_flags_rejected_before_input_is_read(series_file, tmp_path, monkeypatch,
+                                                 flags):
+    def no_read(path):
+        raise AssertionError(f"input {path} read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_series", no_read)
+    rc = main([*flags, "--input", str(series_file), "--p", "12",
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
 
 
 @pytest.mark.parametrize("key, value", [

@@ -146,6 +146,31 @@ class TestNormalizedWeights:
                 assert w[3] <= prev + 1e-15
             prev = w[3]
 
+    def test_single_weight_is_exactly_one(self):
+        # the damped formula reads 1 - ulp for a few percent of kernel values
+        rng = np.random.default_rng(7)
+        for k in np.concatenate([rng.uniform(0.0, 0.5, 100_000), [0.0, 0.5]]):
+            assert normalized_weights([k], 2).tolist() == [1.0]
+        with pytest.raises(ShapeError):
+            normalized_weights([0.1, 0.2], 2)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_single_candidate_reproduced_bit_for_bit(self, family):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            hist = rng.normal(size=(2, 12)) * 10.0 ** rng.uniform(-3, 3) + 5.0
+            h = 10.0 ** rng.uniform(-3, 3)
+            res = predict_one_ahead(hist, KernelSpec(family, h))
+            np.testing.assert_array_equal(res.xi_pred[:12], hist[1])
+
+    @pytest.mark.parametrize("n", [3, 7, 40])
+    def test_weights_sum_to_one_up_to_rounding(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(1000):
+            w = normalized_weights(rng.uniform(0.0, 0.5, n - 1), n)
+            assert np.all((w >= 0) & (w < 1))
+            assert abs(w.sum() - 1.0) <= 2 * n * np.finfo(float).eps
+
     def test_convex_combination(self):
         rng = np.random.default_rng(2)
         hist = rng.normal(size=(12, 16))

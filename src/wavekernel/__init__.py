@@ -8,7 +8,7 @@ from .errors import (
     ShapeError,
     WavekernelError,
 )
-from .evaluation import EvalReport, gen_synthetic, naive_seasonal, rmae, rolling_eval
+from .evaluation import gen_synthetic, naive_seasonal, rmae, rolling_eval
 from .intervals import (
     PredictionInterval,
     ResamplingPlan,
@@ -47,7 +47,6 @@ __all__ = [
     "LevelError",
     "ShapeError",
     "WavekernelError",
-    "EvalReport",
     "gen_synthetic",
     "naive_seasonal",
     "rmae",

@@ -321,21 +321,18 @@ def _run_eval(cfg: RunConfig) -> None:
     holdout = rolling = None
     if cfg.rolling:
         wk = evaluation.wk_method(KernelSpec(cfg.kernel, result.h_used), history.config)
-        preds = [*wk.batch(history, 2), pred]  # origins 2..n-1
-        wk_reports = [evaluation.rmae(f, segments[i], n0=i + 1, method_id="wk")
-                      for i, f in enumerate(preds, start=2)]
-        naive_reports = evaluation.rolling_eval(
-            segments.reshape(-1), cfg.p, evaluation.naive_seasonal,
-            method_id="naive",
-        )
-        rolling = {"wk": evaluation.summarize(wk_reports),
-                   "naive": evaluation.summarize(naive_reports)}
+        preds = np.vstack((wk.batch(history, 2), pred))  # origins 2..n-1
+        naive = evaluation.rolling_eval(segments, cfg.p, evaluation.naive_seasonal)
+        # with --cv-grid, h was tuned on these same rolling forecasts
+        rolling = {"wk": evaluation.summarize(evaluation.rmae(preds, segments[2:])),
+                   "naive": evaluation.summarize(naive),
+                   "h_in_sample": cfg.bandwidth is None}
     else:
         naive = evaluation.naive_seasonal(segments[:-1])
         holdout = {
             "segment_index": int(segments.shape[0]),
-            "wk_rmae": evaluation.rmae(pred, truth, method_id="wk").rmae,
-            "naive_rmae": evaluation.rmae(naive, truth, method_id="naive").rmae,
+            "wk_rmae": evaluation.rmae(pred, truth),
+            "naive_rmae": evaluation.rmae(naive, truth),
         }
         if cfg.external_forecast:
             ext = load_series(cfg.external_forecast)
@@ -343,9 +340,7 @@ def _run_eval(cfg: RunConfig) -> None:
                 raise ConfigError(
                     f"external forecast has {ext.size} values, expected {cfg.p}"
                 )
-            holdout["external_rmae"] = evaluation.rmae(
-                ext, truth, method_id="external"
-            ).rmae
+            holdout["external_rmae"] = evaluation.rmae(ext, truth)
     _write_run(cfg, segments, {"prediction.csv": {"predicted": pred},
                                "plotdata.csv": {"truth": truth, "predicted": pred}},
                h_used=result.h_used, cv_table=cv_table, holdout=holdout,

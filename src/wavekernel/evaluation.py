@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, InsufficientHistoryError, InvalidInputError
 from .predictor import KernelSpec, PipelineConfig, _history, predict_one_ahead
 
 __all__ = [
-    "EvalReport",
     "rmae",
     "rolling_eval",
     "naive_seasonal",
@@ -21,46 +18,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Relative mean-absolute error of one predicted segment."""
+def rmae(pred, truth, zero_floor: float | None = None):
+    """Mean over the last axis of |pred - truth| / |truth|.
 
-    rmae: float
-    per_point_abs_rel_err: np.ndarray
-    n0: int
-    method_id: str
-
-
-def rmae(pred, truth, n0: int = 0, method_id: str = "",
-         zero_floor: float | None = None) -> EvalReport:
-    """Mean over time points of |pred - truth| / |truth|.
-
-    Truth values of exactly zero make the ratio undefined; by default
-    that is an error naming the offending index, or pass ``zero_floor``
-    to clamp |truth| from below.
+    ``pred`` and ``truth`` are one block of P points, giving a float, or
+    a stack of blocks (..., P), giving one score per block.  Truth values
+    of exactly zero make the ratio undefined; by default that is an error
+    naming the offending block and index, or pass ``zero_floor`` to clamp
+    |truth| from below.
     """
     p = np.asarray(pred, dtype=float)
     t = np.asarray(truth, dtype=float)
     if p.shape != t.shape:
         raise ConfigError(f"shape mismatch: pred {p.shape} vs truth {t.shape}")
+    if t.ndim == 0 or t.shape[-1] == 0:
+        raise ConfigError(f"need blocks of at least one point, got shape {t.shape}")
     denom = np.abs(t)
     if zero_floor is not None:
         denom = np.maximum(denom, zero_floor)
     elif np.any(denom == 0):
-        idx = int(np.flatnonzero(denom == 0)[0])
+        *block, idx = np.argwhere(denom == 0)[0].tolist()
+        at = f"index {idx}"
+        if block:
+            at = f"block {block[0] if len(block) == 1 else tuple(block)}, {at}"
         raise InvalidInputError(
-            f"truth value is zero at index {idx}; relative error undefined "
+            f"truth value is zero at {at}; relative error undefined "
             "(pass zero_floor to clamp)"
         )
-    per_point = np.abs(p - t) / denom
-    return EvalReport(rmae=float(per_point.mean()),
-                      per_point_abs_rel_err=per_point, n0=n0,
-                      method_id=method_id)
+    scores = (np.abs(p - t) / denom).mean(axis=-1)
+    return float(scores) if scores.ndim == 0 else scores
 
 
 def split_segments(series, P: int, drop_remainder: bool = False) -> np.ndarray:
-    """Cut a 1-d series into consecutive length-P segments."""
-    x = np.asarray(series, dtype=float)
+    """Cut a series into consecutive length-P segments.
+
+    A 2-d array is read as its values in order, so (n, P) segments come
+    back as they are.
+    """
+    x = np.asarray(series, dtype=float).reshape(-1)
     if P < 2:
         raise ConfigError(f"segment length must be >= 2, got {P}")
     rem = x.size % P
@@ -110,21 +105,20 @@ def wk_method(kernel: KernelSpec, config: PipelineConfig = PipelineConfig()):
             out[r0 + 1 - start:r1 + 1 - start] = F[0]
         return out
 
-    method.method_id = "wk"
     method.batch = batch
     return method
 
 
 def rolling_eval(series, P: int, method, min_history: int = 2,
-                 method_id: str | None = None,
-                 drop_remainder: bool = False) -> list[EvalReport]:
+                 drop_remainder: bool = False) -> np.ndarray:
     """Rolling-origin evaluation: fit on each prefix, score the next segment.
 
     ``method`` is a callable mapping a sequence of past segments (the
     rows of an array view) to a length-P forecast; it only ever sees
     segments strictly before the one being scored.  A method with a
     ``batch(segments, start)`` attribute (see :func:`wk_method`) gives
-    all forecasts in one call.
+    all forecasts in one call.  Returns the :func:`rmae` of every origin
+    min_history..n-1, in order, from one call on the stacked forecasts.
     """
     segs = split_segments(series, P, drop_remainder=drop_remainder)
     n = segs.shape[0]
@@ -132,20 +126,20 @@ def rolling_eval(series, P: int, method, min_history: int = 2,
         raise ConfigError(
             f"need at least {min_history + 1} segments, got {n}"
         )
-    if method_id is None:
-        method_id = getattr(method, "method_id", getattr(method, "__name__", "method"))
-    origins = range(min_history, n)
     if hasattr(method, "batch"):
         preds = method.batch(segs, min_history)
     else:
-        preds = [method(segs[:i]) for i in origins]
-    return [rmae(pred, segs[i], n0=i + 1, method_id=method_id)
-            for i, pred in zip(origins, preds)]
+        preds = [np.asarray(method(segs[:i]), dtype=float) for i in range(min_history, n)]
+        for i, pred in enumerate(preds, start=min_history):
+            if pred.shape != (P,):  # else stacking fails untyped or misaligns
+                raise ConfigError(f"forecast of segment {i} has shape {pred.shape}, "
+                                  f"expected ({P},)")
+    return rmae(preds, segs[min_history:])
 
 
-def summarize(reports) -> dict:
+def summarize(scores) -> dict:
     """Median/mean aggregate of rolling-eval scores."""
-    vals = np.array([r.rmae for r in reports], dtype=float)
+    vals = np.asarray(scores, dtype=float)
     return {
         "count": int(vals.size),
         "mean_rmae": float(vals.mean()),

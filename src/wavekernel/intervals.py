@@ -22,7 +22,6 @@ bit-reproducible for a fixed seed.  The generator is Philox
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +32,7 @@ from .predictor import (
     KernelSpec,
     PipelineConfig,
     PredictionResult,
+    _is_int,
     predict_one_ahead,
     scaling_coefficients,
 )
@@ -62,13 +62,12 @@ class ResamplingPlan:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.B < 1:
-            raise ConfigError(f"B must be >= 1, got {self.B}")
+        if not _is_int(self.B) or self.B < 1:  # rng.choice takes an int size
+            raise ConfigError(f"B must be an int >= 1, got {self.B!r}")
         if not 0.0 < self.alpha < 0.5:
             raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
-        # Philox's key range; a bool is no seed
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or not 0 <= int(self.seed) < 1 << 128):
+        # Philox's key range
+        if not _is_int(self.seed) or not 0 <= int(self.seed) < 1 << 128:
             raise ConfigError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:

@@ -12,6 +12,7 @@ regime the raw-form prediction tends to zero).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,11 @@ _KERNELS = {"gaussian": (2, 0.5, math.sqrt(2.0 * math.pi)),
             "laplace": (1, 1.0, 2.0)}
 # bandwidths sharing one distance transform lie within 2**±400 of its scale
 _GROUP_SPAN = 800
+
+
+def _is_int(x) -> bool:
+    """A Python or numpy integer; a bool is no int."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -391,6 +397,8 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     All h share one pass over row blocks of the distance matrix.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ConfigError(f"bandwidth grid must be 1-d, got shape {grid.shape}")
     if grid.size == 0:
         raise ConfigError("bandwidth grid is empty")
     if not np.all((grid > 0) & np.isfinite(grid)):
@@ -421,6 +429,8 @@ def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
 
     A :class:`History` passed as ``segments`` keeps them for CV.
     """
+    if not _is_int(count) or count < 1:
+        raise ConfigError(f"grid count must be an int >= 1, got {count!r}")
     history = _history(segments, config)
     if history.tri is None:
         n = len(history)

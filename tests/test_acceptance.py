@@ -143,7 +143,7 @@ def test_criterion_6_degeneracy_end_to_end():
         for h in (1e-3, 0.7, 50.0):
             res = wk.predict_one_ahead(hist, wk.KernelSpec("gaussian", h))
             assert np.max(np.abs(res.curve - seg)) <= 1e-8
-            assert wk.rmae(res.curve, seg).rmae <= 1e-8
+            assert wk.rmae(res.curve, seg) <= 1e-8
     check(6, "periodic series reproduced to 1e-8, RMAE 0 to 1e-8", True)
 
 
@@ -229,7 +229,7 @@ def test_criterion_9_paper_numbers_best_effort():
     grid = wk.default_bandwidth_grid(train)
     h, _ = wk.cv_bandwidth(train, grid)
     pred = wk.predict_one_ahead(train, wk.KernelSpec("gaussian", h)).curve
-    score = wk.rmae(pred, truth).rmae
+    score = wk.rmae(pred, truth)
     check(9, f"El Nino 1986: RMAE {score:.4f} in [0.004, 0.02], h {h:.3f} in [0.03, 0.4]",
           0.004 <= score <= 0.02 and 0.03 <= h <= 0.4)
 

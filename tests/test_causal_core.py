@@ -200,10 +200,9 @@ def test_rolling_eval_uses_batch_with_same_scores():
         return method(history)
 
     fast = rolling_eval(segments.reshape(-1), 12, method)
-    slow = rolling_eval(segments.reshape(-1), 12, per_prefix, method_id="wk")
-    assert [r.n0 for r in fast] == [r.n0 for r in slow] == list(range(3, 26))
-    np.testing.assert_allclose([r.rmae for r in fast], [r.rmae for r in slow],
-                               rtol=1e-12)
+    slow = rolling_eval(segments.reshape(-1), 12, per_prefix)
+    assert fast.shape == slow.shape == (23,)  # origins 2..24
+    np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
 
 def test_rolling_needs_two_segments_per_cut():

@@ -225,6 +225,15 @@ class TestEvalCommand:
         assert rc == 0
         assert read_summary(out)["holdout"]["external_rmae"] == 0.0
 
+    def test_external_forecast_of_wrong_length_is_config_error(self, series_file,
+                                                               tmp_path, capsys):
+        ext = tmp_path / "ext.csv"
+        write_series(ext, load_series(series_file)[-11:])
+        rc = main(["eval", "--input", str(series_file), "--p", "12", "--h", "1.0",
+                   "--external-forecast", str(ext), "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "external forecast has 11 values, expected 12" in capsys.readouterr().err
+
     def test_rolling_summary(self, series_file, tmp_path):
         out = tmp_path / "out"
         rc = main(["eval", "--input", str(series_file), "--p", "12",
@@ -232,6 +241,16 @@ class TestEvalCommand:
         assert rc == 0
         rolling = read_summary(out)["rolling"]
         assert rolling["wk"]["count"] == rolling["naive"]["count"] == 28
+        assert rolling["h_in_sample"] is False  # --h was not tuned on the blocks
+
+    def test_rolling_summary_marks_cv_selected_h_in_sample(self, series_file, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["eval", "--input", str(series_file), "--p", "12",
+                   "--cv-grid", "0.1:10:5", "--rolling", "--output-dir", str(out)])
+        assert rc == 0
+        rolling = read_summary(out)["rolling"]
+        assert rolling["wk"]["count"] == 28
+        assert rolling["h_in_sample"] is True
 
 
 @pytest.fixture

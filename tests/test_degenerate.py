@@ -114,6 +114,6 @@ def test_entry_points_finite_or_typed_error(case):
 
         series = segments.reshape(-1)
         for method in (wk_method(kernel, config), naive_seasonal):
-            reports = finite_or_typed(rolling_eval, series, case["P"], method)
-            if reports is not None:
-                assert_finite([r.rmae for r in reports])
+            scores = finite_or_typed(rolling_eval, series, case["P"], method)
+            if scores is not None:
+                assert_finite(scores)

@@ -17,39 +17,65 @@ from wavekernel.evaluation import split_segments, summarize, wk_method
 class TestRmae:
     def test_identity(self):
         t = np.array([1.0, 2.0, 3.0])
-        assert rmae(t, t).rmae == 0.0
+        assert rmae(t, t) == 0.0
 
     def test_uniform_relative_error(self):
         t = np.array([1.0, 2.0, 4.0])
-        rep = rmae(1.1 * t, t)
-        assert rep.rmae == pytest.approx(0.10)
-        np.testing.assert_allclose(rep.per_point_abs_rel_err, 0.10)
+        assert rmae(1.1 * t, t) == pytest.approx(0.10)
+        # blocks of one point score each point on its own
+        np.testing.assert_allclose(rmae(1.1 * t[:, None], t[:, None]), 0.10)
 
     def test_rmae_is_mean_of_per_point(self):
         rng = np.random.default_rng(0)
         t = rng.uniform(1, 2, size=10)
         p = t + rng.normal(size=10) * 0.1
-        rep = rmae(p, t)
-        assert rep.rmae == pytest.approx(rep.per_point_abs_rel_err.mean())
+        per_point = rmae(p[:, None], t[:, None])
+        assert per_point.shape == (10,)
+        assert rmae(p, t) == pytest.approx(per_point.mean())
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         t = rng.uniform(1, 2, size=10)
         p = t + 0.05
         for c in (-3.0, 0.5, 100.0):
-            assert rmae(c * p, c * t).rmae == pytest.approx(rmae(p, t).rmae)
+            assert rmae(c * p, c * t) == pytest.approx(rmae(p, t))
 
     def test_zero_truth_names_index(self):
         with pytest.raises(InvalidInputError, match="index 1"):
             rmae([1.0, 1.0], [1.0, 0.0])
 
     def test_zero_floor_opt_in(self):
-        rep = rmae([1.0, 1.0], [1.0, 0.0], zero_floor=0.5)
-        assert np.isfinite(rep.rmae)
+        assert np.isfinite(rmae([1.0, 1.0], [1.0, 0.0], zero_floor=0.5))
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             rmae([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
+    def test_blocks_without_points_rejected(self, shape):
+        with pytest.raises(ConfigError):
+            rmae(np.ones(shape), np.ones(shape))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("P", [1, 7, 24, 96, 130, 300])
+    def test_stack_equals_per_block_bit_for_bit(self, P, seed):
+        rng = np.random.default_rng(seed)
+        truth = rng.uniform(0.5, 2.0, size=(40, P)) * rng.choice([-1.0, 1.0], (40, P))
+        pred = truth + rng.normal(size=(40, P))
+        scores = rmae(pred, truth)
+        assert scores.shape == (40,)
+        assert scores.tolist() == [rmae(p, t) for p, t in zip(pred, truth)]
+        # more leading axes keep one score per block
+        stacked = rmae(pred.reshape(4, 10, P), truth.reshape(4, 10, P))
+        assert stacked.tolist() == scores.reshape(4, 10).tolist()
+
+    def test_zero_truth_in_stack_names_block_and_index(self):
+        truth = np.ones((4, 6))
+        truth[2, 5] = 0.0
+        with pytest.raises(InvalidInputError, match="block 2, index 5"):
+            rmae(np.ones((4, 6)), truth)
+        with pytest.raises(InvalidInputError, match=r"block \(1, 0\), index 5"):
+            rmae(np.ones((2, 2, 6)), truth.reshape(2, 2, 6))
 
 
 class TestSplitSegments:
@@ -83,22 +109,23 @@ class TestNaiveSeasonal:
 class TestRollingEval:
     def test_constant_series_zero_rmae(self):
         series = np.full(40, 3.0)
-        reports = rolling_eval(series, 8, naive_seasonal)
-        assert all(r.rmae == 0.0 for r in reports)
+        scores = rolling_eval(series, 8, naive_seasonal)
+        assert scores.shape == (3,)
+        assert np.all(scores == 0.0)
 
     def test_periodic_series_wk_zero(self):
         seg = 5 + np.sin(np.linspace(0, 2 * np.pi, 8, endpoint=False))
         series = np.tile(seg, 6)
         method = wk_method(KernelSpec("gaussian", 1.0))
-        reports = rolling_eval(series, 8, method)
-        assert all(r.rmae <= 1e-8 for r in reports)
-        assert all(r.method_id == "wk" for r in reports)
+        scores = rolling_eval(series, 8, method)
+        assert scores.shape == (4,)
+        assert np.all(scores <= 1e-8)
 
     def test_periodic_series_naive_zero(self):
         seg = 5 + np.cos(np.linspace(0, 2 * np.pi, 8, endpoint=False))
         series = np.tile(seg, 5)
-        reports = rolling_eval(series, 8, naive_seasonal, method_id="naive")
-        assert all(r.rmae == 0.0 for r in reports)
+        scores = rolling_eval(series, 8, naive_seasonal)
+        assert np.all(scores == 0.0)
 
     def test_no_future_leakage(self):
         series = gen_synthetic("seasonal_ar", 10, 8, 0.2, seed=2)
@@ -112,14 +139,14 @@ class TestRollingEval:
                 np.testing.assert_array_equal(h, segs[idx])
             return naive_seasonal(history)
 
-        reports = rolling_eval(series, 8, probe)
+        scores = rolling_eval(series, 8, probe)
         # cut i sees exactly the first i segments and is scored on segment i+1
-        assert seen == [r.n0 - 1 for r in reports]
+        assert seen == list(range(2, 10))
+        assert scores.shape == (len(seen),)
 
     def test_summarize(self):
         series = np.full(32, 2.0)
-        reports = rolling_eval(series, 8, naive_seasonal)
-        agg = summarize(reports)
+        agg = summarize(rolling_eval(series, 8, naive_seasonal))
         assert agg == {"count": 2, "mean_rmae": 0.0, "median_rmae": 0.0}
 
     def test_insufficient_data(self):
@@ -130,14 +157,26 @@ class TestRollingEval:
         series = gen_synthetic("seasonal_ar", 40, 12, 0.3, seed=4)
         segs = split_segments(series, 12)
         # the per-origin loop before prefix views: a fresh list per origin
-        want = [rmae(naive_seasonal([segs[m] for m in range(i)]), segs[i],
-                     n0=i + 1, method_id="naive") for i in range(2, 40)]
-        got = rolling_eval(series, 12, naive_seasonal, method_id="naive")
-        assert [(r.rmae, r.n0, r.method_id) for r in got] == \
-            [(r.rmae, r.n0, r.method_id) for r in want]
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.per_point_abs_rel_err,
-                                          w.per_point_abs_rel_err)
+        want = [rmae(naive_seasonal([segs[m] for m in range(i)]), segs[i])
+                for i in range(2, 40)]
+        got = rolling_eval(series, 12, naive_seasonal)
+        assert got.tolist() == want
+        # the same scores from the segments themselves
+        assert rolling_eval(segs, 12, naive_seasonal).tolist() == want
+
+    @pytest.mark.parametrize("forecast", [np.ones(7), np.ones(9), 1.0, np.ones((1, 8))])
+    def test_forecast_of_wrong_shape_rejected(self, forecast):
+        series = np.arange(1.0, 33.0)
+        with pytest.raises(ConfigError, match=r"segment 2 has shape"):
+            rolling_eval(series, 8, lambda history: forecast)
+
+    def test_batch_of_wrong_shape_rejected(self):
+        def method(history):
+            raise AssertionError("the batch is used")
+
+        method.batch = lambda segments, start: segments[start:, :-1]
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            rolling_eval(np.arange(1.0, 33.0), 8, method)
 
     def test_naive_empty_array_history(self):
         with pytest.raises(InsufficientHistoryError):

@@ -78,6 +78,15 @@ class TestResamplingPlan:
         with pytest.raises(ConfigError):
             make_plan([1.0], B=0)
 
+    @pytest.mark.parametrize("B", [-2, 2.5, 3.0, True, "5", None])
+    def test_rejects_b_that_is_no_positive_int(self, B):
+        with pytest.raises(ConfigError, match="B must"):
+            make_plan([1.0], B=B)
+
+    def test_accepts_numpy_int_b(self):
+        plan = make_plan([0.5, 0.5], B=np.int64(4))
+        assert draw_pseudo_blocks(plan, np.eye(2)).shape == (4, 2)
+
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ConfigError):
             make_plan([0.6, 0.6])

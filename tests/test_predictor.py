@@ -242,6 +242,11 @@ class TestCvBandwidth:
         with pytest.raises(ConfigError):
             cv_bandwidth(np.random.default_rng(0).normal(size=(5, 8)), [1.0, bad])
 
+    @pytest.mark.parametrize("grid", [1.0, [[1.0, 2.0]], [[1.0], [2.0]]])
+    def test_grid_not_1d_rejected(self, grid):
+        with pytest.raises(ConfigError, match="1-d"):
+            cv_bandwidth(np.random.default_rng(0).normal(size=(5, 8)), grid)
+
     def test_needs_three_segments(self):
         with pytest.raises(InsufficientHistoryError):
             cv_bandwidth(np.ones((2, 8)), [1.0])
@@ -271,6 +276,12 @@ class TestDefaultGrid:
         hist = np.tile(np.arange(8.0), (5, 1))
         grid = default_bandwidth_grid(hist)
         assert np.all(grid > 0)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_bad_count_rejected(self, count):
+        hist = np.random.default_rng(8).normal(size=(6, 8))
+        with pytest.raises(ConfigError, match="count"):
+            default_bandwidth_grid(hist, count=count)
 
     def test_single_segment_fallback(self):
         grid = default_bandwidth_grid(np.arange(8.0)[None])

@@ -233,7 +233,9 @@ def _segments(cfg: RunConfig) -> np.ndarray:
 
 
 def _select_bandwidth(cfg: RunConfig, history: predictor.History):
-    """Cross-validate h over the requested grid; return (h, CV table).
+    """Cross-validate h over the requested grid; return (h, summary fields):
+    the CV table and whether its minimum sits on an edge of the grid, where
+    the best h may lie beyond it (also warned on stderr).
 
     Grid and CV share the prepared history, so the auto grid's pairwise
     distances are the ones CV reads.
@@ -242,22 +244,27 @@ def _select_bandwidth(cfg: RunConfig, history: predictor.History):
     h_star, cv_values = predictor.cv_bandwidth(
         history, grid, kernel_family=cfg.kernel, config=history.config
     )
+    best = int(np.argmin(cv_values))  # the index cv_bandwidth selects
+    edge = grid.size > 1 and best in (0, grid.size - 1)
+    if edge:
+        print(f"warning: the CV minimum lies on the {'lower' if best == 0 else 'upper'} "
+              f"edge of the bandwidth grid (h = {h_star:.6g})", file=sys.stderr)
     table = [
         {"h": float(h), "cv": float(v), "selected": bool(h == h_star)}
         for h, v in zip(grid, cv_values)
     ]
-    return h_star, table
+    return h_star, {"cv_table": table, "cv_min_on_grid_edge": edge}
 
 
 def _forecast(cfg: RunConfig, history: predictor.History):
     """Forecast the block after ``history`` with ``--h``, or h selected by
-    CV on it; return (result, CV table or None)."""
-    h, cv_table = cfg.bandwidth, None
+    CV on it; return (result, CV summary fields, empty with ``--h``)."""
+    h, cv = cfg.bandwidth, {}
     if h is None:
-        h, cv_table = _select_bandwidth(cfg, history)
+        h, cv = _select_bandwidth(cfg, history)
     result = predictor.predict_one_ahead(history, KernelSpec(cfg.kernel, h),
                                          config=history.config)
-    return result, cv_table
+    return result, cv
 
 
 def _write_run(cfg: RunConfig, segments: np.ndarray, tables: dict, **run) -> Path:
@@ -279,36 +286,34 @@ def _write_run(cfg: RunConfig, segments: np.ndarray, tables: dict, **run) -> Pat
 
 def _run_predict(cfg: RunConfig) -> None:
     segments = _segments(cfg)
-    result, cv_table = _forecast(cfg, predictor._history(segments, cfg.pipeline()))
+    result, cv = _forecast(cfg, predictor._history(segments, cfg.pipeline()))
     columns = {"predicted": result.curve}
     _write_run(cfg, segments, {"prediction.csv": columns, "plotdata.csv": columns},
-               h_used=result.h_used, effective_sample=result.effective_sample,
-               cv_table=cv_table)
+               h_used=result.h_used, effective_sample=result.effective_sample, **cv)
 
 
 def _run_cv(cfg: RunConfig) -> None:
     segments = _segments(cfg)
-    h_star, cv_table = _select_bandwidth(
-        cfg, predictor._history(segments, cfg.pipeline()))
-    out = _write_run(cfg, segments, {}, h_selected=float(h_star), cv_table=cv_table)
+    h_star, cv = _select_bandwidth(cfg, predictor._history(segments, cfg.pipeline()))
+    out = _write_run(cfg, segments, {}, h_selected=float(h_star), **cv)
     with (out / "cv.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["h", "cv", "selected"])
-        for row in cv_table:
+        for row in cv["cv_table"]:
             writer.writerow([_fmt(row["h"]), _fmt(row["cv"]), int(row["selected"])])
 
 
 def _run_interval(cfg: RunConfig) -> None:
     segments = _segments(cfg)
     # the history is freed on return, before the draw
-    result, cv_table = _forecast(cfg, predictor._history(segments, cfg.pipeline()))
+    result, cv = _forecast(cfg, predictor._history(segments, cfg.pipeline()))
     plan = intervals.ResamplingPlan(B=cfg.b, alpha=cfg.alpha, seed=cfg.seed,
                                     weights=result.weights)
     band = intervals.prediction_interval(segments, result, plan)
     columns = {"predicted": result.curve, "lower": band.lower, "upper": band.upper}
     _write_run(cfg, segments, {"prediction.csv": columns, "plotdata.csv": columns},
                h_used=result.h_used, effective_sample=result.effective_sample,
-               alpha=cfg.alpha, B=cfg.b, seed=cfg.seed, cv_table=cv_table)
+               alpha=cfg.alpha, B=cfg.b, seed=cfg.seed, **cv)
 
 
 def _run_eval(cfg: RunConfig) -> None:
@@ -316,7 +321,7 @@ def _run_eval(cfg: RunConfig) -> None:
     # the held-out block stays out of the one history, so CV never selects
     # h on it; the rolling forecasts of the earlier blocks come from it too
     history = predictor._history(segments[:-1], cfg.pipeline())
-    result, cv_table = _forecast(cfg, history)
+    result, cv = _forecast(cfg, history)
     pred, truth = result.curve, segments[-1]
     holdout = rolling = None
     if cfg.rolling:
@@ -343,8 +348,7 @@ def _run_eval(cfg: RunConfig) -> None:
             holdout["external_rmae"] = evaluation.rmae(ext, truth)
     _write_run(cfg, segments, {"prediction.csv": {"predicted": pred},
                                "plotdata.csv": {"truth": truth, "predicted": pred}},
-               h_used=result.h_used, cv_table=cv_table, holdout=holdout,
-               rolling=rolling)
+               h_used=result.h_used, holdout=holdout, rolling=rolling, **cv)
 
 
 _RUNNERS = {

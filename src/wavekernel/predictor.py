@@ -153,7 +153,9 @@ def _scale_blocks(X: np.ndarray, config: PipelineConfig):
     Blocks are scaled by 2**-e, e the exponent of their largest magnitude,
     and each scale weight 2**-j takes 2**e back.  Both are exact powers of
     two, so distances are bit-identical to unscaled arithmetic wherever
-    that is finite, and squares no longer overflow near 1e160.
+    that is finite, and squares no longer overflow near 1e160.  Each block
+    is stored scale-major, shape (width, n), made by one multiply of the
+    transpose.
     """
     coarse, details = forward_array(X, j0=config.j0, filter_id=config.filter_id)
     J = X.shape[-1].bit_length() - 1
@@ -166,7 +168,8 @@ def _scale_blocks(X: np.ndarray, config: PipelineConfig):
     blocks = [(config.j0, coarse)] if config.include_coarse else []
     blocks += [(j, details[j]) for j in range(rng.j_lo, rng.j_hi + 1)]
     e = math.frexp(max(float(np.abs(b).max()) for _, b in blocks))[1]
-    return [(math.ldexp(1.0, e - j), b * math.ldexp(1.0, -e)) for j, b in blocks]
+    return [(math.ldexp(1.0, e - j), np.multiply(
+        b.T, math.ldexp(1.0, -e), out=np.empty(b.shape[::-1]))) for j, b in blocks]
 
 
 class History:
@@ -187,28 +190,32 @@ class History:
         """Yield (r0, r1, D[r0:r1, :r1-1], causal mask) for rows [lo, hi), lo >= 1.
 
         The one distance arithmetic (direct differences, or their copy in
-        ``tri``), so a row reads bit-identically in any block.  Entries
-        m >= q read +inf, zero weight under every kernel.  One scratch
-        buffer holds about _SCRATCH doubles per value derived from a
-        distance (``depth``).
+        ``tri``), so a row reads bit-identically in any block.  Each scale
+        block is scale-major, (width, n): its differences fill a (width,
+        rows, cols) view of one scratch buffer, are squared in place and
+        summed over the leading axis, one whole (rows, cols) plane per
+        coefficient, in coefficient order.  Entries m >= q read +inf, zero
+        weight under every kernel.  The buffer holds about _SCRATCH doubles
+        per value derived from a distance (``depth``).
         """
         n = len(self)
-        width = max(depth, max(b.shape[-1] for _, b in self.blocks))
+        width = max(depth, max(b.shape[0] for _, b in self.blocks))
         step = max(1, min(hi - lo, _SCRATCH // (n * width)))
         buf = np.empty(step * n * width)
         for r0 in range(lo, hi, step):
             r1 = min(r0 + step, hi)
             causal = np.tri(r1 - r0, r1 - 1, r0 - 1, dtype=bool)
             if self.tri is None:
-                total = np.zeros(causal.shape)
+                # at least two columns: numpy reduces a 1x1 plane in pairwise order
+                total = np.zeros((r1 - r0, max(r1 - 1, 2)))
                 for weight, block in self.blocks:
-                    shape = causal.shape + block.shape[-1:]
-                    diff = np.subtract(block[None, :r1 - 1], block[r0:r1, None],
+                    shape = block.shape[:1] + total.shape
+                    diff = np.subtract(block[:, None, :shape[2]], block[:, r0:r1, None],
                                        out=buf[:math.prod(shape)].reshape(shape))
                     diff *= diff
-                    total += weight * np.sqrt(diff.sum(axis=-1))
+                    total += weight * np.sqrt(np.add.reduce(diff, axis=0))
             D = np.full(causal.shape, np.inf)
-            D[causal] = (total[causal] if self.tri is None
+            D[causal] = (total[:, :r1 - 1][causal] if self.tri is None
                          else self.tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2])
             yield r0, r1, D, causal
 

@@ -18,9 +18,14 @@ from wavekernel import (
     KernelSpec,
     PipelineConfig,
     ScaleRange,
+    Segment,
+    combined_distance,
     cv_bandwidth,
     default_bandwidth_grid,
+    forward_dwt,
     kernel_eval,
+    pad_to_pow2,
+    predict_coefficients,
     predictor,
     rolling_eval,
 )
@@ -203,6 +208,70 @@ def test_rolling_eval_uses_batch_with_same_scores():
     slow = rolling_eval(segments.reshape(-1), 12, per_prefix)
     assert fast.shape == slow.shape == (23,)  # origins 2..24
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
+
+
+def oracle_distances(segments, config):
+    """D[q][m] = combined_distance of rows m < q, one pyramid per row."""
+    pyramids = [forward_dwt(pad_to_pow2(Segment(row)), config.j0, config.filter_id)
+                for row in segments]
+    return [[combined_distance(pyramids[m], pyramids[q], config.scale_range,
+                               config.include_coarse) for m in range(q)]
+            for q in range(len(pyramids))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(), st.integers(-500, 500))
+def test_distances_match_pyramid_oracle_at_any_magnitude(case, k):
+    # the oracle's sums of squares over- or underflow at 2**±500, so it runs
+    # on the unscaled rows: scaling by 2**k is exact in every step of the
+    # transform and of the distance, so the scaled rows' distances are its
+    # values times 2**k
+    segments, config, _, opts = case
+    want = oracle_distances(segments, config)
+    history = History(*scaling_coefficients(np.ldexp(segments, k)), config)
+    n = len(history)
+    with mock.patch.object(predictor, "_SCRATCH", opts["scratch"]):
+        direct = list(history.rows(1, n))
+        default_bandwidth_grid(history, config)
+        from_tri = list(history.rows(1, n))
+    for blocks in (direct, from_tri):
+        assert blocks[0][0] == 1 and blocks[-1][1] == n
+        for r0, r1, D, causal in blocks:
+            for q in range(r0, r1):
+                assert np.all(D[q - r0, q:] == np.inf)
+                np.testing.assert_allclose(D[q - r0, :q], np.ldexp(want[q], k),
+                                           rtol=1e-12, atol=0)
+
+
+def test_row_one_alone_reads_as_in_any_block():
+    # numpy sums the squares of a lone pair's block pairwise, not plane by
+    # plane as in a larger block; the one-pair block must round the same
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        X, P = scaling_coefficients(rng.normal(size=(3, 128)))
+        alone = next(History(X[:2], P).rows(1, 2))[2]
+        assert next(History(X, P).rows(1, 3))[2][0, 0] == alone[0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(), st.integers(20, 280))
+def test_raw_forecast_is_zero_when_every_kernel_value_underflows(case, decades):
+    # raw mode's documented limit: sum_m k_m X[m+1] / (1/n + sum k) -> 0
+    segments, config, _, opts = case
+    X, _ = scaling_coefficients(segments)
+    d = query_distances(X, config, len(X) - 1)
+    h = max(float(d.min()) * 10.0 ** -decades, 1e-300)
+    assert d.min() / h > 1e19  # every exponent is below -1e19: each k is 0
+    result = predict_coefficients(X, KernelSpec(opts["family"], h), config,
+                                  weight_mode="raw")
+    n = len(X)
+    assert result.effective_sample == 0.0
+    np.testing.assert_array_equal(result.xi_pred, np.zeros(X.shape[1]))
+    np.testing.assert_array_equal(result.curve, np.zeros(X.shape[1]))
+    np.testing.assert_array_equal(result.weights, np.full(n - 1, 1.0 / (n - 1)))
+    xi, k = loop_forecast(X, n - 1, h, opts["family"], config, "raw")
+    assert not np.any(k)
+    np.testing.assert_array_equal(result.xi_pred, xi)
 
 
 def test_rolling_needs_two_segments_per_cut():

@@ -169,6 +169,32 @@ class TestCvCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
 
+    # on this series CV falls as h grows below about 0.14 and rises above it
+    @pytest.mark.parametrize("grid, index, edge", [
+        ("10:1000:5", 0, "lower"),
+        ("0.1:0.14:3", 2, "upper"),
+        ("0.1:10:8", 1, None),
+        ("0.5:0.5:1", 0, None),  # one point is no edge
+    ])
+    def test_min_on_grid_edge_flagged_and_warned(self, series_file, tmp_path, capsys,
+                                                 grid, index, edge):
+        out = tmp_path / "out"
+        args = ["cv", "--input", str(series_file), "--p", "12", "--cv-grid", grid,
+                "--output-dir", str(out)]
+        assert main(args) == 0
+        first = (out / "summary.json").read_bytes()
+        summary = read_summary(out)
+        assert [row["selected"] for row in summary["cv_table"]].index(True) == index
+        assert summary["cv_min_on_grid_edge"] is (edge is not None)
+        err = capsys.readouterr().err
+        if edge is None:
+            assert "warning" not in err
+        else:
+            assert err.count("\n") == 1
+            assert f"warning: the CV minimum lies on the {edge} edge" in err
+        assert main(args) == 0
+        assert (out / "summary.json").read_bytes() == first
+
 
 class TestIntervalCommand:
     def test_byte_identical_reruns(self, series_file, tmp_path):
@@ -285,7 +311,7 @@ def test_one_history_and_summary_keys(series_file, tmp_path, histories,
                  "--output-dir", str(out), *BANDWIDTHS[bandwidth], *flags]) == 0
     assert len(histories) == 1
     if bandwidth == "grid":
-        keys = keys | {"cv_table"}
+        keys = keys | {"cv_table", "cv_min_on_grid_edge"}
     assert set(read_summary(out)) == RUN_KEYS | keys
 
 
@@ -294,7 +320,8 @@ def test_cv_one_history_and_summary_keys(series_file, tmp_path, histories):
     assert main(["cv", "--input", str(series_file), "--p", "12",
                  "--output-dir", str(out)]) == 0
     assert len(histories) == 1
-    assert set(read_summary(out)) == RUN_KEYS | {"h_selected", "cv_table"}
+    assert set(read_summary(out)) == RUN_KEYS | {"h_selected", "cv_table",
+                                                 "cv_min_on_grid_edge"}
     assert sorted(p.name for p in out.iterdir()) == ["cv.csv", "summary.json"]
 
 

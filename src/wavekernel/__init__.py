@@ -24,7 +24,6 @@ from .predictor import (
     cv_bandwidth,
     default_bandwidth_grid,
     kernel_eval,
-    predict_coefficients,
     predict_one_ahead,
 )
 from .similarity import ScaleRange, combined_distance, scale_distance
@@ -63,7 +62,6 @@ __all__ = [
     "cv_bandwidth",
     "default_bandwidth_grid",
     "kernel_eval",
-    "predict_coefficients",
     "predict_one_ahead",
     "ScaleRange",
     "combined_distance",

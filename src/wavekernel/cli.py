@@ -87,8 +87,11 @@ class RunConfig:
         if self.rolling and self.external_forecast is not None:
             raise ConfigError("--external-forecast scores the holdout; "
                               "it cannot be combined with --rolling")
-        # parse --scales and --cv-grid now, before any input is read
-        self.pipeline()
+        # check --h, the levels of --j0 and --scales on the pyramid of --p,
+        # and --cv-grid now, before any input is read
+        if self.bandwidth is not None:
+            KernelSpec(self.kernel, self.bandwidth)
+        predictor._scale_range(self.pipeline(), (self.p - 1).bit_length())
         self._grid_bounds()
 
     def pipeline(self) -> PipelineConfig:
@@ -250,8 +253,8 @@ def _select_bandwidth(cfg: RunConfig, history: predictor.History):
         print(f"warning: the CV minimum lies on the {'lower' if best == 0 else 'upper'} "
               f"edge of the bandwidth grid (h = {h_star:.6g})", file=sys.stderr)
     table = [
-        {"h": float(h), "cv": float(v), "selected": bool(h == h_star)}
-        for h, v in zip(grid, cv_values)
+        {"h": float(h), "cv": float(v), "selected": i == best}
+        for i, (h, v) in enumerate(zip(grid, cv_values))
     ]
     return h_star, {"cv_table": table, "cv_min_on_grid_edge": edge}
 

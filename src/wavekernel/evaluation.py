@@ -109,8 +109,7 @@ def wk_method(kernel: KernelSpec, config: PipelineConfig = PipelineConfig()):
     return method
 
 
-def rolling_eval(series, P: int, method, min_history: int = 2,
-                 drop_remainder: bool = False) -> np.ndarray:
+def rolling_eval(series, P: int, method, min_history: int = 2) -> np.ndarray:
     """Rolling-origin evaluation: fit on each prefix, score the next segment.
 
     ``method`` is a callable mapping a sequence of past segments (the
@@ -120,7 +119,7 @@ def rolling_eval(series, P: int, method, min_history: int = 2,
     all forecasts in one call.  Returns the :func:`rmae` of every origin
     min_history..n-1, in order, from one call on the stacked forecasts.
     """
-    segs = split_segments(series, P, drop_remainder=drop_remainder)
+    segs = split_segments(series, P)
     n = segs.shape[0]
     if n < min_history + 1:
         raise ConfigError(

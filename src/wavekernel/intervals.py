@@ -83,8 +83,6 @@ class PredictionInterval:
 
     lower: np.ndarray
     upper: np.ndarray
-    alpha: float
-    B_used: int
 
 
 def resample_weights(history, kernel: KernelSpec,
@@ -182,5 +180,4 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
         lower, upper = _type1_quantiles(futures[drawn], counts[drawn], ranks, kind=None)
     else:
         raise ConfigError(f"unknown interval method {method!r}")
-    return PredictionInterval(lower=lower, upper=upper, alpha=plan.alpha,
-                              B_used=plan.B if method == "monte-carlo" else 0)
+    return PredictionInterval(lower=lower, upper=upper)

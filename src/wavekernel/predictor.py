@@ -33,7 +33,6 @@ __all__ = [
     "PredictionResult",
     "kernel_eval",
     "normalized_weights",
-    "predict_coefficients",
     "predict_one_ahead",
     "cv_bandwidth",
     "default_bandwidth_grid",
@@ -147,6 +146,20 @@ def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
     return X[:, np.arange(1 << (P - 1).bit_length()) % P], P
 
 
+def _scale_range(config: PipelineConfig, J: int) -> ScaleRange:
+    """The detail scales entering D for a pyramid of J levels: those of
+    ``config.scale_range`` (by default all), each within [j0, J-1]."""
+    if not 0 <= config.j0 < J:
+        raise LevelError(f"need 0 <= j0 < J = {J}, got j0={config.j0}")
+    rng = config.scale_range or ScaleRange(config.j0, J - 1)
+    if rng.j_lo < config.j0 or rng.j_hi > J - 1:
+        raise LevelError(
+            f"scale range [{rng.j_lo}, {rng.j_hi}] outside pyramid "
+            f"scales [{config.j0}, {J - 1}]"
+        )
+    return rng
+
+
 def _scale_blocks(X: np.ndarray, config: PipelineConfig):
     """Decompose rows of X and list the (weight, block) pairs entering D.
 
@@ -157,14 +170,8 @@ def _scale_blocks(X: np.ndarray, config: PipelineConfig):
     is stored scale-major, shape (width, n), made by one multiply of the
     transpose.
     """
+    rng = _scale_range(config, X.shape[-1].bit_length() - 1)
     coarse, details = forward_array(X, j0=config.j0, filter_id=config.filter_id)
-    J = X.shape[-1].bit_length() - 1
-    rng = config.scale_range or ScaleRange(config.j0, J - 1)
-    if rng.j_lo < config.j0 or rng.j_hi > J - 1:
-        raise LevelError(
-            f"scale range [{rng.j_lo}, {rng.j_hi}] outside pyramid "
-            f"scales [{config.j0}, {J - 1}]"
-        )
     blocks = [(config.j0, coarse)] if config.include_coarse else []
     blocks += [(j, details[j]) for j in range(rng.j_lo, rng.j_hi + 1)]
     e = math.frexp(max(float(np.abs(b).max()) for _, b in blocks))[1]
@@ -230,7 +237,7 @@ class History:
     def forecasts(self, hs: np.ndarray, family: str, weight_mode: str,
                   lo: int, hi: int):
         """Yield (r0, r1, F, E): for each cut q = r0+i in [lo, hi), F[g, i]
-        forecasts row q+1 from rows 0..q as predict_coefficients does, with
+        forecasts row q+1 from rows 0..q as predict_one_ahead does, with
         E[g, i] the kernel values at bandwidth hs[g] times c = 1/kernel(0).
 
         No weights are formed; each forecast is normalized after the
@@ -327,9 +334,25 @@ def _history(segments, config: PipelineConfig) -> History:
     return segments
 
 
-def _predict(history: History, kernel: KernelSpec, weight_mode: str,
-             orig_len: int | None) -> PredictionResult:
-    """Forecast the row after the last of ``history`` from its distance row."""
+def predict_one_ahead(segments, kernel: KernelSpec,
+                      config: PipelineConfig = PipelineConfig(),
+                      weight_mode: str = "normalized") -> PredictionResult:
+    """Forecast the segment after the last of ``segments``.
+
+    ``segments`` is a matrix (or sequence) of n >= 2 equal-length
+    vectors, row n being the current segment, or a :class:`History`
+    prepared with ``config``.  ``xi_pred`` holds the forecast's padded
+    scaling coefficients, ``curve`` its first P values.
+
+    ``weight_mode`` selects the weighting of the observed next-segments:
+    "normalized" (the default) uses the resampling weights of
+    :func:`normalized_weights`, making the prediction a convex combination
+    of the next-segments up to rounding (an exactly periodic history is
+    reproduced exactly), while "raw" divides the kernel-weighted sum by the
+    1/n-damped kernel total (when every kernel value underflows the
+    prediction tends to zero, but the denominator never drops below 1/n).
+    """
+    history = _history(segments, config)
     n = len(history)
     if n < 2:
         raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
@@ -345,46 +368,11 @@ def _predict(history: History, kernel: KernelSpec, weight_mode: str,
     curve = inverse_array(coarse, details, filter_id=config.filter_id)
     return PredictionResult(
         xi_pred=xi,
-        curve=curve[:orig_len],
+        curve=curve[:history.P],
         weights=normalized_weights(k, n),
         h_used=kernel.bandwidth,
         effective_sample=float(k.sum()),
     )
-
-
-def predict_coefficients(history, kernel: KernelSpec,
-                         config: PipelineConfig = PipelineConfig(),
-                         orig_len: int | None = None,
-                         weight_mode: str = "raw") -> PredictionResult:
-    """Predict the next scaling-coefficient vector from history rows 1..n.
-
-    ``history`` is a matrix (or sequence) of n >= 2 equal-length
-    power-of-two coefficient vectors, row n being the current segment, or
-    a :class:`History` prepared with ``config``.
-
-    ``weight_mode`` selects the weighting of the observed next-segments:
-    "raw" divides the kernel-weighted sum by the 1/n-damped kernel total
-    (when every kernel value underflows the prediction tends to zero,
-    but the denominator never drops below 1/n), while "normalized" uses
-    the resampling weights of :func:`normalized_weights`, making the
-    prediction a convex combination of the next-segments (up to rounding).
-    """
-    return _predict(_history(history, config), kernel, weight_mode, orig_len)
-
-
-def predict_one_ahead(segments, kernel: KernelSpec,
-                      config: PipelineConfig = PipelineConfig(),
-                      weight_mode: str = "normalized") -> PredictionResult:
-    """Full pipeline from raw equal-length segments to the predicted curve.
-
-    ``segments`` may be a :class:`History` prepared with ``config``.
-    Defaults to the normalized weighting so the forecast is a convex
-    combination of observed next-segments (an exactly periodic history
-    is reproduced exactly); pass ``weight_mode="raw"`` for the damped
-    form.
-    """
-    history = _history(segments, config)
-    return _predict(history, kernel, weight_mode, history.P)
 
 
 def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
@@ -447,7 +435,8 @@ def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
     if vals.size == 0:
         # degenerate history (all segments identical): any h works
         return np.logspace(-3, 0, count)
-    q_lo, q_hi = np.quantile(vals, [0.01, 0.99])
+    # the boolean index made vals a copy, so the quantile may reorder it
+    q_lo, q_hi = np.quantile(vals, [0.01, 0.99], overwrite_input=True)
     lo = max(float(q_lo), 1e-12 * float(q_hi))
     hi = max(float(q_hi), lo * 10)
     return np.logspace(math.log10(lo), math.log10(hi), count)

@@ -33,12 +33,20 @@ class ScaleRange:
 
 
 def scale_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean norm of the coefficient differences at one scale."""
+    """Euclidean norm of the coefficient differences at one scale.
+
+    The differences are scaled by 2**-e, e the exponent of their largest
+    magnitude, and the norm by 2**e: exact powers of two, so the result is
+    bit-identical to the plain norm wherever that is finite and nonzero,
+    and its sum of squares neither under- nor overflows.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ShapeError(f"detail vectors differ in shape: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    d = a - b
+    e = math.frexp(float(np.abs(d).max(initial=0.0)))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(d, -e))), e)
 
 
 def combined_distance(p1: WaveletPyramid, p2: WaveletPyramid,

@@ -107,8 +107,6 @@ class Segment:
     """One block of P equally spaced samples of the underlying process."""
 
     values: np.ndarray
-    segment_index: int = 1
-    dt: float = 1.0
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -118,8 +116,6 @@ class Segment:
             )
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("segment contains non-finite values")
-        if self.segment_index < 1:
-            raise InvalidInputError("segment_index must be >= 1")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -239,7 +235,7 @@ def pad_to_pow2(segment: Segment) -> Segment:
     pad = target - n
     # pad < n always holds (target < 2n), so one copy of the head suffices
     out = np.concatenate([v, v[:pad]])
-    return Segment(out, segment_index=segment.segment_index, dt=segment.dt)
+    return Segment(out)
 
 
 def forward_dwt(segment: Segment, j0: int = 0,

@@ -25,7 +25,6 @@ from wavekernel import (
     forward_dwt,
     kernel_eval,
     pad_to_pow2,
-    predict_coefficients,
     predictor,
     rolling_eval,
 )
@@ -262,8 +261,8 @@ def test_raw_forecast_is_zero_when_every_kernel_value_underflows(case, decades):
     d = query_distances(X, config, len(X) - 1)
     h = max(float(d.min()) * 10.0 ** -decades, 1e-300)
     assert d.min() / h > 1e19  # every exponent is below -1e19: each k is 0
-    result = predict_coefficients(X, KernelSpec(opts["family"], h), config,
-                                  weight_mode="raw")
+    result = predict_one_ahead(X, KernelSpec(opts["family"], h), config,
+                               weight_mode="raw")
     n = len(X)
     assert result.effective_sample == 0.0
     np.testing.assert_array_equal(result.xi_pred, np.zeros(X.shape[1]))

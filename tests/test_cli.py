@@ -169,6 +169,16 @@ class TestCvCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
 
+    def test_duplicate_bandwidths_select_one_row(self, series_file, tmp_path):
+        # the row at cv_bandwidth's index, not every row equal to its h
+        out = tmp_path / "out"
+        assert main(["cv", "--input", str(series_file), "--p", "12",
+                     "--cv-grid", "1:1:3", "--output-dir", str(out)]) == 0
+        summary = read_summary(out)
+        assert [row["selected"] for row in summary["cv_table"]] == [True, False, False]
+        with (out / "cv.csv").open() as fh:
+            assert [row["selected"] for row in csv.DictReader(fh)] == ["1", "0", "0"]
+
     # on this series CV falls as h grows below about 0.14 and rises above it
     @pytest.mark.parametrize("grid, index, edge", [
         ("10:1000:5", 0, "lower"),
@@ -395,6 +405,11 @@ class TestConfigFile:
     (["predict", "--cv-grid", "1:2:0"], "--cv-grid"),
     (["predict", "--cv-grid", "1:2:3", "--scales", "x"], "--scales"),
     (["interval", "--h", "1", "--scales", "3:1"], "j_lo <= j_hi"),
+    (["predict", "--h", "-1"], "bandwidth must be positive"),
+    (["predict", "--h", "nan"], "bandwidth must be positive"),
+    (["predict", "--h", "1", "--j0", "5"], "got j0=5"),  # P=12 pads to 16: J = 4
+    (["predict", "--h", "1", "--j0", "-1"], "got j0=-1"),
+    (["predict", "--h", "1", "--scales", "0:9"], "outside pyramid scales [0, 3]"),
 ])
 def test_bad_flags_are_config_errors(tmp_path, capsys, flags, message):
     rc = main([*flags, "--input", str(tmp_path / "nope.csv"), "--p", "12",
@@ -406,6 +421,9 @@ def test_bad_flags_are_config_errors(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize("flags", [
     ["cv", "--cv-grid", "bogus"],
     ["predict", "--cv-grid", "1:2:3", "--scales", "x"],
+    ["predict", "--h", "nan"],
+    ["predict", "--h", "1", "--j0", "5"],
+    ["predict", "--h", "1", "--scales", "0:9"],
 ])
 def test_bad_flags_rejected_before_input_is_read(series_file, tmp_path, monkeypatch,
                                                  flags):

@@ -16,7 +16,6 @@ from wavekernel import (
     default_bandwidth_grid,
     gen_synthetic,
     pad_to_pow2,
-    predict_coefficients,
     predict_one_ahead,
     resample_weights,
 )
@@ -69,8 +68,8 @@ class TestHistoryInput:
     def test_coefficients_keep_padded_width(self):
         segments = np.random.default_rng(2).normal(size=(9, 12))
         history = _history(segments, PipelineConfig())
-        res = predict_coefficients(history, KernelSpec("gaussian", 1.0))
-        assert res.xi_pred.size == 16 and res.curve.size == 16
+        res = predict_one_ahead(history, KernelSpec("gaussian", 1.0), weight_mode="raw")
+        assert res.xi_pred.size == 16
         # the padded columns repeat the forecast periodically
         np.testing.assert_array_equal(res.xi_pred[12:], res.xi_pred[:4])
 

@@ -16,7 +16,6 @@ from wavekernel import (
     forward_dwt,
     kernel_eval,
     pad_to_pow2,
-    predict_coefficients,
     predict_one_ahead,
 )
 from wavekernel.predictor import normalized_weights, scaling_coefficients
@@ -77,7 +76,7 @@ class TestPredictCoefficients:
         rng = np.random.default_rng(0)
         x1, x2 = rng.normal(size=(2, 8))
         h = 0.7
-        res = predict_coefficients([x1, x2], KernelSpec("gaussian", h))
+        res = predict_one_ahead([x1, x2], KernelSpec("gaussian", h), weight_mode="raw")
         d = combined_distance(forward_dwt(Segment(x2)), forward_dwt(Segment(x1)))
         k = math.exp(-0.5 * (d / h) ** 2) / math.sqrt(2 * math.pi)
         np.testing.assert_allclose(res.xi_pred, k * x2 / (0.5 + k), atol=1e-13)
@@ -86,7 +85,7 @@ class TestPredictCoefficients:
     def test_identical_segments_closed_form(self, n):
         xi = np.arange(8, dtype=float) + 1
         hist = np.tile(xi, (n, 1))
-        res = predict_coefficients(hist, KernelSpec("gaussian", 1.0))
+        res = predict_one_ahead(hist, KernelSpec("gaussian", 1.0), weight_mode="raw")
         k0 = 1 / math.sqrt(2 * math.pi)
         factor = (n - 1) * k0 / (1.0 / n + (n - 1) * k0)
         np.testing.assert_allclose(res.xi_pred, factor * xi, rtol=1e-12)
@@ -95,8 +94,8 @@ class TestPredictCoefficients:
         xi = np.arange(8, dtype=float) + 1
         errs = [
             np.max(np.abs(
-                predict_coefficients(np.tile(xi, (n, 1)),
-                                     KernelSpec("gaussian", 1.0)).xi_pred - xi
+                predict_one_ahead(np.tile(xi, (n, 1)), KernelSpec("gaussian", 1.0),
+                                  weight_mode="raw").xi_pred - xi
             ))
             for n in (10, 100, 1000)
         ]
@@ -117,18 +116,17 @@ class TestPredictCoefficients:
     def test_underflow_regime_tends_to_zero(self):
         rng = np.random.default_rng(1)
         hist = rng.normal(size=(6, 8)) * 100
-        res = predict_coefficients(hist, KernelSpec("gaussian", 1e-12))
+        res = predict_one_ahead(hist, KernelSpec("gaussian", 1e-12), weight_mode="raw")
         assert res.effective_sample == 0.0
         np.testing.assert_array_equal(res.xi_pred, np.zeros(8))
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
-            predict_coefficients(np.ones((1, 8)), KernelSpec())
+            predict_one_ahead(np.ones((1, 8)), KernelSpec(), weight_mode="raw")
 
     def test_bad_weight_mode(self):
         with pytest.raises(ConfigError):
-            predict_coefficients(np.ones((3, 8)), KernelSpec(),
-                                 weight_mode="softmax")
+            predict_one_ahead(np.ones((3, 8)), KernelSpec(), weight_mode="softmax")
 
 
 class TestNormalizedWeights:

@@ -36,6 +36,18 @@ class TestScaleDistance:
         with pytest.raises(ShapeError):
             scale_distance([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("k", [-560, 560])
+    def test_extreme_magnitudes_scale_exactly(self, k):
+        # a plain sum of squares reads 0 at 2**-560 and overflows at 2**560
+        a, b = np.random.default_rng(0).normal(size=(2, 16)) * 1e3
+        np.testing.assert_allclose(scale_distance(np.ldexp(a, k), np.ldexp(b, k)),
+                                   np.ldexp(scale_distance(a, b), k), rtol=1e-12, atol=0)
+        pa, pb = forward_dwt(Segment(a)), forward_dwt(Segment(b))
+        got = combined_distance(forward_dwt(Segment(np.ldexp(a, k))),
+                                forward_dwt(Segment(np.ldexp(b, k))))
+        np.testing.assert_allclose(got, np.ldexp(combined_distance(pa, pb), k),
+                                   rtol=1e-12, atol=0)
+
 
 class TestCombinedDistance:
     def test_identity(self):

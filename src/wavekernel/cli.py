@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
+import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -126,14 +127,21 @@ class RunConfig:
         return np.geomspace(*bounds)
 
 
+# numpy's loadtxt opens a path with these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def load_series(path) -> np.ndarray:
     """Read the first field of each row as one value (format: README, CLI).
 
     A leading byte-order mark is skipped, blank rows are skipped and a
     non-numeric row 1 is a header.  The rows after row 1 are parsed in one
-    C pass.  An unparseable or non-finite value, or no value at all, sends
-    the file to the row reader instead, which gives the same values and
-    names the first bad row.
+    C pass that ``np.loadtxt`` reads from the path in chunks.  An
+    unparseable or non-finite value, a quoted row 1 over several lines,
+    or no value at all, sends the file to the row reader instead, which
+    gives the same values and names the first bad row.  So does a name
+    ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, from which numpy
+    would decompress: every file is read as plain text.
     """
     p = Path(path)
     if not p.exists():
@@ -141,7 +149,7 @@ def load_series(path) -> np.ndarray:
     try:
         with p.open(newline="") as fh:
             try:
-                values = _parse_whole(_rewind(fh))
+                values = _parse_whole(_rewind(fh), p)
             except ValueError:
                 values = None
             if values is None or values.size == 0 or not np.isfinite(values).all():
@@ -163,21 +171,29 @@ def _rewind(fh):
     return fh
 
 
-def _parse_whole(fh) -> np.ndarray:
-    """Row 1 as the row reader reads it, then every later row in one C parse."""
-    row = next(csv.reader(fh), [])
+def _parse_whole(fh, p: Path) -> np.ndarray | None:
+    """Row 1 as the row reader reads it, then every later row in one C parse
+    of the file at ``p``.  None for a compressed-looking name, and when
+    row 1 spans lines, as ``skiprows`` counts lines, not rows."""
+    if p.suffix in _COMPRESSED:
+        return None
+    reader = csv.reader(fh)
+    row = next(reader, [])
+    if reader.line_num > 1:
+        return None
     token = row[0].strip() if row else ""
     try:
         head = [float(token)] if token else []
     except ValueError:
         head = []  # header row
-    # np.loadtxt warns on input without rows: start it at the first non-empty line
-    for line in fh:
-        if line.strip("\r\n"):
-            body = np.loadtxt(itertools.chain([line], fh), delimiter=",", usecols=0,
-                              comments=None, quotechar='"', ndmin=1)
-            return np.concatenate([head, body]) if head else body
-    return np.array(head)
+    with warnings.catch_warnings():
+        # a file without rows after row 1 reads as no values, not a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        body = np.loadtxt(os.fspath(p), skiprows=1, encoding=fh.encoding,
+                          delimiter=",", usecols=0, comments=None, quotechar='"',
+                          ndmin=1)
+    return np.concatenate([head, body]) if head else body
 
 
 def _parse_rows(fh, p: Path) -> np.ndarray:

@@ -167,16 +167,25 @@ def _scale_blocks(X: np.ndarray, config: PipelineConfig):
     and each scale weight 2**-j takes 2**e back.  Both are exact powers of
     two, so distances are bit-identical to unscaled arithmetic wherever
     that is finite, and squares no longer overflow near 1e160.  Each block
-    is stored scale-major, shape (width, n), made by one multiply of the
-    transpose.
+    is stored scale-major, shape (width, n), made by one ``np.ldexp`` of the
+    transpose, which also lifts all-subnormal blocks past 2**1023.  A
+    coefficient that overflowed in the transform, or a weight past the
+    largest double (a coefficient of 2**1023 or more at scale 0), raises
+    InvalidInputError.
     """
     rng = _scale_range(config, X.shape[-1].bit_length() - 1)
-    coarse, details = forward_array(X, j0=config.j0, filter_id=config.filter_id)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        coarse, details = forward_array(X, j0=config.j0, filter_id=config.filter_id)
     blocks = [(config.j0, coarse)] if config.include_coarse else []
     blocks += [(j, details[j]) for j in range(rng.j_lo, rng.j_hi + 1)]
-    e = math.frexp(max(float(np.abs(b).max()) for _, b in blocks))[1]
-    return [(math.ldexp(1.0, e - j), np.multiply(
-        b.T, math.ldexp(1.0, -e), out=np.empty(b.shape[::-1]))) for j, b in blocks]
+    top = max(float(np.abs(b).max()) for _, b in blocks)
+    e = math.frexp(top)[1]
+    if not math.isfinite(top) or e - blocks[0][0] > 1023:
+        raise InvalidInputError(
+            f"wavelet coefficients of magnitude {top:.3g} are too large for doubles; "
+            "rescale the series")
+    return [(math.ldexp(1.0, e - j), np.ldexp(b.T, -e, out=np.empty(b.shape[::-1])))
+            for j, b in blocks]
 
 
 class History:

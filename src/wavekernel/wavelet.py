@@ -174,11 +174,19 @@ def _is_pow2(n: int) -> bool:
 
 
 def _predict_odds(s: np.ndarray, filter_id: str) -> np.ndarray:
-    """Interpolate the odd positions from coarse samples, periodically."""
+    """Interpolate the odd positions from coarse samples, periodically.
+
+    Tap ``off`` reads s[k + off mod m] at position k: a slice of one
+    periodic extension of s, which also covers m below the filter's reach.
+    """
     offsets, weights = FILTERS[filter_id]
+    m = s.shape[-1]
+    lo, hi = int(offsets.min()), int(offsets.max())
+    ext = s[..., np.arange(lo, m + hi) % m]
     out = np.zeros_like(s)
     for off, w in zip(offsets, weights):
-        out += w * np.roll(s, -int(off), axis=-1)
+        a = int(off) - lo
+        out += w * ext[..., a:a + m]
     return out
 
 

@@ -221,13 +221,10 @@ def oracle_distances(segments, config):
 @settings(max_examples=100, deadline=None)
 @given(cases(), st.integers(-500, 500))
 def test_distances_match_pyramid_oracle_at_any_magnitude(case, k):
-    # the oracle's sums of squares over- or underflow at 2**±500, so it runs
-    # on the unscaled rows: scaling by 2**k is exact in every step of the
-    # transform and of the distance, so the scaled rows' distances are its
-    # values times 2**k
     segments, config, _, opts = case
-    want = oracle_distances(segments, config)
-    history = History(*scaling_coefficients(np.ldexp(segments, k)), config)
+    scaled = np.ldexp(segments, k)
+    want = oracle_distances(scaled, config)
+    history = History(*scaling_coefficients(scaled), config)
     n = len(history)
     with mock.patch.object(predictor, "_SCRATCH", opts["scratch"]):
         direct = list(history.rows(1, n))
@@ -238,8 +235,7 @@ def test_distances_match_pyramid_oracle_at_any_magnitude(case, k):
         for r0, r1, D, causal in blocks:
             for q in range(r0, r1):
                 assert np.all(D[q - r0, q:] == np.inf)
-                np.testing.assert_allclose(D[q - r0, :q], np.ldexp(want[q], k),
-                                           rtol=1e-12, atol=0)
+                np.testing.assert_allclose(D[q - r0, :q], want[q], rtol=1e-12, atol=0)
 
 
 def test_row_one_alone_reads_as_in_any_block():

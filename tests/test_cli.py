@@ -135,6 +135,26 @@ class TestPredictCommand:
                    "--cv-grid", "auto", "--output-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    # all-subnormal values forecast; coefficients past the largest double
+    # are a typed error (exit 1), not a traceback
+    @pytest.mark.parametrize("values, code", [
+        ([0, 1e-310, 1e-310, 0, 0, 2e-310], 0),
+        ([1e308, -1e308, -1e308, 1e308, 1e308, -1e308], 1),
+        ([0, 1e308, 1e308, 0, 0, 1.5e308], 1),
+    ])
+    def test_extreme_magnitudes(self, tmp_path, capsys, values, code):
+        path = tmp_path / "x.csv"
+        write_series(path, values)
+        rc = main(["predict", "--input", str(path), "--p", "2", "--h", "1",
+                   "--output-dir", str(tmp_path / "o")])
+        assert rc == code
+        if code:
+            assert "too large for doubles" in capsys.readouterr().err
+        else:
+            with (tmp_path / "o" / "prediction.csv").open() as fh:
+                predicted = [float(row["predicted"]) for row in csv.DictReader(fh)]
+            assert np.all(np.isfinite(predicted)) and len(predicted) == 2
+
     def test_missing_input_is_runtime_error(self, tmp_path):
         rc = main(["predict", "--input", str(tmp_path / "nope.csv"),
                    "--p", "12", "--h", "1", "--output-dir", str(tmp_path)])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavekernel import (
     InsufficientHistoryError,
@@ -81,9 +83,17 @@ def _fit(segments):
     return grid, h, cv, res
 
 
+series = st.builds(
+    lambda kind, n, P, seed: gen_synthetic(kind, n, P, 0.25, seed=seed).reshape(n, P),
+    st.sampled_from(["markov_functional", "seasonal_ar"]), st.integers(10, 40),
+    st.integers(4, 16), st.integers(0, 2**32 - 1))
+
+
 @pytest.mark.parametrize("k", [500, -500])
-def test_power_of_two_scaling_is_equivariant(k):
-    segments = gen_synthetic("markov_functional", 40, 12, 0.25, seed=3).reshape(40, 12)
+@settings(max_examples=30, deadline=None)
+@given(segments=series)
+@example(segments=gen_synthetic("markov_functional", 40, 12, 0.25, seed=3).reshape(40, 12))
+def test_power_of_two_scaling_is_equivariant(segments, k):
     grid, h, cv, res = _fit(segments)
     grid_k, h_k, cv_k, res_k = _fit(np.ldexp(segments, k))
     scale = math.ldexp(1.0, k)
@@ -94,16 +104,40 @@ def test_power_of_two_scaling_is_equivariant(k):
     np.testing.assert_allclose(res_k.weights, res.weights, rtol=1e-9)
 
 
-def test_1e160_history_predicts_but_cv_scores_overflow():
-    segments = gen_synthetic("markov_functional", 40, 12, 0.25, seed=4).reshape(40, 12)
+@settings(max_examples=30, deadline=None)
+@given(series, st.integers(0, 31))
+@example(gen_synthetic("markov_functional", 40, 12, 0.25, seed=4).reshape(40, 12), 16)
+def test_1e160_history_predicts_but_cv_scores_overflow(segments, g):
     big = segments * 1e160
     grid = default_bandwidth_grid(segments)
     grid_big = default_bandwidth_grid(big)
     np.testing.assert_allclose(grid_big, grid * 1e160, rtol=1e-12)
-    res = predict_one_ahead(segments, KernelSpec("gaussian", grid[16]))
-    res_big = predict_one_ahead(big, KernelSpec("gaussian", grid_big[16]))
+    res = predict_one_ahead(segments, KernelSpec("gaussian", grid[g]))
+    res_big = predict_one_ahead(big, KernelSpec("gaussian", grid_big[g]))
     np.testing.assert_allclose(res_big.weights, res.weights, rtol=1e-9)
     np.testing.assert_allclose(res_big.curve, res.curve * 1e160, rtol=1e-12)
     # squared errors near 1e320 have no double: a typed error, not grid[0]
     with pytest.raises(InvalidInputError):
         cv_bandwidth(big, grid_big)
+
+
+# every coefficient subnormal: the blocks are scaled up by more than 2**1023
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tiny", [1e-310, 4e-323])
+def test_subnormal_history_forecasts_finitely(tiny):
+    rows = np.array([[0, 1], [1, 0], [0, 2]]) * tiny
+    res = predict_one_ahead(rows, KernelSpec("gaussian", 1.0))
+    # each kernel value is 1: the forecast is the mean of the two next blocks
+    np.testing.assert_array_equal(res.weights, [0.5, 0.5])
+    np.testing.assert_allclose(res.curve, [0.5 * tiny, tiny], rtol=1e-12)
+    assert np.all(default_bandwidth_grid(rows) > 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [
+    [[1e308, -1e308], [-1e308, 1e308], [1e308, -1e308]],  # details overflow to inf
+    [[0, 1e308], [1e308, 0], [0, 1.5e308]],  # scale 0 would weigh by 2**1024
+])
+def test_coefficients_past_the_largest_double_are_rejected(rows):
+    with pytest.raises(InvalidInputError, match="too large"):
+        predict_one_ahead(rows, KernelSpec("gaussian", 1.0))

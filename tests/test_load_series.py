@@ -1,6 +1,7 @@
 """The whole-file series reader against the row-by-row reader it replaced."""
 
 import csv
+import gzip
 import tempfile
 import warnings
 from pathlib import Path
@@ -104,6 +105,7 @@ def csv_files(draw):
 @example("")
 @example("value\n")
 @example("value\n\n\r\n")
+@example('value,"a\n1,"\n2\n3\n')            # quoted row 1 over two lines
 def test_matches_row_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.csv"
@@ -164,3 +166,23 @@ def test_byte_order_mark_skipped(tmp_path, text, want):
     path = tmp_path / "x.csv"
     path.write_bytes(text.encode("utf-8"))
     np.testing.assert_array_equal(load_series(path), want)
+
+
+# numpy's loadtxt would decompress a path with these suffixes
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_names_read_as_plain_text(tmp_path, suffix):
+    text = "\ufeffvalue\r\n1.5\r\n-0.0\r\n2.5e-300\r\n"
+    plain, named = tmp_path / "x.csv", tmp_path / f"x.csv{suffix}"
+    for path in (plain, named):
+        path.write_bytes(text.encode("utf-8"))
+    assert outcome(load_series, named) == outcome(load_series, plain)
+    np.testing.assert_array_equal(load_series(named), [1.5, -0.0, 2.5e-300])
+
+
+def test_gzip_bytes_are_runtime_error(tmp_path, capsys):
+    path = tmp_path / "x.csv.gz"
+    path.write_bytes(gzip.compress(b"value\n1.0\n2.0\n3.0\n4.0\n"))
+    code = main(["predict", "--input", str(path), "--p", "2", "--h", "1",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "text" in capsys.readouterr().err

@@ -162,9 +162,16 @@ def gen_synthetic(kind: str, n: int, P: int, noise: float, seed: int,
     + noise, where g contracts deviations by ``contraction`` and
     smooths them with a mean-preserving circular average, so segment
     means follow an AR(1) with that coefficient.
+
+    Both ``ar_coef`` and ``contraction`` must lie in (-1, 1), where the
+    series is stationary; anything else is a ConfigError.
     """
     if n < 1 or P < 2 or noise < 0:
         raise ConfigError("need n >= 1, P >= 2, noise >= 0")
+    if not (-1 < ar_coef < 1 and -1 < contraction < 1):
+        raise ConfigError(
+            "a stationary series needs ar_coef and contraction in (-1, 1), "
+            f"got {ar_coef} and {contraction}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     if kind == "seasonal_ar":
         profile = np.tile(_seasonal_profile(P), n)

@@ -152,6 +152,8 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     "exact" (weighted quantiles over the n-1 observed next-segments,
     equivalent to the B -> infinity limit).
     """
+    if method not in ("exact", "monte-carlo"):
+        raise ConfigError(f"unknown interval method {method!r}")
     X, P = scaling_coefficients(segments)
     if X.shape[0] < 2:
         raise InsufficientHistoryError("need at least 2 segments")
@@ -171,13 +173,11 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     qs = (plan.alpha, 1.0 - plan.alpha)
     if method == "exact":
         lower, upper = _type1_quantiles(futures, plan.weights, [q - 1e-12 for q in qs])
-    elif method == "monte-carlo":
+    else:
         # the k-th smallest of the B draws, off the counts of the drawn rows;
         # unstable like a sort of the draws, so a tied zero's sign is open
         counts = np.bincount(_draw(plan, futures.shape[0]))
         drawn = np.flatnonzero(counts)
         ranks = [min(max(math.ceil(q * plan.B), 1), plan.B) for q in qs]
         lower, upper = _type1_quantiles(futures[drawn], counts[drawn], ranks, kind=None)
-    else:
-        raise ConfigError(f"unknown interval method {method!r}")
     return PredictionInterval(lower=lower, upper=upper)

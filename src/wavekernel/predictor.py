@@ -40,7 +40,8 @@ __all__ = [
     "scaling_coefficients",
 ]
 
-_SCRATCH = 1 << 16  # doubles per row block of the causal pass (512 KiB)
+_SCRATCH = 1 << 16  # doubles in a row block's difference buffer (512 KiB)
+_STACK = 1 << 18  # doubles in a row block's kernel stack (2 MiB, one core's L2)
 _PIECE = 1 << 14  # doubles per piece of the centred futures (128 KiB)
 
 # kernel(u) = exp(-a |u|**p) / c per family, as (p, a, c): c = 1/kernel(0)
@@ -211,16 +212,26 @@ class History:
         rows, cols) view of one scratch buffer, are squared in place and
         summed over the leading axis, one whole (rows, cols) plane per
         coefficient, in coefficient order.  Entries m >= q read +inf, zero
-        weight under every kernel.  The buffer holds about _SCRATCH doubles
-        per value derived from a distance (``depth``).
+        weight under every kernel.
+
+        A block has as many rows as two budgets allow.  The difference
+        buffer, (widest scale) x rows x n doubles, holds at most _SCRATCH;
+        it exists only while ``tri`` is unset.  The caller's stack of
+        ``depth`` planes made from D (forecasts: one kernel plane per
+        bandwidth), depth x rows x n doubles, holds at most _STACK.  The
+        triangle ``tri`` of :func:`default_bandwidth_grid` holds n(n-1)/2
+        doubles.
         """
         n = len(self)
-        width = max(depth, max(b.shape[0] for _, b in self.blocks))
-        step = max(1, min(hi - lo, _SCRATCH // (n * width)))
-        buf = np.empty(step * n * width)
+        step = _STACK // (n * depth)
+        if self.tri is None:
+            width = max(b.shape[0] for _, b in self.blocks)
+            step = min(step, _SCRATCH // (n * width))
+        step = max(1, min(hi - lo, step))
+        buf = np.empty(step * n * width) if self.tri is None else None
         for r0 in range(lo, hi, step):
             r1 = min(r0 + step, hi)
-            causal = np.tri(r1 - r0, r1 - 1, r0 - 1, dtype=bool)
+            causal = np.arange(r1 - 1) < np.arange(r0, r1)[:, None]
             if self.tri is None:
                 # at least two columns: numpy reduces a 1x1 plane in pairwise order
                 total = np.zeros((r1 - r0, max(r1 - 1, 2)))
@@ -438,8 +449,10 @@ def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
     history = _history(segments, config)
     if history.tri is None:
         n = len(history)
-        rows = [D[causal] for _, _, D, causal in history.rows(1, n)]
-        history.tri = np.concatenate([np.empty(0)] + rows)
+        tri = np.empty(n * (n - 1) // 2)
+        for r0, r1, D, causal in history.rows(1, n):
+            tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2] = D[causal]
+        history.tri = tri
     vals = history.tri[history.tri > 0]
     if vals.size == 0:
         # degenerate history (all segments identical): any h works

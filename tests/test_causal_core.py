@@ -5,6 +5,8 @@ kernel evaluation, weight vector and forecast per cut point, with the
 distances ``predict`` uses (one query row at a time).
 """
 
+import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -23,6 +25,7 @@ from wavekernel import (
     cv_bandwidth,
     default_bandwidth_grid,
     forward_dwt,
+    gen_synthetic,
     kernel_eval,
     pad_to_pow2,
     predictor,
@@ -67,6 +70,14 @@ def loop_cv(segments, grid, family, config, weight_mode):
     return cv
 
 
+@contextmanager
+def budgets(scratch, stack):
+    """Row blocks sized by these difference-buffer and kernel-stack budgets."""
+    with mock.patch.object(predictor, "_SCRATCH", scratch), \
+            mock.patch.object(predictor, "_STACK", stack):
+        yield
+
+
 @st.composite
 def cases(draw):
     n = draw(st.integers(3, 40))
@@ -88,8 +99,10 @@ def cases(draw):
     return segments, config, grid, {
         "family": draw(st.sampled_from(["gaussian", "laplace"])),
         "weight_mode": draw(st.sampled_from(["raw", "normalized"])),
-        # rows per block: one row, a few rows, and the production size
-        "scratch": draw(st.sampled_from([1, 200, predictor._SCRATCH])),
+        # (difference buffer, kernel stack) budgets, each giving one row,
+        # a few rows, or the production size per block
+        "scratch": (draw(st.sampled_from([1, 200, predictor._SCRATCH])),
+                    draw(st.sampled_from([1, 200, predictor._STACK]))),
     }
 
 
@@ -100,15 +113,20 @@ def cases(draw):
 # level of 5) would magnify any rounding past rtol
 @example((np.random.default_rng(0).normal(size=(3, 2)) * 10.0 ** -3 + 5.0,
           PipelineConfig(filter_id="dd2"), [1.0],
-          {"family": "gaussian", "weight_mode": "normalized", "scratch": 1}))
+          {"family": "gaussian", "weight_mode": "normalized", "scratch": (1, 1)}))
 def test_cv_matches_per_cut_loop(case):
+    # on raw segments, and on a History whose triangle the grid built (the
+    # CLI's path), where blocks are sized by the kernel stack alone
     segments, config, grid, opts = case
-    with mock.patch.object(predictor, "_SCRATCH", opts["scratch"]):
-        h, cv = cv_bandwidth(segments, grid, kernel_family=opts["family"],
-                             config=config, weight_mode=opts["weight_mode"])
     want = loop_cv(segments, grid, opts["family"], config, opts["weight_mode"])
-    np.testing.assert_allclose(cv, want, rtol=1e-12, atol=0)
-    assert h == grid[int(np.argmin(cv))]
+    history = History(*scaling_coefficients(segments), config)
+    with budgets(*opts["scratch"]):
+        default_bandwidth_grid(history, config)
+        for source in (segments, history):
+            h, cv = cv_bandwidth(source, grid, kernel_family=opts["family"],
+                                 config=config, weight_mode=opts["weight_mode"])
+            np.testing.assert_allclose(cv, want, rtol=1e-12, atol=0)
+            assert h == grid[int(np.argmin(cv))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,7 +146,7 @@ def test_predict_and_cv_share_one_forecast(case, piece):
             yield r0, r1, F, E
 
     with mock.patch.object(predictor, "_PIECE", piece):
-        with mock.patch.object(predictor, "_SCRATCH", 1):
+        with budgets(1, 1):
             with mock.patch.object(History, "forecasts", spy):
                 cv_bandwidth(segments, [h], kernel_family=family, config=config,
                              weight_mode=mode)
@@ -187,7 +205,7 @@ def test_extreme_bandwidths_match_per_cut_loop(grid, family, weight_mode):
 def test_batched_rolling_matches_per_prefix_fits(case):
     segments, config, grid, opts = case
     method = wk_method(KernelSpec(opts["family"], grid[0]), config)
-    with mock.patch.object(predictor, "_SCRATCH", opts["scratch"]):
+    with budgets(*opts["scratch"]):
         batched = method.batch(segments, 2)
     per_prefix = np.stack([method(list(segments[:i]))
                            for i in range(2, len(segments))])
@@ -226,7 +244,7 @@ def test_distances_match_pyramid_oracle_at_any_magnitude(case, k):
     want = oracle_distances(scaled, config)
     history = History(*scaling_coefficients(scaled), config)
     n = len(history)
-    with mock.patch.object(predictor, "_SCRATCH", opts["scratch"]):
+    with budgets(*opts["scratch"]):
         direct = list(history.rows(1, n))
         default_bandwidth_grid(history, config)
         from_tri = list(history.rows(1, n))
@@ -283,9 +301,12 @@ def test_offset_history_distances_bit_identical(scratch):
     segments = 1000.0 + 1e-7 * rng.normal(size=(60, 24))
     history = History(*scaling_coefficients(segments))
     n = len(history)
-    with mock.patch.object(predictor, "_SCRATCH", scratch):
+    # a stack budget 8x the buffer's: blocks read from the triangle, sized
+    # by the stack alone, hold 1, 3 and all 59 rows
+    with budgets(scratch, 8 * scratch):
         blocks = list(history.rows(1, n, depth=4))
         default_bandwidth_grid(history)
+        from_tri = list(history.rows(1, n, depth=4))
     tri = history.tri
     offset = 0
     for r0, r1, D, _ in blocks:
@@ -295,6 +316,10 @@ def test_offset_history_distances_bit_identical(scratch):
             np.testing.assert_array_equal(tri[offset:offset + q], want)
             offset += q
     assert offset == tri.size
+    for r0, r1, D, _ in from_tri:
+        for q in range(r0, r1):
+            np.testing.assert_array_equal(D[q - r0, :q],
+                                          tri[q * (q - 1) // 2:q * (q + 1) // 2])
 
 
 def test_grid_and_cv_share_history_distances():
@@ -306,6 +331,23 @@ def test_grid_and_cv_share_history_distances():
     h_fresh, cv_fresh = cv_bandwidth(segments, grid)
     assert h_shared == h_fresh
     np.testing.assert_allclose(cv_shared, cv_fresh, rtol=1e-13)
+
+
+def test_grid_fills_the_triangle_in_place():
+    # the triangle is n(n-1)/2 doubles; with the quantile's copy of its
+    # positive entries the peak reads about 2.3x that, where per-block
+    # pieces joined by a concatenate read 3.3x
+    n, P = 1000, 24
+    segments = gen_synthetic("markov_functional", n, P, 0.25, seed=1).reshape(n, P)
+    history = History(*scaling_coefficients(segments))
+    tracemalloc.start()
+    try:
+        default_bandwidth_grid(history)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history.tri.size == n * (n - 1) // 2
+    assert peak < 2.75 * history.tri.nbytes
 
 
 def test_history_config_mismatch_rejected():

@@ -228,3 +228,20 @@ class TestGenSynthetic:
     def test_bad_params(self):
         with pytest.raises(ConfigError):
             gen_synthetic("seasonal_ar", 0, 8, 0.1, seed=0)
+
+    # a unit or explosive coefficient has no stationary law: the AR(1)'s
+    # initial variance noise**2 / (1 - ar_coef**2) is inf or negative, and
+    # markov deviations grow without bound
+    @pytest.mark.parametrize("kind", ["seasonal_ar", "markov_functional"])
+    @pytest.mark.parametrize("coef", [1.0, -1.0, 1.5, -2.0, float("nan")])
+    @pytest.mark.parametrize("name", ["ar_coef", "contraction"])
+    def test_non_stationary_coefficients_rejected(self, kind, coef, name):
+        with pytest.raises(ConfigError, match="stationary"):
+            gen_synthetic(kind, 5, 8, 0.1, seed=0, **{name: coef})
+
+    @pytest.mark.parametrize("coef", [-0.99, 0.0, 0.99])
+    def test_stationary_coefficients_give_finite_series(self, coef):
+        for kind in ("seasonal_ar", "markov_functional"):
+            s = gen_synthetic(kind, 20, 8, 0.3, seed=1, ar_coef=coef,
+                              contraction=coef)
+            assert s.shape == (160,) and np.all(np.isfinite(s))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,17 @@ class TestPredictionInterval:
         plan = make_plan(weights)
         with pytest.raises(ConfigError):
             prediction_interval(hist, center, plan, method="jackknife")
+
+    def test_unknown_method_checked_before_any_work(self):
+        # a too-small B would warn, and bad segments would raise ShapeError;
+        # the method is rejected first
+        hist, center, weights = self._setup()
+        plan = make_plan(weights, B=10, alpha=0.025)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for segments in (hist, [[1.0, 2.0], [3.0]]):
+                with pytest.raises(ConfigError, match="jackknife"):
+                    prediction_interval(segments, center, plan, method="jackknife")
 
     def test_determinism(self):
         hist, center, weights = self._setup()

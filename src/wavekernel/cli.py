@@ -227,18 +227,12 @@ def write_series(path, values) -> None:
             writer.writerow([_fmt(v)])
 
 
-def _write_columns(path, columns: dict) -> None:
+def _table(columns: dict) -> list[list]:
+    """CSV rows of named columns, after a t_index column."""
     names = list(columns)
     length = len(next(iter(columns.values())))
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_index"] + names)
-        for i in range(length):
-            writer.writerow([i] + [_fmt(columns[c][i]) for c in names])
-
-
-def _write_summary(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return [["t_index"] + names] + [[i] + [_fmt(columns[c][i]) for c in names]
+                                    for i in range(length)]
 
 
 def _segments(cfg: RunConfig) -> np.ndarray:
@@ -286,40 +280,44 @@ def _forecast(cfg: RunConfig, history: predictor.History):
     return result, cv
 
 
-def _write_run(cfg: RunConfig, segments: np.ndarray, tables: dict, **run) -> Path:
-    """Make ``--output-dir``, write each named table and ``summary.json``.
+def _write_run(cfg: RunConfig, segments: np.ndarray, tables: dict, **run) -> None:
+    """Make ``--output-dir``, write each named table of CSV rows and
+    ``summary.json``.
 
     The summary holds the command, the config, the segment count and
-    every field of ``run`` that is not None.
+    every field of ``run`` that is not None.  An OSError on the way (the
+    directory names a file, say) is a WavekernelError naming the path.
     """
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, columns in tables.items():
-        _write_columns(out / name, columns)
     summary = {"command": cfg.command, "config": asdict(cfg),
                "n_segments": int(segments.shape[0])}
     summary.update((k, v) for k, v in run.items() if v is not None)
-    _write_summary(out / "summary.json", summary)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, rows in tables.items():
+            with (out / name).open("w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        (out / "summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise WavekernelError(
+            f"cannot write output to {exc.filename or out}: {exc.strerror}") from None
 
 
 def _run_predict(cfg: RunConfig) -> None:
     segments = _segments(cfg)
     result, cv = _forecast(cfg, predictor._history(segments, cfg.pipeline()))
-    columns = {"predicted": result.curve}
-    _write_run(cfg, segments, {"prediction.csv": columns, "plotdata.csv": columns},
+    table = _table({"predicted": result.curve})
+    _write_run(cfg, segments, {"prediction.csv": table, "plotdata.csv": table},
                h_used=result.h_used, effective_sample=result.effective_sample, **cv)
 
 
 def _run_cv(cfg: RunConfig) -> None:
     segments = _segments(cfg)
     h_star, cv = _select_bandwidth(cfg, predictor._history(segments, cfg.pipeline()))
-    out = _write_run(cfg, segments, {}, h_selected=float(h_star), **cv)
-    with (out / "cv.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["h", "cv", "selected"])
-        for row in cv["cv_table"]:
-            writer.writerow([_fmt(row["h"]), _fmt(row["cv"]), int(row["selected"])])
+    table = [["h", "cv", "selected"]] + [
+        [_fmt(row["h"]), _fmt(row["cv"]), int(row["selected"])] for row in cv["cv_table"]]
+    _write_run(cfg, segments, {"cv.csv": table}, h_selected=float(h_star), **cv)
 
 
 def _run_interval(cfg: RunConfig) -> None:
@@ -329,8 +327,8 @@ def _run_interval(cfg: RunConfig) -> None:
     plan = intervals.ResamplingPlan(B=cfg.b, alpha=cfg.alpha, seed=cfg.seed,
                                     weights=result.weights)
     band = intervals.prediction_interval(segments, result, plan)
-    columns = {"predicted": result.curve, "lower": band.lower, "upper": band.upper}
-    _write_run(cfg, segments, {"prediction.csv": columns, "plotdata.csv": columns},
+    table = _table({"predicted": result.curve, "lower": band.lower, "upper": band.upper})
+    _write_run(cfg, segments, {"prediction.csv": table, "plotdata.csv": table},
                h_used=result.h_used, effective_sample=result.effective_sample,
                alpha=cfg.alpha, B=cfg.b, seed=cfg.seed, **cv)
 
@@ -365,8 +363,8 @@ def _run_eval(cfg: RunConfig) -> None:
                     f"external forecast has {ext.size} values, expected {cfg.p}"
                 )
             holdout["external_rmae"] = evaluation.rmae(ext, truth)
-    _write_run(cfg, segments, {"prediction.csv": {"predicted": pred},
-                               "plotdata.csv": {"truth": truth, "predicted": pred}},
+    _write_run(cfg, segments, {"prediction.csv": _table({"predicted": pred}),
+                               "plotdata.csv": _table({"truth": truth, "predicted": pred})},
                h_used=result.h_used, holdout=holdout, rolling=rolling, **cv)
 
 
@@ -383,6 +381,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wavekernel",
         description="Wavelet-kernel one-step-ahead forecasting of segmented series.",
     )
+    # the flags every subcommand takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file with defaults for any flag")
+    common.add_argument("--input", help="CSV series, one value per row")
+    common.add_argument("--output-dir", default=None)
+    common.add_argument("--p", type=int, help="segment length")
+    common.add_argument("--filter", dest="filter_id", choices=sorted(FILTERS),
+                        default=None)
+    common.add_argument("--j0", type=int, default=None)
+    common.add_argument("--kernel", choices=["gaussian", "laplace"], default=None)
+    common.add_argument("--h", dest="bandwidth", type=float, default=None)
+    common.add_argument("--cv-grid", default=None, metavar="LO:HI:COUNT|auto")
+    common.add_argument("--alpha", type=float, default=None)
+    common.add_argument("--b", type=int, default=None)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--scales", default=None, metavar="LO:HI")
+    common.add_argument("--drop-remainder", action="store_true", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("predict", "point forecast of the next segment"),
@@ -390,22 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("interval", "forecast with resampling prediction interval"),
         ("eval", "holdout / rolling evaluation"),
     ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="JSON file with defaults for any flag")
-        sp.add_argument("--input", help="CSV series, one value per row")
-        sp.add_argument("--output-dir", default=None)
-        sp.add_argument("--p", type=int, help="segment length")
-        sp.add_argument("--filter", dest="filter_id", choices=sorted(FILTERS),
-                        default=None)
-        sp.add_argument("--j0", type=int, default=None)
-        sp.add_argument("--kernel", choices=["gaussian", "laplace"], default=None)
-        sp.add_argument("--h", dest="bandwidth", type=float, default=None)
-        sp.add_argument("--cv-grid", default=None, metavar="LO:HI:COUNT|auto")
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--b", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--scales", default=None, metavar="LO:HI")
-        sp.add_argument("--drop-remainder", action="store_true", default=None)
+        sp = sub.add_parser(name, help=help_text, parents=[common])
         if name == "eval":
             sp.add_argument("--rolling", action="store_true", default=None)
             sp.add_argument("--external-forecast", default=None)

@@ -40,7 +40,7 @@ __all__ = [
     "scaling_coefficients",
 ]
 
-_SCRATCH = 1 << 16  # doubles in a row block's difference buffer (512 KiB)
+_SCRATCH = 1 << 16  # doubles in a row block's distance planes (512 KiB)
 _STACK = 1 << 18  # doubles in a row block's kernel stack (2 MiB, one core's L2)
 _PIECE = 1 << 14  # doubles per piece of the centred futures (128 KiB)
 
@@ -208,42 +208,55 @@ class History:
 
         The one distance arithmetic (direct differences, or their copy in
         ``tri``), so a row reads bit-identically in any block.  Each scale
-        block is scale-major, (width, n): its differences fill a (width,
-        rows, cols) view of one scratch buffer, are squared in place and
-        summed over the leading axis, one whole (rows, cols) plane per
-        coefficient, in coefficient order.  Entries m >= q read +inf, zero
-        weight under every kernel.
+        block is scale-major, (width, n).  Per scale, the squared
+        difference of each coefficient is added into one (rows, cols)
+        plane, in coefficient order, and the plane's square root, times the
+        scale weight, is added into D.  Every entry of D thus sees the same
+        sequence of IEEE operations whatever rows share its block, a lone
+        row included.  Entries m >= q read +inf, zero weight under every
+        kernel.
 
-        A block has as many rows as two budgets allow.  The difference
-        buffer, (widest scale) x rows x n doubles, holds at most _SCRATCH;
-        it exists only while ``tri`` is unset.  The caller's stack of
-        ``depth`` planes made from D (forecasts: one kernel plane per
-        bandwidth), depth x rows x n doubles, holds at most _STACK.  The
-        triangle ``tri`` of :func:`default_bandwidth_grid` holds n(n-1)/2
-        doubles.
+        A block has as many rows as two budgets allow.  While ``tri`` is
+        unset, the block computes its distances in three (rows x n)-double
+        planes, the sum, one coefficient's squares and D, which together
+        hold at most _SCRATCH.  The caller's stack of ``depth`` planes made
+        from D (forecasts: one kernel plane per bandwidth), depth x rows x
+        n doubles, holds at most _STACK.  The triangle ``tri`` of
+        :func:`default_bandwidth_grid` holds n(n-1)/2 doubles.
         """
         n = len(self)
         step = _STACK // (n * depth)
         if self.tri is None:
-            width = max(b.shape[0] for _, b in self.blocks)
-            step = min(step, _SCRATCH // (n * width))
+            step = min(step, _SCRATCH // (3 * n))
         step = max(1, min(hi - lo, step))
-        buf = np.empty(step * n * width) if self.tri is None else None
+        planes = np.empty((2, step * n)) if self.tri is None else None
         for r0 in range(lo, hi, step):
             r1 = min(r0 + step, hi)
             causal = np.arange(r1 - 1) < np.arange(r0, r1)[:, None]
             if self.tri is None:
-                # at least two columns: numpy reduces a 1x1 plane in pairwise order
-                total = np.zeros((r1 - r0, max(r1 - 1, 2)))
+                acc, tmp = planes[:, :causal.size].reshape((2,) + causal.shape)
+                D = None
                 for weight, block in self.blocks:
-                    shape = block.shape[:1] + total.shape
-                    diff = np.subtract(block[:, None, :shape[2]], block[:, r0:r1, None],
-                                       out=buf[:math.prod(shape)].reshape(shape))
-                    diff *= diff
-                    total += weight * np.sqrt(np.add.reduce(diff, axis=0))
-            D = np.full(causal.shape, np.inf)
-            D[causal] = (total[:, :r1 - 1][causal] if self.tri is None
-                         else self.tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2])
+                    for k, row in enumerate(block):
+                        # out[i, m] = row[m] - row[r0 + i], by a broadcast copy
+                        # and an in-place subtract: one ufunc over two
+                        # broadcast operands takes about twice as long
+                        out = tmp if k else acc
+                        np.copyto(out, row[:r1 - 1])
+                        out -= row[r0:r1, None]
+                        out *= out
+                        if k:
+                            acc += tmp
+                    np.sqrt(acc, out=acc)
+                    if D is None:
+                        D = acc * weight
+                    else:
+                        acc *= weight
+                        D += acc
+                D[~causal] = np.inf
+            else:
+                D = np.full(causal.shape, np.inf)
+                D[causal] = self.tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2]
             yield r0, r1, D, causal
 
     def _centred_futures(self, m0: int, m1: int) -> np.ndarray:
@@ -438,6 +451,22 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     return float(grid[best]), cv_values
 
 
+def _quantile(vals: np.ndarray, q: float) -> float:
+    """``np.quantile(vals, q)`` (its default, linear method) bit for bit,
+    from one single-kth partition of ``vals`` in place: numpy's own call
+    partitions at several kth in one pass, which takes several times as
+    long.  The two order statistics around (N-1)q are mixed as numpy's
+    ``_lerp`` mixes them, from the nearer one."""
+    v = (vals.size - 1) * q
+    i = math.floor(v)
+    vals.partition(i)
+    a = float(vals[i])
+    if i == vals.size - 1:
+        return a
+    b, t = float(vals[i + 1:].min()), v - i
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
                            count: int = 32) -> np.ndarray:
     """Log-spaced grid spanning the 1%..99% quantiles of pairwise distances.
@@ -457,8 +486,8 @@ def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
     if vals.size == 0:
         # degenerate history (all segments identical): any h works
         return np.logspace(-3, 0, count)
-    # the boolean index made vals a copy, so the quantile may reorder it
-    q_lo, q_hi = np.quantile(vals, [0.01, 0.99], overwrite_input=True)
-    lo = max(float(q_lo), 1e-12 * float(q_hi))
-    hi = max(float(q_hi), lo * 10)
+    # the boolean index made vals a copy, so the selection may reorder it
+    q_lo, q_hi = _quantile(vals, 0.01), _quantile(vals, 0.99)
+    lo = max(q_lo, 1e-12 * q_hi)
+    hi = max(q_hi, lo * 10)
     return np.logspace(math.log10(lo), math.log10(hi), count)

@@ -160,6 +160,20 @@ class TestPredictCommand:
                    "--p", "12", "--h", "1", "--output-dir", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["predict", "cv"])
+    @pytest.mark.parametrize("below", [None, "sub"])
+    def test_output_dir_that_cannot_be_made_is_runtime_error(self, series_file,
+                                                             capsys, command, below):
+        # --output-dir names the input file itself, or a directory under it
+        out = series_file if below is None else series_file / below
+        flags = ["--h", "1"] if command == "predict" else []
+        rc = main([command, "--input", str(series_file), "--p", "12", *flags,
+                   "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and str(out) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestScaleFlags:
     @pytest.mark.parametrize("flags", [
@@ -466,3 +480,43 @@ def test_config_value_of_wrong_type_rejected(series_file, tmp_path, capsys, key,
     rc = main(["interval", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
     assert rc == 2
     assert f"{key} must be" in capsys.readouterr().err
+
+
+
+# each flag every subcommand takes: (argument, namespace field, parsed value)
+SHARED_FLAGS = [
+    ("--config", "c.json", "config", "c.json"),
+    ("--input", "x.csv", "input", "x.csv"),
+    ("--output-dir", "o", "output_dir", "o"),
+    ("--p", "12", "p", 12),
+    ("--filter", "dd2", "filter_id", "dd2"),
+    ("--j0", "1", "j0", 1),
+    ("--kernel", "laplace", "kernel", "laplace"),
+    ("--h", "0.5", "bandwidth", 0.5),
+    ("--cv-grid", "1:2:3", "cv_grid", "1:2:3"),
+    ("--alpha", "0.1", "alpha", 0.1),
+    ("--b", "7", "b", 7),
+    ("--seed", "3", "seed", 3),
+    ("--scales", "0:1", "scales", "0:1"),
+    ("--drop-remainder", None, "drop_remainder", True),
+]
+
+
+@pytest.mark.parametrize("command", ["predict", "cv", "interval", "eval"])
+def test_every_subcommand_takes_the_shared_flags(command):
+    argv = [command]
+    for flag, arg, _, _ in SHARED_FLAGS:
+        argv += [flag] if arg is None else [flag, arg]
+    args = vars(cli._build_parser().parse_args(argv))
+    assert args == {"command": command,
+                     **{dest: value for _, _, dest, value in SHARED_FLAGS},
+                     **({"rolling": None, "external_forecast": None}
+                        if command == "eval" else {})}
+
+
+@pytest.mark.parametrize("command", ["predict", "cv", "interval"])
+def test_only_eval_takes_rolling(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args([command, "--rolling"])
+    assert exc.value.code == 2
+    assert "--rolling" in capsys.readouterr().err

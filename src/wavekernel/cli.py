@@ -269,12 +269,18 @@ def _select_bandwidth(cfg: RunConfig, history: predictor.History):
     return h_star, {"cv_table": table, "cv_min_on_grid_edge": edge}
 
 
+def _bandwidth(cfg: RunConfig, history: predictor.History):
+    """``--h``, or h selected by CV on ``history``; return (h, CV summary
+    fields, empty with ``--h``)."""
+    if cfg.bandwidth is None:
+        return _select_bandwidth(cfg, history)
+    return cfg.bandwidth, {}
+
+
 def _forecast(cfg: RunConfig, history: predictor.History):
-    """Forecast the block after ``history`` with ``--h``, or h selected by
-    CV on it; return (result, CV summary fields, empty with ``--h``)."""
-    h, cv = cfg.bandwidth, {}
-    if h is None:
-        h, cv = _select_bandwidth(cfg, history)
+    """Forecast the block after ``history`` with the h of :func:`_bandwidth`;
+    return (result, CV summary fields)."""
+    h, cv = _bandwidth(cfg, history)
     result = predictor.predict_one_ahead(history, KernelSpec(cfg.kernel, h),
                                          config=history.config)
     return result, cv
@@ -338,18 +344,22 @@ def _run_eval(cfg: RunConfig) -> None:
     # the held-out block stays out of the one history, so CV never selects
     # h on it; the rolling forecasts of the earlier blocks come from it too
     history = predictor._history(segments[:-1], cfg.pipeline())
-    result, cv = _forecast(cfg, history)
-    pred, truth = result.curve, segments[-1]
+    truth = segments[-1]
     holdout = rolling = None
     if cfg.rolling:
-        wk = evaluation.wk_method(KernelSpec(cfg.kernel, result.h_used), history.config)
-        preds = np.vstack((wk.batch(history, 2), pred))  # origins 2..n-1
+        h, cv = _bandwidth(cfg, history)
+        wk = evaluation.wk_method(KernelSpec(cfg.kernel, h), history.config)
+        # one causal pass: origins 2..n-1, the last being the holdout forecast
+        preds = wk.batch(history, 2)
+        pred = preds[-1]
         naive = evaluation.rolling_eval(segments, cfg.p, evaluation.naive_seasonal)
         # with --cv-grid, h was tuned on these same rolling forecasts
         rolling = {"wk": evaluation.summarize(evaluation.rmae(preds, segments[2:])),
                    "naive": evaluation.summarize(naive),
                    "h_in_sample": cfg.bandwidth is None}
     else:
+        result, cv = _forecast(cfg, history)
+        h, pred = result.h_used, result.curve
         naive = evaluation.naive_seasonal(segments[:-1])
         holdout = {
             "segment_index": int(segments.shape[0]),
@@ -365,7 +375,7 @@ def _run_eval(cfg: RunConfig) -> None:
             holdout["external_rmae"] = evaluation.rmae(ext, truth)
     _write_run(cfg, segments, {"prediction.csv": _table({"predicted": pred}),
                                "plotdata.csv": _table({"truth": truth, "predicted": pred})},
-               h_used=result.h_used, holdout=holdout, rolling=rolling, **cv)
+               h_used=h, holdout=holdout, rolling=rolling, **cv)
 
 
 _RUNNERS = {

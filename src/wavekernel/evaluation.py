@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, InsufficientHistoryError, InvalidInputError
-from .predictor import KernelSpec, PipelineConfig, _history, predict_one_ahead
+from .predictor import KernelSpec, PipelineConfig, _history, _is_int, predict_one_ahead
 
 __all__ = [
     "rmae",
@@ -24,9 +24,11 @@ def rmae(pred, truth, zero_floor: float | None = None):
     ``pred`` and ``truth`` are one block of P points, giving a float, or
     a stack of blocks (..., P), giving one score per block.  Truth values
     of exactly zero make the ratio undefined; by default that is an error
-    naming the offending block and index, or pass ``zero_floor`` to clamp
-    |truth| from below.
+    naming the offending block and index, or pass ``zero_floor``, a
+    positive finite number, to clamp |truth| from below.
     """
+    if zero_floor is not None and not 0 < zero_floor < np.inf:
+        raise ConfigError(f"zero_floor must be positive and finite, got {zero_floor!r}")
     p = np.asarray(pred, dtype=float)
     t = np.asarray(truth, dtype=float)
     if p.shape != t.shape:
@@ -55,9 +57,9 @@ def split_segments(series, P: int, drop_remainder: bool = False) -> np.ndarray:
     A 2-d array is read as its values in order, so (n, P) segments come
     back as they are.
     """
+    if not _is_int(P) or P < 2:
+        raise ConfigError(f"segment length must be an int >= 2, got {P!r}")
     x = np.asarray(series, dtype=float).reshape(-1)
-    if P < 2:
-        raise ConfigError(f"segment length must be >= 2, got {P}")
     rem = x.size % P
     if rem:
         if not drop_remainder:
@@ -75,19 +77,32 @@ def naive_seasonal(segments) -> np.ndarray:
     """Forecast the next segment by repeating the last observed one.
 
     ``segments`` is a sequence of past segments (a list, or the rows of
-    an array).
+    an array).  ``naive_seasonal.batch(segments, start)`` gives the
+    forecasts at origins start..n at once: segments start-1..n-1.
     """
     if len(segments) == 0:
         raise InsufficientHistoryError("empty history")
     return np.asarray(segments[-1], dtype=float)
 
 
+def _naive_batch(segments, start):
+    if start < 1:
+        raise InsufficientHistoryError("empty history")
+    return np.asarray(segments[start - 1:], dtype=float)
+
+
+naive_seasonal.batch = _naive_batch
+
+
 def wk_method(kernel: KernelSpec, config: PipelineConfig = PipelineConfig()):
     """Wrap the wavelet-kernel predictor as a rolling-eval method.
 
-    ``method.batch(segments, start)`` returns the forecasts of segments
-    start..n-1, each from the segments before it, in one causal pass of
-    the predictor instead of one fit per origin.
+    ``method.batch(segments, start)`` returns the forecasts at origins
+    start..n, each of the block after the first ``origin`` segments, in
+    one causal pass of the predictor instead of one fit per origin.  Its
+    last row forecasts the block after the final segment, which is
+    ``method(segments)``; ``segments`` may be a History prepared with
+    ``config``.
     """
 
     def method(history):
@@ -98,10 +113,12 @@ def wk_method(kernel: KernelSpec, config: PipelineConfig = PipelineConfig()):
             raise InsufficientHistoryError(f"need at least 2 segments, got {start}")
         history = _history(segments, config)
         n = len(history)
-        out = np.empty((n - start, history.P))
+        if n < start:
+            raise InsufficientHistoryError(f"need at least {start} segments, got {n}")
+        out = np.empty((n - start + 1, history.P))
         hs = np.array([kernel.bandwidth])
         for r0, r1, F, _ in history.forecasts(hs, kernel.family, "normalized",
-                                              start - 1, n - 1):
+                                              start - 1, n):
             out[r0 + 1 - start:r1 + 1 - start] = F[0]
         return out
 
@@ -115,10 +132,14 @@ def rolling_eval(series, P: int, method, min_history: int = 2) -> np.ndarray:
     ``method`` is a callable mapping a sequence of past segments (the
     rows of an array view) to a length-P forecast; it only ever sees
     segments strictly before the one being scored.  A method with a
-    ``batch(segments, start)`` attribute (see :func:`wk_method`) gives
-    all forecasts in one call.  Returns the :func:`rmae` of every origin
-    min_history..n-1, in order, from one call on the stacked forecasts.
+    ``batch(segments, start)`` attribute (:func:`wk_method`,
+    :func:`naive_seasonal`) gives the forecasts at origins start..n in
+    one call, of which all but the last are scored.  Returns the
+    :func:`rmae` of every origin min_history..n-1, in order, from one
+    call on the stacked forecasts.  ``min_history`` is an int >= 1.
     """
+    if not _is_int(min_history) or min_history < 1:
+        raise ConfigError(f"min_history must be an int >= 1, got {min_history!r}")
     segs = split_segments(series, P)
     n = segs.shape[0]
     if n < min_history + 1:
@@ -126,7 +147,7 @@ def rolling_eval(series, P: int, method, min_history: int = 2) -> np.ndarray:
             f"need at least {min_history + 1} segments, got {n}"
         )
     if hasattr(method, "batch"):
-        preds = method.batch(segs, min_history)
+        preds = method.batch(segs, min_history)[:-1]
     else:
         preds = [np.asarray(method(segs[:i]), dtype=float) for i in range(min_history, n)]
         for i, pred in enumerate(preds, start=min_history):
@@ -164,10 +185,16 @@ def gen_synthetic(kind: str, n: int, P: int, noise: float, seed: int,
     means follow an AR(1) with that coefficient.
 
     Both ``ar_coef`` and ``contraction`` must lie in (-1, 1), where the
-    series is stationary; anything else is a ConfigError.
+    series is stationary; anything else is a ConfigError, as are n and P
+    that are not ints >= 1 and >= 2, a noise level that is not finite and
+    >= 0, and a seed outside [0, 2**128), the keys of the Philox generator.
     """
-    if n < 1 or P < 2 or noise < 0:
-        raise ConfigError("need n >= 1, P >= 2, noise >= 0")
+    if not (_is_int(n) and _is_int(P) and n >= 1 and P >= 2
+            and 0 <= noise < np.inf):
+        raise ConfigError(f"need int n >= 1, int P >= 2 and finite noise >= 0, "
+                          f"got n={n!r}, P={P!r}, noise={noise!r}")
+    if not (_is_int(seed) and 0 <= seed < 1 << 128):
+        raise ConfigError(f"seed must be an int in [0, 2**128), got {seed!r}")
     if not (-1 < ar_coef < 1 and -1 < contraction < 1):
         raise ConfigError(
             "a stationary series needs ar_coef and contraction in (-1, 1), "

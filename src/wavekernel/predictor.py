@@ -114,8 +114,11 @@ def normalized_weights(kernel_values: np.ndarray, n: int) -> np.ndarray:
     prediction formula; the second term redistributes the 1/n damping
     mass equally, even when every kernel value underflows to zero (then
     all weights equal 1/(n-1)).  The weights sum to 1 up to rounding; a
-    single weight is exactly 1.
+    single weight is exactly 1.  A history of fewer than two segments has
+    no past segment to weigh: InsufficientHistoryError.
     """
+    if n < 2:
+        raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
     k = np.asarray(kernel_values, dtype=float)
     if k.size != n - 1:
         raise ShapeError(f"expected {n - 1} kernel values, got {k.size}")

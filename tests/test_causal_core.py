@@ -208,8 +208,9 @@ def test_batched_rolling_matches_per_prefix_fits(case):
     method = wk_method(KernelSpec(opts["family"], grid[0]), config)
     with budgets(*opts["scratch"]):
         batched = method.batch(segments, 2)
+    # the last row forecasts the block after the final segment
     per_prefix = np.stack([method(list(segments[:i]))
-                           for i in range(2, len(segments))])
+                           for i in range(2, len(segments) + 1)])
     # the per-prefix curve passes the forward/inverse transform round trip
     atol = 1e-13 * np.max(np.abs(segments))
     np.testing.assert_allclose(batched, per_prefix, rtol=1e-12, atol=atol)

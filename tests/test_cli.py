@@ -13,7 +13,7 @@ from wavekernel import (
     predictor,
     rolling_eval,
 )
-from wavekernel import cli
+from wavekernel import cli, evaluation
 from wavekernel.cli import load_series, main, write_series
 from wavekernel.evaluation import summarize, wk_method
 
@@ -313,6 +313,16 @@ class TestEvalCommand:
         assert rolling["wk"]["count"] == rolling["naive"]["count"] == 28
         assert rolling["h_in_sample"] is False  # --h was not tuned on the blocks
 
+    # two blocks leave a one-block history: no forecast, plain or rolling
+    @pytest.mark.parametrize("flags", [[], ["--rolling"]])
+    def test_two_blocks_are_insufficient_history(self, tmp_path, capsys, flags):
+        path = tmp_path / "x.csv"
+        write_series(path, [1.0, 2.0, 3.0, 4.0])
+        rc = main(["eval", "--input", str(path), "--p", "2", "--h", "1.0",
+                   "--output-dir", str(tmp_path / "o"), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need at least 2 segments, got 1\n"
+
     def test_rolling_summary_marks_cv_selected_h_in_sample(self, series_file, tmp_path):
         out = tmp_path / "out"
         rc = main(["eval", "--input", str(series_file), "--p", "12",
@@ -381,6 +391,40 @@ def test_rolling_scores_match_rolling_eval(series_file, tmp_path, bandwidth):
     assert got["count"] == want["count"] == 28
     np.testing.assert_allclose([got["mean_rmae"], got["median_rmae"]],
                                [want["mean_rmae"], want["median_rmae"]], rtol=1e-12)
+
+
+@pytest.mark.parametrize("bandwidth", sorted(BANDWIDTHS))
+def test_rolling_holdout_forecast_matches_plain_eval(series_file, tmp_path, bandwidth):
+    # the batch's last row is the holdout forecast of plain eval
+    tables = {}
+    for flags in ([], ["--rolling"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["eval", "--input", str(series_file), "--p", "12",
+                     "--output-dir", str(out), *BANDWIDTHS[bandwidth], *flags]) == 0
+        with (out / "prediction.csv").open() as fh:
+            tables[len(flags)] = np.array([float(r["predicted"])
+                                           for r in csv.DictReader(fh)])
+    assert tables[0].shape == (12,)
+    np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12)
+
+
+def test_rolling_eval_is_one_causal_pass(series_file, tmp_path, monkeypatch):
+    passes = []
+    forecasts = predictor.History.forecasts
+
+    def counting_forecasts(self, *args, **kwargs):
+        passes.append(args[-2:])  # (lo, hi)
+        return forecasts(self, *args, **kwargs)
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("predict_one_ahead is not called")
+
+    monkeypatch.setattr(predictor.History, "forecasts", counting_forecasts)
+    monkeypatch.setattr(predictor, "predict_one_ahead", no_call)
+    monkeypatch.setattr(evaluation, "predict_one_ahead", no_call)
+    assert main(["eval", "--input", str(series_file), "--p", "12", "--h", "1.0",
+                 "--rolling", "--output-dir", str(tmp_path / "out")]) == 0
+    assert passes == [(1, 29)]  # origins 2..29 of the 29-block history
 
 
 @pytest.mark.parametrize("command, flags, header", [

@@ -47,6 +47,12 @@ class TestRmae:
     def test_zero_floor_opt_in(self):
         assert np.isfinite(rmae([1.0, 1.0], [1.0, 0.0], zero_floor=0.5))
 
+    # a floor of 0 or NaN divides by the zero truth value; inf scores 0
+    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
+    def test_zero_floor_must_be_positive_and_finite(self, floor):
+        with pytest.raises(ConfigError, match="zero_floor"):
+            rmae([1.0, 1.0], [1.0, 0.0], zero_floor=floor)
+
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             rmae([1.0], [1.0, 2.0])
@@ -90,6 +96,11 @@ class TestSplitSegments:
     def test_remainder_dropped_on_request(self):
         segs = split_segments(np.arange(14.0), 4, drop_remainder=True)
         assert segs.shape == (3, 4)
+
+    @pytest.mark.parametrize("P", [2.5, 4.0, "4", True, None, 1])
+    def test_segment_length_must_be_int(self, P):
+        with pytest.raises(ConfigError, match="segment length"):
+            split_segments(np.arange(12.0), P)
 
 
 class TestNaiveSeasonal:
@@ -182,6 +193,31 @@ class TestRollingEval:
         with pytest.raises(InsufficientHistoryError):
             naive_seasonal(np.empty((0, 4)))
 
+    @pytest.mark.parametrize("min_history", [2.5, True, 0, -1, "2", None])
+    def test_min_history_must_be_positive_int(self, min_history):
+        def method(history):
+            raise AssertionError("no forecast is made")
+
+        method.batch = method
+        with pytest.raises(ConfigError, match="min_history"):
+            rolling_eval(np.arange(1.0, 41.0), 8, method, min_history=min_history)
+
+    @pytest.mark.parametrize("n, P, min_history", [(3, 2, 2), (12, 5, 1), (40, 12, 2),
+                                                   (40, 12, 7), (25, 24, 24)])
+    def test_naive_batch_equals_list_based_loop(self, n, P, min_history):
+        series = gen_synthetic("seasonal_ar", n, P, 0.3, seed=n + P)
+        segs = split_segments(series, P)
+        want = [rmae(naive_seasonal([segs[m] for m in range(i)]), segs[i])
+                for i in range(min_history, n)]
+        # a plain callable is called once per origin, naive_seasonal is not
+        loop = rolling_eval(series, P, lambda history: naive_seasonal(list(history)),
+                            min_history)
+        got = rolling_eval(series, P, naive_seasonal, min_history)
+        assert got.tolist() == loop.tolist() == want
+        # origins min_history..n: its last row forecasts the block after segs
+        np.testing.assert_array_equal(naive_seasonal.batch(segs, min_history),
+                                      segs[min_history - 1:])
+
 
 class TestGenSynthetic:
     def test_zero_noise_is_periodic(self):
@@ -228,6 +264,23 @@ class TestGenSynthetic:
     def test_bad_params(self):
         with pytest.raises(ConfigError):
             gen_synthetic("seasonal_ar", 0, 8, 0.1, seed=0)
+
+    # each was an untyped error, a NaN series or a RuntimeWarning
+    @pytest.mark.parametrize("kind", ["seasonal_ar", "markov_functional"])
+    @pytest.mark.parametrize("bad", [
+        {"n": 2.5}, {"n": True}, {"P": 4.5}, {"P": "8"}, {"seed": -1},
+        {"seed": 1 << 128}, {"seed": 1.5}, {"noise": float("nan")},
+        {"noise": float("inf")}, {"noise": -0.1},
+    ])
+    def test_bad_arguments_rejected_before_any_work(self, kind, bad):
+        args = {"n": 5, "P": 8, "noise": 0.1, "seed": 0} | bad
+        with pytest.raises(ConfigError):
+            gen_synthetic(kind, **args)
+
+    def test_numpy_int_arguments_accepted(self):
+        s = gen_synthetic("seasonal_ar", np.int64(5), np.int32(8), 0.1,
+                          seed=np.uint64((1 << 64) - 1))
+        assert s.shape == (40,) and np.all(np.isfinite(s))
 
     # a unit or explosive coefficient has no stationary law: the AR(1)'s
     # initial variance noise**2 / (1 - ar_coef**2) is inf or negative, and

@@ -152,6 +152,11 @@ class TestNormalizedWeights:
         with pytest.raises(ShapeError):
             normalized_weights([0.1, 0.2], 2)
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_no_past_segment_is_insufficient_history(self, n):
+        with pytest.raises(InsufficientHistoryError, match="at least 2"):
+            normalized_weights(np.ones(0), n)
+
     @pytest.mark.parametrize("family", ["gaussian", "laplace"])
     def test_single_candidate_reproduced_bit_for_bit(self, family):
         rng = np.random.default_rng(11)

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, intervals, predictor
-from .errors import ConfigError, InvalidInputError, LevelError, WavekernelError
+from .errors import (_ALPHAS, _MIN_B, _MIN_P, _SEEDS, ConfigError, InvalidInputError,
+                     LevelError, WavekernelError, _choice, _int, _real)
 from .predictor import KernelSpec, PipelineConfig
 from .similarity import ScaleRange
 from .wavelet import FILTERS, DEFAULT_FILTER
@@ -71,16 +72,11 @@ class RunConfig:
             kind, _, optional = f.type.partition(" | ")
             if not (value is None and optional or type(value) in _TYPES[kind]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.p < 2:
-            raise ConfigError(f"--p must be >= 2, got {self.p}")
-        if self.filter_id not in FILTERS:
-            raise ConfigError(f"unknown filter {self.filter_id!r}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"--alpha must lie in (0, 0.5), got {self.alpha}")
-        if self.b < 1:
-            raise ConfigError(f"--b must be >= 1, got {self.b}")
-        if not 0 <= self.seed < 1 << 128:
-            raise ConfigError(f"--seed must lie in [0, 2**128), got {self.seed}")
+        _int(self.p, "--p", _MIN_P)
+        _choice(self.filter_id, "--filter", FILTERS)
+        _real(self.alpha, "--alpha", *_ALPHAS)
+        _int(self.b, "--b", _MIN_B)
+        _int(self.seed, "--seed", *_SEEDS)
         if self.command == "cv" and self.bandwidth is not None:
             raise ConfigError("cv takes --cv-grid (or its auto default), not --h")
         if self.bandwidth is not None and self.cv_grid is not None:
@@ -400,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--filter", dest="filter_id", choices=sorted(FILTERS),
                         default=None)
     common.add_argument("--j0", type=int, default=None)
-    common.add_argument("--kernel", choices=["gaussian", "laplace"], default=None)
+    common.add_argument("--kernel", choices=sorted(predictor._KERNELS), default=None)
     common.add_argument("--h", dest="bandwidth", type=float, default=None)
     common.add_argument("--cv-grid", default=None, metavar="LO:HI:COUNT|auto")
     common.add_argument("--alpha", type=float, default=None)
@@ -427,12 +423,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:  # unreadable, not text, or not JSON
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         unknown = set(loaded) - names
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

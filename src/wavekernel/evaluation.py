@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientHistoryError, InvalidInputError
-from .predictor import KernelSpec, PipelineConfig, _history, _is_int, predict_one_ahead
+from .errors import (_MIN_P, _SEEDS, ConfigError, InsufficientHistoryError,
+                     InvalidInputError, _choice, _floats, _int, _real)
+from .predictor import KernelSpec, PipelineConfig, _history, predict_one_ahead
 
 __all__ = [
     "rmae",
@@ -24,13 +25,13 @@ def rmae(pred, truth, zero_floor: float | None = None):
     ``pred`` and ``truth`` are one block of P points, giving a float, or
     a stack of blocks (..., P), giving one score per block.  Truth values
     of exactly zero make the ratio undefined; by default that is an error
-    naming the offending block and index, or pass ``zero_floor``, a
-    positive finite number, to clamp |truth| from below.
+    naming the offending block and index, or pass ``zero_floor`` to clamp
+    |truth| from below.
     """
-    if zero_floor is not None and not 0 < zero_floor < np.inf:
-        raise ConfigError(f"zero_floor must be positive and finite, got {zero_floor!r}")
-    p = np.asarray(pred, dtype=float)
-    t = np.asarray(truth, dtype=float)
+    if zero_floor is not None:
+        _real(zero_floor, "zero_floor", 0)
+    p = _floats(pred, "pred")
+    t = _floats(truth, "truth")
     if p.shape != t.shape:
         raise ConfigError(f"shape mismatch: pred {p.shape} vs truth {t.shape}")
     if t.ndim == 0 or t.shape[-1] == 0:
@@ -57,9 +58,9 @@ def split_segments(series, P: int, drop_remainder: bool = False) -> np.ndarray:
     A 2-d array is read as its values in order, so (n, P) segments come
     back as they are.
     """
-    if not _is_int(P) or P < 2:
-        raise ConfigError(f"segment length must be an int >= 2, got {P!r}")
-    x = np.asarray(series, dtype=float).reshape(-1)
+    _int(P, "segment length", _MIN_P)
+    _choice(drop_remainder, "drop_remainder", {False, True})
+    x = _floats(series, "series").reshape(-1)
     rem = x.size % P
     if rem:
         if not drop_remainder:
@@ -80,15 +81,15 @@ def naive_seasonal(segments) -> np.ndarray:
     an array).  ``naive_seasonal.batch(segments, start)`` gives the
     forecasts at origins start..n at once: segments start-1..n-1.
     """
-    if len(segments) == 0:
-        raise InsufficientHistoryError("empty history")
-    return np.asarray(segments[-1], dtype=float)
+    return _naive_batch(segments, 1)[-1]
 
 
 def _naive_batch(segments, start):
-    if start < 1:
-        raise InsufficientHistoryError("empty history")
-    return np.asarray(segments[start - 1:], dtype=float)
+    _int(start, "start", 1, error=InsufficientHistoryError)
+    segs = _floats(segments, "segments")
+    if segs.ndim != 2 or len(segs) < start:
+        raise InsufficientHistoryError(f"need {start}+ segments, got shape {segs.shape}")
+    return segs[start - 1:]
 
 
 naive_seasonal.batch = _naive_batch
@@ -109,8 +110,7 @@ def wk_method(kernel: KernelSpec, config: PipelineConfig = PipelineConfig()):
         return predict_one_ahead(history, kernel, config=config).curve
 
     def batch(segments, start):
-        if start < 2:
-            raise InsufficientHistoryError(f"need at least 2 segments, got {start}")
+        _int(start, "start", 2, error=InsufficientHistoryError)
         history = _history(segments, config)
         n = len(history)
         if n < start:
@@ -136,10 +136,9 @@ def rolling_eval(series, P: int, method, min_history: int = 2) -> np.ndarray:
     :func:`naive_seasonal`) gives the forecasts at origins start..n in
     one call, of which all but the last are scored.  Returns the
     :func:`rmae` of every origin min_history..n-1, in order, from one
-    call on the stacked forecasts.  ``min_history`` is an int >= 1.
+    call on the stacked forecasts.
     """
-    if not _is_int(min_history) or min_history < 1:
-        raise ConfigError(f"min_history must be an int >= 1, got {min_history!r}")
+    _int(min_history, "min_history", 1)
     segs = split_segments(series, P)
     n = segs.shape[0]
     if n < min_history + 1:
@@ -158,8 +157,11 @@ def rolling_eval(series, P: int, method, min_history: int = 2) -> np.ndarray:
 
 
 def summarize(scores) -> dict:
-    """Median/mean aggregate of rolling-eval scores."""
-    vals = np.asarray(scores, dtype=float)
+    """Count, mean and median of a nonempty 1-d array of finite scores."""
+    vals = _floats(scores, "scores")
+    if vals.ndim != 1 or vals.size == 0 or not np.isfinite(vals).all():
+        raise InvalidInputError(
+            f"need a nonempty 1-d array of finite scores, got shape {vals.shape}")
     return {
         "count": int(vals.size),
         "mean_rmae": float(vals.mean()),
@@ -184,57 +186,55 @@ def gen_synthetic(kind: str, n: int, P: int, noise: float, seed: int,
     smooths them with a mean-preserving circular average, so segment
     means follow an AR(1) with that coefficient.
 
-    Both ``ar_coef`` and ``contraction`` must lie in (-1, 1), where the
-    series is stationary; anything else is a ConfigError, as are n and P
-    that are not ints >= 1 and >= 2, a noise level that is not finite and
-    >= 0, and a seed outside [0, 2**128), the keys of the Philox generator.
+    ``ar_coef`` and ``contraction`` lie in (-1, 1), where the series is
+    stationary, and the seed keys a Philox generator.  A noise level whose
+    series overflows a double is a ConfigError, without a RuntimeWarning.
     """
-    if not (_is_int(n) and _is_int(P) and n >= 1 and P >= 2
-            and 0 <= noise < np.inf):
-        raise ConfigError(f"need int n >= 1, int P >= 2 and finite noise >= 0, "
-                          f"got n={n!r}, P={P!r}, noise={noise!r}")
-    if not (_is_int(seed) and 0 <= seed < 1 << 128):
-        raise ConfigError(f"seed must be an int in [0, 2**128), got {seed!r}")
-    if not (-1 < ar_coef < 1 and -1 < contraction < 1):
-        raise ConfigError(
-            "a stationary series needs ar_coef and contraction in (-1, 1), "
-            f"got {ar_coef} and {contraction}")
+    _choice(kind, "generator kind", {"seasonal_ar", "markov_functional"})
+    _int(n, "n", 1)
+    _int(P, "P", _MIN_P)
+    _real(noise, "noise", 0, closed=True)
+    _int(seed, "seed", *_SEEDS)
+    _real(ar_coef, "ar_coef of a stationary series", -1, 1)
+    _real(contraction, "contraction of a stationary series", -1, 1)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if kind == "seasonal_ar":
-        profile = np.tile(_seasonal_profile(P), n)
-        e = np.empty(n * P)
-        if noise == 0:
-            return profile
-        e0 = rng.normal(0.0, noise / np.sqrt(1 - ar_coef**2))
-        innov = rng.normal(0.0, noise, size=n * P)
-        prev = e0
-        for t in range(n * P):
-            prev = ar_coef * prev + innov[t]
-            e[t] = prev
-        return profile + e
-    if kind == "markov_functional":
-        base = _seasonal_profile(P)
-        t = np.arange(P)
-        # innovations live in a low-dimensional smooth subspace so the
-        # block-to-block dependence is actually learnable from finite n
-        modes = np.stack([
-            np.ones(P),
-            np.sin(2 * np.pi * t / P),
-            np.cos(2 * np.pi * t / P),
-        ])
-        smooth_kernel = np.array([0.25, 0.5, 0.25])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if kind == "seasonal_ar":
+            series = np.tile(_seasonal_profile(P), n)
+            if noise > 0:
+                e = np.empty(n * P)
+                e0 = rng.normal(0.0, noise / np.sqrt(1 - ar_coef**2))
+                innov = rng.normal(0.0, noise, size=n * P)
+                prev = e0
+                for t in range(n * P):
+                    prev = ar_coef * prev + innov[t]
+                    e[t] = prev
+                series = series + e
+        else:
+            base = _seasonal_profile(P)
+            t = np.arange(P)
+            # innovations live in a low-dimensional smooth subspace so the
+            # block-to-block dependence is actually learnable from finite n
+            modes = np.stack([
+                np.ones(P),
+                np.sin(2 * np.pi * t / P),
+                np.cos(2 * np.pi * t / P),
+            ])
+            smooth_kernel = np.array([0.25, 0.5, 0.25])
 
-        def innovate():
-            return rng.normal(0.0, noise, size=3) @ modes if noise > 0 else 0.0
+            def innovate():
+                return rng.normal(0.0, noise, size=3) @ modes if noise > 0 else 0.0
 
-        segs = np.empty((n, P))
-        dev = np.zeros(P) + innovate()
-        segs[0] = base + dev
-        for i in range(1, n):
-            smoothed = sum(
-                w * np.roll(dev, s) for w, s in zip(smooth_kernel, (-1, 0, 1))
-            )
-            dev = contraction * smoothed + innovate()
-            segs[i] = base + dev
-        return segs.reshape(-1)
-    raise ConfigError(f"unknown generator kind {kind!r}")
+            segs = np.empty((n, P))
+            dev = np.zeros(P) + innovate()
+            segs[0] = base + dev
+            for i in range(1, n):
+                smoothed = sum(
+                    w * np.roll(dev, s) for w, s in zip(smooth_kernel, (-1, 0, 1))
+                )
+                dev = contraction * smoothed + innovate()
+                segs[i] = base + dev
+            series = segs.reshape(-1)
+    if not np.isfinite(series).all():
+        raise ConfigError(f"noise={noise!r} overflows the series; lower it")
+    return series

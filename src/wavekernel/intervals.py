@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientHistoryError, ShapeError
+from .errors import (_ALPHAS, _MIN_B, _SEEDS, ConfigError, InsufficientHistoryError,
+                     ShapeError, _choice, _floats, _int, _real)
 from .predictor import (
     KernelSpec,
     PipelineConfig,
     PredictionResult,
-    _is_int,
     predict_one_ahead,
     scaling_coefficients,
 )
@@ -62,14 +62,10 @@ class ResamplingPlan:
     weights: np.ndarray
 
     def __post_init__(self):
-        if not _is_int(self.B) or self.B < 1:  # rng.choice takes an int size
-            raise ConfigError(f"B must be an int >= 1, got {self.B!r}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
-        # Philox's key range
-        if not _is_int(self.seed) or not 0 <= int(self.seed) < 1 << 128:
-            raise ConfigError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
-        w = np.array(self.weights, dtype=float)
+        _int(self.B, "B", _MIN_B)  # rng.choice takes an int size
+        _real(self.alpha, "alpha", *_ALPHAS)
+        _int(self.seed, "seed", *_SEEDS)
+        w = _floats(self.weights, "weights").copy()
         if w.ndim != 1 or w.size < 1:
             raise ShapeError("weights must be a nonempty vector")
         _check_weights(w)
@@ -104,7 +100,7 @@ def _draw(plan: ResamplingPlan, m: int) -> np.ndarray:
 
 def draw_pseudo_blocks(plan: ResamplingPlan, future_segments) -> np.ndarray:
     """Draw B pseudo-blocks i.i.d. from Z_2..Z_n with the plan's weights."""
-    futures = np.asarray(future_segments, dtype=float)
+    futures = _floats(future_segments, "future_segments")
     if futures.ndim != 2 or futures.shape[0] != plan.weights.size:
         raise ShapeError(
             f"expected {plan.weights.size} future segments, got shape {futures.shape}"
@@ -132,15 +128,14 @@ def weighted_quantile(atoms: np.ndarray, weights: np.ndarray, q: float) -> np.nd
     ``weights`` one entry per row, in [0, 1] and summing to 1; returns,
     per column, the smallest atom whose cumulative weight reaches q.
     """
-    atoms = np.asarray(atoms, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    atoms = _floats(atoms, "atoms")
+    w = _floats(weights, "weights")
     if atoms.ndim != 2 or w.ndim != 1 or not 0 < w.size == atoms.shape[0]:
         raise ShapeError(
             f"need one weight per atom row, got weights {w.shape} for atoms {atoms.shape}"
         )
     _check_weights(w)
-    if not 0.0 <= q <= 1.0:
-        raise ConfigError(f"q must lie in [0, 1], got {q}")
+    _real(q, "q", 0, 1, closed=True)
     return _type1_quantiles(atoms, w, [q - 1e-12])[0]
 
 
@@ -152,8 +147,7 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     "exact" (weighted quantiles over the n-1 observed next-segments,
     equivalent to the B -> infinity limit).
     """
-    if method not in ("exact", "monte-carlo"):
-        raise ConfigError(f"unknown interval method {method!r}")
+    _choice(method, "interval method", {"exact", "monte-carlo"})
     X, P = scaling_coefficients(segments)
     if X.shape[0] < 2:
         raise InsufficientHistoryError("need at least 2 segments")

@@ -12,18 +12,12 @@ regime the raw-form prediction tends to zero).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InsufficientHistoryError,
-    InvalidInputError,
-    LevelError,
-    ShapeError,
-)
+from .errors import (ConfigError, InsufficientHistoryError, InvalidInputError, LevelError,
+                     ShapeError, _choice, _floats, _int, _real)
 from .similarity import ScaleRange
 from .wavelet import DEFAULT_FILTER, forward_array, inverse_array
 
@@ -47,13 +41,9 @@ _PIECE = 1 << 14  # doubles per piece of the centred futures (128 KiB)
 # kernel(u) = exp(-a |u|**p) / c per family, as (p, a, c): c = 1/kernel(0)
 _KERNELS = {"gaussian": (2, 0.5, math.sqrt(2.0 * math.pi)),
             "laplace": (1, 1.0, 2.0)}
+_WEIGHT_MODES = {"raw", "normalized"}
 # bandwidths sharing one distance transform lie within 2**±400 of its scale
 _GROUP_SPAN = 800
-
-
-def _is_int(x) -> bool:
-    """A Python or numpy integer; a bool is no int."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -64,19 +54,16 @@ class KernelSpec:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _KERNELS:
-            raise ConfigError(
-                f"unknown kernel family {self.family!r}; "
-                f"choose from {sorted(_KERNELS)}"
-            )
-        if not (self.bandwidth > 0 and np.isfinite(self.bandwidth)):
-            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        _choice(self.family, "kernel family", _KERNELS)
+        _real(self.bandwidth, "bandwidth", 0)
 
 
 def kernel_eval(spec: KernelSpec, u) -> np.ndarray:
     """Evaluate the kernel density at |u| (bandwidth is applied by callers)."""
     p, a, c = _KERNELS[spec.family]
-    k = np.abs(np.array(u, dtype=float, ndmin=1))
+    k = np.abs(np.atleast_1d(_floats(u, "u")))
+    if np.isnan(k).any():
+        raise InvalidInputError("kernel argument u contains NaN")
     if p == 2:
         with np.errstate(over="ignore"):  # u**2 past the largest double: k = 0
             k *= k
@@ -135,10 +122,7 @@ def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
     extended periodically on the right to the next power of two, which
     under the interpolating convention are its scaling coefficients.
     """
-    try:
-        X = np.array(segments, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"segments must be equal-length numeric vectors: {exc}") from None
+    X = _floats(segments, "segments")
     if X.ndim > 0 and len(X) == 0:
         raise InsufficientHistoryError("no segments given")
     if X.ndim != 2 or X.shape[1] < 2:
@@ -296,8 +280,6 @@ class History:
         n - 1 <= _PIECE / (P + 1)), so a one-row call (predict) never holds
         a copy of the futures.
         """
-        if weight_mode not in ("raw", "normalized"):
-            raise ConfigError(f"unknown weight_mode {weight_mode!r}")
         p, a, c = _KERNELS[family]
         G, P = hs.size, self.P
         groups = _rate_groups(hs, p, a)
@@ -388,6 +370,7 @@ def predict_one_ahead(segments, kernel: KernelSpec,
     1/n-damped kernel total (when every kernel value underflows the
     prediction tends to zero, but the denominator never drops below 1/n).
     """
+    _choice(weight_mode, "weight_mode", _WEIGHT_MODES)
     history = _history(segments, config)
     n = len(history)
     if n < 2:
@@ -427,15 +410,13 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     ``segments`` may be a :class:`History` prepared with ``config``.
     All h share one pass over row blocks of the distance matrix.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
-        raise ConfigError(f"bandwidth grid must be 1-d, got shape {grid.shape}")
-    if grid.size == 0:
-        raise ConfigError("bandwidth grid is empty")
+    grid = _floats(grid, "bandwidth grid", error=ConfigError)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigError(f"bandwidth grid must be 1-d and nonempty, got {grid.shape}")
     if not np.all((grid > 0) & np.isfinite(grid)):
         raise ConfigError("bandwidth grid must be positive and finite")
-    if kernel_family not in _KERNELS:
-        raise ConfigError(f"unknown kernel family {kernel_family!r}")
+    _choice(kernel_family, "kernel family", _KERNELS)
+    _choice(weight_mode, "weight_mode", _WEIGHT_MODES)
     history = _history(segments, config)
     n = len(history)
     if n < 3:
@@ -476,8 +457,7 @@ def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
 
     A :class:`History` passed as ``segments`` keeps them for CV.
     """
-    if not _is_int(count) or count < 1:
-        raise ConfigError(f"grid count must be an int >= 1, got {count!r}")
+    _int(count, "grid count", 1)
     history = _history(segments, config)
     if history.tri is None:
         n = len(history)

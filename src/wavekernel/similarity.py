@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelError, ShapeError
+from .errors import LevelError, ShapeError, _floats
 from .wavelet import WaveletPyramid
 
 __all__ = ["ScaleRange", "scale_distance", "combined_distance"]
@@ -40,8 +40,7 @@ def scale_distance(a: np.ndarray, b: np.ndarray) -> float:
     bit-identical to the plain norm wherever that is finite and nonzero,
     and its sum of squares neither under- nor overflows.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _floats(a, "a"), _floats(b, "b")
     if a.shape != b.shape:
         raise ShapeError(f"detail vectors differ in shape: {a.shape} vs {b.shape}")
     d = a - b

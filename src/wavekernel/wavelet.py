@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, LevelError, ShapeError
+from .errors import InvalidInputError, LevelError, ShapeError, _choice, _floats, _int
 
 __all__ = [
     "Segment",
@@ -109,13 +109,10 @@ class Segment:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 2:
-            raise InvalidInputError(
-                f"segment must be a 1-d vector with at least 2 samples, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("segment contains non-finite values")
+        v = _floats(self.values, "segment").copy()
+        if v.ndim != 1 or v.size < 2 or not np.isfinite(v).all():
+            raise InvalidInputError("segment must be a 1-d vector of at least 2 "
+                                    f"finite samples, got shape {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -139,10 +136,8 @@ class WaveletPyramid:
     filter_id: str = DEFAULT_FILTER
 
     def __post_init__(self):
-        if self.j0 < 0 or self.J <= self.j0:
-            raise LevelError(f"need 0 <= j0 < J, got j0={self.j0}, J={self.J}")
-        if self.filter_id not in FILTERS:
-            raise ShapeError(f"unknown filter_id {self.filter_id!r}")
+        _int(self.j0, "j0", 0, self.J, error=LevelError)
+        _choice(self.filter_id, "filter_id", FILTERS, error=ShapeError)
         coarse = np.asarray(self.coarse, dtype=float)
         if coarse.shape != (2**self.j0,):
             raise ShapeError(
@@ -164,8 +159,7 @@ class WaveletPyramid:
 
     def detail(self, j: int) -> np.ndarray:
         """Detail coefficients at scale j (j0 <= j <= J-1)."""
-        if not self.j0 <= j < self.J:
-            raise LevelError(f"scale {j} outside [{self.j0}, {self.J - 1}]")
+        _int(j, "scale", self.j0, self.J, error=LevelError)
         return self.details[j - self.j0]
 
 
@@ -196,15 +190,12 @@ def forward_array(x: np.ndarray, j0: int = 0, filter_id: str = DEFAULT_FILTER):
     Returns ``(coarse, details)`` where ``details`` maps scale j to the
     detail array for j = j0 .. J-1.  Operates along the last axis.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    if not _is_pow2(n):
-        raise ShapeError(f"length {n} is not a power of two")
-    if filter_id not in FILTERS:
-        raise ShapeError(f"unknown filter_id {filter_id!r}")
-    J = n.bit_length() - 1
-    if not 0 <= j0 < J:
-        raise LevelError(f"need 0 <= j0 < J = {J}, got j0={j0}")
+    x = _floats(x, "x")
+    if x.ndim == 0 or not _is_pow2(x.shape[-1]):
+        raise ShapeError(f"need a power-of-two length on the last axis, got {x.shape}")
+    _choice(filter_id, "filter_id", FILTERS, error=ShapeError)
+    J = x.shape[-1].bit_length() - 1
+    _int(j0, "j0", 0, J, error=LevelError)
     details: dict[int, np.ndarray] = {}
     s = x
     for j in range(J - 1, j0 - 1, -1):

@@ -12,9 +12,7 @@ from .evaluation import gen_synthetic, naive_seasonal, rmae, rolling_eval
 from .intervals import (
     PredictionInterval,
     ResamplingPlan,
-    draw_pseudo_blocks,
     prediction_interval,
-    resample_weights,
     weighted_quantile,
 )
 from .predictor import (
@@ -33,7 +31,6 @@ from .wavelet import (
     Segment,
     WaveletPyramid,
     forward_dwt,
-    inverse_dwt,
     pad_to_pow2,
 )
 
@@ -52,9 +49,7 @@ __all__ = [
     "rolling_eval",
     "PredictionInterval",
     "ResamplingPlan",
-    "draw_pseudo_blocks",
     "prediction_interval",
-    "resample_weights",
     "weighted_quantile",
     "KernelSpec",
     "PipelineConfig",
@@ -71,6 +66,5 @@ __all__ = [
     "Segment",
     "WaveletPyramid",
     "forward_dwt",
-    "inverse_dwt",
     "pad_to_pow2",
 ]

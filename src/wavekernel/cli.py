@@ -31,7 +31,7 @@ from . import evaluation, intervals, predictor
 from .errors import (_ALPHAS, _MIN_B, _MIN_P, _SEEDS, ConfigError, InvalidInputError,
                      LevelError, WavekernelError, _choice, _int, _real)
 from .predictor import KernelSpec, PipelineConfig
-from .similarity import ScaleRange
+from .similarity import ScaleRange, _scale_range
 from .wavelet import FILTERS, DEFAULT_FILTER
 
 __all__ = ["RunConfig", "load_series", "write_series", "main"]
@@ -88,18 +88,22 @@ class RunConfig:
         # and --cv-grid now, before any input is read
         if self.bandwidth is not None:
             KernelSpec(self.kernel, self.bandwidth)
-        predictor._scale_range(self.pipeline(), (self.p - 1).bit_length())
+        _scale_range(self.j0, self._scales(), (self.p - 1).bit_length())
         self._grid_bounds()
 
+    def _scales(self) -> ScaleRange | None:
+        """The scales of ``--scales lo:hi``; None for all of them."""
+        if not self.scales:
+            return None
+        try:
+            lo, hi = (int(s) for s in self.scales.split(":"))
+        except ValueError as exc:
+            raise ConfigError(f"--scales must be lo:hi, got {self.scales!r}") from exc
+        return ScaleRange(lo, hi)
+
     def pipeline(self) -> PipelineConfig:
-        rng = None
-        if self.scales:
-            try:
-                lo, hi = (int(s) for s in self.scales.split(":"))
-            except ValueError as exc:
-                raise ConfigError(f"--scales must be lo:hi, got {self.scales!r}") from exc
-            rng = ScaleRange(lo, hi)
-        return PipelineConfig(filter_id=self.filter_id, j0=self.j0, scale_range=rng)
+        return PipelineConfig(filter_id=self.filter_id, j0=self.j0,
+                              scale_range=self._scales())
 
     def _grid_bounds(self) -> tuple[float, float, int] | None:
         """(lo, hi, count) of a lo:hi:count ``--cv-grid``; None for auto."""

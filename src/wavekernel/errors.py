@@ -66,6 +66,12 @@ def _choice(value, name, choices, *, error=ConfigError):
         raise error(f"unknown {name} {value!r}; choose from {sorted(choices)}")
 
 
+def _finite(name, *arrays):
+    """Raise InvalidInputError unless every entry of ``arrays`` is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInputError(f"{name} must be finite")
+
+
 def _floats(value, name, *, error=ShapeError):
     """``value`` as a float array (no copy of one), or ``error``."""
     try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (_MIN_P, _SEEDS, ConfigError, InsufficientHistoryError,
-                     InvalidInputError, _choice, _floats, _int, _real)
+                     InvalidInputError, _choice, _finite, _floats, _int, _real)
 from .predictor import KernelSpec, PipelineConfig, _history, predict_one_ahead
 
 __all__ = [
@@ -36,6 +36,7 @@ def rmae(pred, truth, zero_floor: float | None = None):
         raise ConfigError(f"shape mismatch: pred {p.shape} vs truth {t.shape}")
     if t.ndim == 0 or t.shape[-1] == 0:
         raise ConfigError(f"need blocks of at least one point, got shape {t.shape}")
+    _finite("pred and truth", p, t)
     denom = np.abs(t)
     if zero_floor is not None:
         denom = np.maximum(denom, zero_floor)
@@ -61,6 +62,7 @@ def split_segments(series, P: int, drop_remainder: bool = False) -> np.ndarray:
     _int(P, "segment length", _MIN_P)
     _choice(drop_remainder, "drop_remainder", {False, True})
     x = _floats(series, "series").reshape(-1)
+    _finite("series", x)
     rem = x.size % P
     if rem:
         if not drop_remainder:
@@ -89,6 +91,7 @@ def _naive_batch(segments, start):
     segs = _floats(segments, "segments")
     if segs.ndim != 2 or len(segs) < start:
         raise InsufficientHistoryError(f"need {start}+ segments, got shape {segs.shape}")
+    _finite("segments", segs)
     return segs[start - 1:]
 
 

@@ -28,20 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (_ALPHAS, _MIN_B, _SEEDS, ConfigError, InsufficientHistoryError,
-                     ShapeError, _choice, _floats, _int, _real)
-from .predictor import (
-    KernelSpec,
-    PipelineConfig,
-    PredictionResult,
-    predict_one_ahead,
-    scaling_coefficients,
-)
+                     ShapeError, _choice, _finite, _floats, _int, _real)
+from .predictor import PredictionResult, _segment_rows
 
 __all__ = [
     "ResamplingPlan",
     "PredictionInterval",
-    "resample_weights",
-    "draw_pseudo_blocks",
     "prediction_interval",
     "weighted_quantile",
 ]
@@ -81,31 +73,10 @@ class PredictionInterval:
     upper: np.ndarray
 
 
-def resample_weights(history, kernel: KernelSpec,
-                     config: PipelineConfig = PipelineConfig()) -> np.ndarray:
-    """Normalized similarity weights of the n-1 past segments.
-
-    ``history`` holds segments 1..n (or a prepared ``History``); the weight
-    of segment m reflects how close its pyramid is to the current
-    segment's pyramid.  These are the weights of :func:`predict_one_ahead`.
-    """
-    return predict_one_ahead(history, kernel, config).weights
-
-
 def _draw(plan: ResamplingPlan, m: int) -> np.ndarray:
     """Indices of B seeded i.i.d. draws from 0..m-1 with the plan's weights."""
     rng = np.random.Generator(np.random.Philox(key=plan.seed))
     return rng.choice(m, size=plan.B, p=plan.weights)
-
-
-def draw_pseudo_blocks(plan: ResamplingPlan, future_segments) -> np.ndarray:
-    """Draw B pseudo-blocks i.i.d. from Z_2..Z_n with the plan's weights."""
-    futures = _floats(future_segments, "future_segments")
-    if futures.ndim != 2 or futures.shape[0] != plan.weights.size:
-        raise ShapeError(
-            f"expected {plan.weights.size} future segments, got shape {futures.shape}"
-        )
-    return futures[_draw(plan, futures.shape[0])]
 
 
 def _type1_quantiles(atoms, mass, thresholds, kind="stable") -> list:
@@ -136,6 +107,7 @@ def weighted_quantile(atoms: np.ndarray, weights: np.ndarray, q: float) -> np.nd
         )
     _check_weights(w)
     _real(q, "q", 0, 1, closed=True)
+    _finite("atoms", atoms)
     return _type1_quantiles(atoms, w, [q - 1e-12])[0]
 
 
@@ -148,17 +120,15 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     equivalent to the B -> infinity limit).
     """
     _choice(method, "interval method", {"exact", "monte-carlo"})
-    X, P = scaling_coefficients(segments)
-    if X.shape[0] < 2:
+    futures = _segment_rows(segments)[1:]
+    m, P = futures.shape
+    if m == 0:
         raise InsufficientHistoryError("need at least 2 segments")
-    futures = X[1:, :P]
-    if futures.shape[0] != plan.weights.size:
+    if m != plan.weights.size:
+        raise ShapeError(f"plan has {plan.weights.size} weights for {m} candidates")
+    if np.size(center.curve) != P:
         raise ShapeError(
-            f"plan has {plan.weights.size} weights for {futures.shape[0]} candidates"
-        )
-    curve = np.asarray(center.curve, dtype=float)
-    if curve.size != P:
-        raise ShapeError(f"center curve has {curve.size} points, segments have {P}")
+            f"center curve has {np.size(center.curve)} points, segments have {P}")
     if plan.B < 1.0 / plan.alpha:  # inf for a subnormal alpha
         warnings.warn(
             f"B={plan.B} draws resolve the {plan.alpha} tail poorly (need B >= 1/alpha)",
@@ -170,7 +140,7 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     else:
         # the k-th smallest of the B draws, off the counts of the drawn rows;
         # unstable like a sort of the draws, so a tied zero's sign is open
-        counts = np.bincount(_draw(plan, futures.shape[0]))
+        counts = np.bincount(_draw(plan, m))
         drawn = np.flatnonzero(counts)
         ranks = [min(max(math.ceil(q * plan.B), 1), plan.B) for q in qs]
         lower, upper = _type1_quantiles(futures[drawn], counts[drawn], ranks, kind=None)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, InsufficientHistoryError, InvalidInputError, LevelError,
-                     ShapeError, _choice, _floats, _int, _real)
-from .similarity import ScaleRange
-from .wavelet import DEFAULT_FILTER, forward_array, inverse_array
+                     ShapeError, _choice, _finite, _floats, _int, _real)
+from .similarity import ScaleRange, _scale_range
+from .wavelet import DEFAULT_FILTER, FILTERS, forward_array
 
 __all__ = [
     "KernelSpec",
@@ -80,12 +80,15 @@ class PipelineConfig:
     filter_id: str = DEFAULT_FILTER
     j0: int = 0
     scale_range: ScaleRange | None = None
-    include_coarse: bool = False
+
+    def __post_init__(self):
+        _choice(self.filter_id, "filter_id", FILTERS, error=ShapeError)
+        _int(self.j0, "j0", 0, error=LevelError)
 
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """Predicted scaling coefficients plus the reconstructed curve."""
+    """Predicted scaling coefficients and the forecast curve they start with."""
 
     xi_pred: np.ndarray
     curve: np.ndarray
@@ -115,6 +118,18 @@ def normalized_weights(kernel_values: np.ndarray, n: int) -> np.ndarray:
     return k / (1.0 / n + total) + 1.0 / ((n - 1) * (1.0 + n * total))
 
 
+def _segment_rows(segments) -> np.ndarray:
+    """``segments`` as a float (n, P) array: n >= 1 rows of P >= 2 finite values."""
+    X = _floats(segments, "segments")
+    if X.ndim > 0 and len(X) == 0:
+        raise InsufficientHistoryError("no segments given")
+    if X.ndim != 2 or X.shape[1] < 2:
+        raise InvalidInputError(
+            f"segments must be vectors of at least 2 samples, got shape {X.shape}")
+    _finite("segments", X)
+    return X
+
+
 def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
     """Stack equal-length segments into padded finest-level coefficients.
 
@@ -122,30 +137,9 @@ def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
     extended periodically on the right to the next power of two, which
     under the interpolating convention are its scaling coefficients.
     """
-    X = _floats(segments, "segments")
-    if X.ndim > 0 and len(X) == 0:
-        raise InsufficientHistoryError("no segments given")
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise InvalidInputError(
-            f"segments must be vectors of at least 2 samples, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInputError("segments contain non-finite values")
+    X = _segment_rows(segments)
     P = X.shape[1]
     return X[:, np.arange(1 << (P - 1).bit_length()) % P], P
-
-
-def _scale_range(config: PipelineConfig, J: int) -> ScaleRange:
-    """The detail scales entering D for a pyramid of J levels: those of
-    ``config.scale_range`` (by default all), each within [j0, J-1]."""
-    if not 0 <= config.j0 < J:
-        raise LevelError(f"need 0 <= j0 < J = {J}, got j0={config.j0}")
-    rng = config.scale_range or ScaleRange(config.j0, J - 1)
-    if rng.j_lo < config.j0 or rng.j_hi > J - 1:
-        raise LevelError(
-            f"scale range [{rng.j_lo}, {rng.j_hi}] outside pyramid "
-            f"scales [{config.j0}, {J - 1}]"
-        )
-    return rng
 
 
 def _scale_blocks(X: np.ndarray, config: PipelineConfig):
@@ -161,11 +155,10 @@ def _scale_blocks(X: np.ndarray, config: PipelineConfig):
     largest double (a coefficient of 2**1023 or more at scale 0), raises
     InvalidInputError.
     """
-    rng = _scale_range(config, X.shape[-1].bit_length() - 1)
+    rng = _scale_range(config.j0, config.scale_range, X.shape[-1].bit_length() - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         coarse, details = forward_array(X, j0=config.j0, filter_id=config.filter_id)
-    blocks = [(config.j0, coarse)] if config.include_coarse else []
-    blocks += [(j, details[j]) for j in range(rng.j_lo, rng.j_hi + 1)]
+    blocks = [(j, details[j]) for j in range(rng.j_lo, rng.j_hi + 1)]
     top = max(float(np.abs(b).max()) for _, b in blocks)
     e = math.frexp(top)[1]
     if not math.isfinite(top) or e - blocks[0][0] > 1023:
@@ -359,8 +352,9 @@ def predict_one_ahead(segments, kernel: KernelSpec,
 
     ``segments`` is a matrix (or sequence) of n >= 2 equal-length
     vectors, row n being the current segment, or a :class:`History`
-    prepared with ``config``.  ``xi_pred`` holds the forecast's padded
-    scaling coefficients, ``curve`` its first P values.
+    prepared with ``config``.  ``curve`` is the forecast of the causal pass
+    (:meth:`History.forecasts`), whose values under the interpolating
+    convention are its scaling coefficients; ``xi_pred`` holds them padded.
 
     ``weight_mode`` selects the weighting of the observed next-segments:
     "normalized" (the default) uses the resampling weights of
@@ -380,14 +374,9 @@ def predict_one_ahead(segments, kernel: KernelSpec,
     # periodic padding of the P forecast columns, as in scaling_coefficients
     xi = F[0, 0][np.arange(history.X.shape[1]) % history.P]
     k = E[0, 0] / _KERNELS[kernel.family][2]
-    # reconstruct through the transform round trip (an identity for the
-    # interpolating convention, kept as a structural check)
-    config = history.config
-    coarse, details = forward_array(xi, j0=config.j0, filter_id=config.filter_id)
-    curve = inverse_array(coarse, details, filter_id=config.filter_id)
     return PredictionResult(
         xi_pred=xi,
-        curve=curve[:history.P],
+        curve=F[0, 0],
         weights=normalized_weights(k, n),
         h_used=kernel.bandwidth,
         effective_sample=float(k.sum()),

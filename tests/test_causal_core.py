@@ -90,8 +90,7 @@ def cases(draw):
         lo = draw(st.integers(j0, J - 1))
         scale_range = ScaleRange(lo, draw(st.integers(lo, J - 1)))
     config = PipelineConfig(filter_id=draw(st.sampled_from(sorted(FILTERS))),
-                            j0=j0, scale_range=scale_range,
-                            include_coarse=draw(st.booleans()))
+                            j0=j0, scale_range=scale_range)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
     segments = rng.normal(size=(n, P)) * scale + draw(st.sampled_from([0.0, 5.0]))
@@ -211,9 +210,26 @@ def test_batched_rolling_matches_per_prefix_fits(case):
     # the last row forecasts the block after the final segment
     per_prefix = np.stack([method(list(segments[:i]))
                            for i in range(2, len(segments) + 1)])
-    # the per-prefix curve passes the forward/inverse transform round trip
+    # a block of several rows takes its kernel-weighted sums in one GEMM,
+    # which may round them unlike a one-row product
     atol = 1e-13 * np.max(np.abs(segments))
     np.testing.assert_allclose(batched, per_prefix, rtol=1e-12, atol=atol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_predict_curve_is_the_causal_pass_forecast(case):
+    # bit for bit the one-row pass's value, in both weight modes: no
+    # transform round trip rounds it
+    segments, config, grid, opts = case
+    kernel, mode = KernelSpec(opts["family"], grid[0]), opts["weight_mode"]
+    n = len(segments)
+    curve = predict_one_ahead(segments, kernel, config, mode).curve
+    history = History(*scaling_coefficients(segments), config)
+    F = next(history.forecasts(np.array(grid[:1]), kernel.family, mode, n - 1, n))[2]
+    assert curve.tobytes() == F[0, 0].tobytes()
+    if mode == "normalized":
+        assert curve.tobytes() == wk_method(kernel, config).batch(segments, n)[-1].tobytes()
 
 
 def test_rolling_eval_uses_batch_with_same_scores():
@@ -233,8 +249,8 @@ def oracle_distances(segments, config):
     """D[q][m] = combined_distance of rows m < q, one pyramid per row."""
     pyramids = [forward_dwt(pad_to_pow2(Segment(row)), config.j0, config.filter_id)
                 for row in segments]
-    return [[combined_distance(pyramids[m], pyramids[q], config.scale_range,
-                               config.include_coarse) for m in range(q)]
+    return [[combined_distance(pyramids[m], pyramids[q], config.scale_range)
+             for m in range(q)]
             for q in range(len(pyramids))]
 
 

@@ -19,7 +19,6 @@ from wavekernel import (
     gen_synthetic,
     pad_to_pow2,
     predict_one_ahead,
-    resample_weights,
 )
 from wavekernel.predictor import _history, scaling_coefficients
 
@@ -63,9 +62,10 @@ class TestHistoryInput:
     def test_resample_weights_equals_array_input(self):
         segments = np.random.default_rng(1).normal(size=(30, 12))
         kernel = KernelSpec("gaussian", 1.3)
+        history = _history(segments, self.config)
         np.testing.assert_array_equal(
-            resample_weights(_history(segments, self.config), kernel, self.config),
-            resample_weights(segments, kernel, self.config))
+            predict_one_ahead(history, kernel, self.config).weights,
+            predict_one_ahead(segments, kernel, self.config).weights)
 
     def test_coefficients_keep_padded_width(self):
         segments = np.random.default_rng(2).normal(size=(9, 12))

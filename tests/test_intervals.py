@@ -13,13 +13,13 @@ from wavekernel import (
     PredictionInterval,
     ResamplingPlan,
     ShapeError,
-    draw_pseudo_blocks,
     prediction_interval,
     predict_one_ahead,
-    resample_weights,
     weighted_quantile,
 )
 from wavekernel.predictor import kernel_eval, normalized_weights
+
+from oracle import draw_pseudo_blocks
 
 
 def make_plan(weights, B=500, alpha=0.025, seed=0):
@@ -29,7 +29,7 @@ def make_plan(weights, B=500, alpha=0.025, seed=0):
 class TestResampleWeights:
     def test_n2_single_weight_is_one(self):
         rng = np.random.default_rng(0)
-        w = resample_weights(rng.normal(size=(2, 8)), KernelSpec("gaussian", 1.0))
+        w = predict_one_ahead(rng.normal(size=(2, 8)), KernelSpec("gaussian", 1.0)).weights
         assert w.shape == (1,)
         assert w[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -37,13 +37,13 @@ class TestResampleWeights:
         # rotations of one segment at equal combined distance from the query
         base = np.array([0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0])
         hist = np.stack([base, -base, base, -base, np.zeros(8)])
-        w = resample_weights(hist, KernelSpec("gaussian", 1.0))
+        w = predict_one_ahead(hist, KernelSpec("gaussian", 1.0)).weights
         np.testing.assert_allclose(w, 0.25, atol=1e-12)
 
     def test_underflow_regime_uniform(self):
         rng = np.random.default_rng(1)
         hist = rng.normal(size=(9, 8)) * 50
-        w = resample_weights(hist, KernelSpec("gaussian", 1e-9))
+        w = predict_one_ahead(hist, KernelSpec("gaussian", 1e-9)).weights
         np.testing.assert_allclose(w, 1.0 / 8, atol=1e-15)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -53,19 +53,13 @@ class TestResampleWeights:
         n = int(rng.integers(2, 40))
         h = float(10.0 ** rng.uniform(-6, 2))
         hist = rng.normal(size=(n, 16)) * rng.uniform(0.1, 10)
-        w = resample_weights(hist, KernelSpec("gaussian", h))
+        w = predict_one_ahead(hist, KernelSpec("gaussian", h)).weights
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.all(w >= 0) and np.all(w <= 1)
 
-    def test_equals_prediction_weights(self):
-        hist = np.random.default_rng(8).normal(size=(40, 12))
-        kernel = KernelSpec("laplace", 0.6)
-        np.testing.assert_array_equal(resample_weights(hist, kernel),
-                                      predict_one_ahead(hist, kernel).weights)
-
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
-            resample_weights(np.ones((1, 8)), KernelSpec())
+            predict_one_ahead(np.ones((1, 8)), KernelSpec())
 
 
 class TestResamplingPlan:
@@ -85,8 +79,10 @@ class TestResamplingPlan:
             make_plan([1.0], B=B)
 
     def test_accepts_numpy_int_b(self):
-        plan = make_plan([0.5, 0.5], B=np.int64(4))
-        assert draw_pseudo_blocks(plan, np.eye(2)).shape == (4, 2)
+        plan = make_plan([0.5, 0.5], B=np.int64(4), alpha=0.25)
+        band = prediction_interval(np.eye(3), predict_one_ahead(np.eye(3), KernelSpec()),
+                                   plan)
+        assert band.lower.shape == band.upper.shape == (3,)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ConfigError):
@@ -99,8 +95,8 @@ class TestResamplingPlan:
 
     @pytest.mark.parametrize("seed", [2**128 - 1, np.uint64(5)])
     def test_accepts_any_philox_key(self, seed):
-        plan = make_plan([0.5, 0.5], B=3, seed=seed)
-        draw_pseudo_blocks(plan, np.eye(2))
+        plan = make_plan([0.5, 0.5], B=3, alpha=0.4, seed=seed)
+        prediction_interval(np.eye(3), predict_one_ahead(np.eye(3), KernelSpec()), plan)
 
 
 class TestDrawPseudoBlocks:
@@ -172,15 +168,14 @@ class TestPredictionInterval:
         hist = rng.normal(size=(n, P)) + 10
         kernel = KernelSpec("gaussian", h)
         center = predict_one_ahead(hist, kernel)
-        weights = resample_weights(hist, kernel)
-        return hist, center, weights
+        return hist, center, center.weights
 
     def test_degenerate_distribution(self):
         seg = np.linspace(1, 2, 8)
         hist = np.tile(seg, (6, 1))
         kernel = KernelSpec("gaussian", 1.0)
         center = predict_one_ahead(hist, kernel)
-        plan = make_plan(resample_weights(hist, kernel), B=300)
+        plan = make_plan(center.weights, B=300)
         band = prediction_interval(hist, center, plan)
         np.testing.assert_allclose(band.lower, seg, atol=1e-12)
         np.testing.assert_allclose(band.upper, seg, atol=1e-12)
@@ -236,6 +231,23 @@ class TestPredictionInterval:
         b2 = prediction_interval(hist, center, plan)
         np.testing.assert_array_equal(b1.lower, b2.lower)
         np.testing.assert_array_equal(b1.upper, b2.upper)
+
+    def test_fixed_seed_reproducible(self):
+        # a plan made afresh with the same seed gives the same bounds
+        hist = np.random.default_rng(2).normal(size=(7, 8))
+        center = predict_one_ahead(hist, KernelSpec())
+        b1, b2 = (prediction_interval(hist, center, make_plan(np.full(6, 1 / 6), B=200,
+                                                              alpha=0.1, seed=123))
+                  for _ in range(2))
+        np.testing.assert_array_equal(b1.lower, b2.lower)
+        np.testing.assert_array_equal(b1.upper, b2.upper)
+
+    @pytest.mark.parametrize("method", ["monte-carlo", "exact"])
+    def test_weight_count_mismatch(self, method):
+        hist = np.ones((4, 4))
+        with pytest.raises(ShapeError, match="2 weights for 3 candidates"):
+            prediction_interval(hist, predict_one_ahead(hist, KernelSpec()),
+                                make_plan([0.5, 0.5]), method=method)
 
 
 def sorted_draws_quantile(plan, futures, q):

@@ -34,9 +34,11 @@ __all__ = [
     "scaling_coefficients",
 ]
 
-_SCRATCH = 1 << 16  # doubles in a row block's distance planes (512 KiB)
+_SCRATCH = 1 << 16  # doubles in a row block's distance planes, or a chunk of tri (512 KiB)
 _STACK = 1 << 18  # doubles in a row block's kernel stack (2 MiB, one core's L2)
 _PIECE = 1 << 14  # doubles per piece of the centred futures (128 KiB)
+_SAMPLE = 1 << 13  # size of the sample that brackets a quantile
+_MARGIN = 32  # sample positions a first bracket reaches out on each side
 
 # kernel(u) = exp(-a |u|**p) / c per family, as (p, a, c): c = 1/kernel(0)
 _KERNELS = {"gaussian": (2, 0.5, math.sqrt(2.0 * math.pi)),
@@ -183,6 +185,12 @@ class History:
     def __len__(self) -> int:
         return self.X.shape[0]
 
+    def _step(self, lo: int, hi: int, depth: int) -> int:
+        """Rows per block of :meth:`rows`, from the budgets it describes."""
+        n = len(self)
+        planes = hi - lo if self.tri is not None else _SCRATCH // (3 * n)
+        return max(1, min(hi - lo, _STACK // (n * depth), planes))
+
     def rows(self, lo: int, hi: int, depth: int = 1):
         """Yield (r0, r1, D[r0:r1, :r1-1], causal mask) for rows [lo, hi), lo >= 1.
 
@@ -204,11 +212,7 @@ class History:
         n doubles, holds at most _STACK.  The triangle ``tri`` of
         :func:`default_bandwidth_grid` holds n(n-1)/2 doubles.
         """
-        n = len(self)
-        step = _STACK // (n * depth)
-        if self.tri is None:
-            step = min(step, _SCRATCH // (3 * n))
-        step = max(1, min(hi - lo, step))
+        n, step = len(self), self._step(lo, hi, depth)
         planes = np.empty((2, step * n)) if self.tri is None else None
         for r0 in range(lo, hi, step):
             r1 = min(r0 + step, hi)
@@ -266,12 +270,12 @@ class History:
             normalized: X[1, :P] + (E.Z + c/(q(q+1)) sum(Z[:q])) / d
 
         The normalized map is X[1, :P] + sum_m w_m Z_m with the weights of
-        normalized_weights, as they sum to 1: a single candidate row
-        (Z = 0) is reproduced bit for bit, and a forecast is the convex
-        combination of its reported weights up to rounding.  Z is made in
-        pieces of about _PIECE doubles, one product each (one in all for
-        n - 1 <= _PIECE / (P + 1)), so a one-row call (predict) never holds
-        a copy of the futures.
+        normalized_weights, as they sum to 1: a single candidate row (Z = 0) is
+        reproduced bit for bit, and a forecast is the convex combination of its
+        reported weights up to rounding.  Z is made in pieces of about _PIECE
+        doubles, one product each (one in all for n - 1 <= _PIECE / (P + 1)),
+        so a one-row call (predict) never holds a copy of the futures.  Each E
+        views one stack, so it is valid only until the next iteration.
         """
         p, a, c = _KERNELS[family]
         G, P = hs.size, self.P
@@ -281,12 +285,13 @@ class History:
         q = np.arange(lo, hi)[:, None]
         damp, share = c / (q + 1), c / (q * (q + 1))
         pieces = []  # Z in pieces of C rows, kept while a later block needs them
+        stack = np.empty((G + 1) * self._step(lo, hi, G) * (hi - 1))  # the largest E
         for r0, r1, D, causal in self.rows(lo, hi, G):
-            E = np.empty((G + 1,) + D.shape)
+            E = stack[:(G + 1) * D.size].reshape((G + 1,) + D.shape)
             # an exponent past the largest double is a kernel value of 0
             with np.errstate(over="ignore"):
-                for run, scale, neg_rates in groups:
-                    T = np.multiply(D, scale)  # D = inf off the causal set
+                for run, scale, neg_rates in groups:  # T borrows E[G] before the ones
+                    T = np.multiply(D, scale, out=E[G])  # D = inf off the causal set
                     if p == 2:
                         T *= T
                     np.multiply(T, neg_rates, out=E[run])
@@ -412,9 +417,9 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
         raise InsufficientHistoryError(f"cross-validation needs n >= 3, got {n}")
     sq_err = np.zeros(grid.size)
     for r0, r1, F, _ in history.forecasts(grid, kernel_family, weight_mode, 1, n - 1):
-        diff = F - history.X[r0 + 1:r1 + 1, :history.P]
+        F -= history.X[r0 + 1:r1 + 1, :history.P]
         with np.errstate(over="ignore"):  # checked below
-            sq_err += np.mean(diff * diff, axis=-1).sum(axis=-1)
+            sq_err += np.mean(np.square(F, out=F), axis=-1).sum(axis=-1)
     cv_values = sq_err / (n - 2)
     if not np.all(np.isfinite(cv_values)):
         raise InvalidInputError(
@@ -424,20 +429,43 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     return float(grid[best]), cv_values
 
 
-def _quantile(vals: np.ndarray, q: float) -> float:
-    """``np.quantile(vals, q)`` (its default, linear method) bit for bit,
-    from one single-kth partition of ``vals`` in place: numpy's own call
-    partitions at several kth in one pass, which takes several times as
-    long.  The two order statistics around (N-1)q are mixed as numpy's
-    ``_lerp`` mixes them, from the nearer one."""
-    v = (vals.size - 1) * q
-    i = math.floor(v)
-    vals.partition(i)
-    a = float(vals[i])
-    if i == vals.size - 1:
-        return a
-    b, t = float(vals[i + 1:].min()), v - i
-    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+def _quantiles(tri: np.ndarray, qs) -> list[float]:
+    """``np.quantile(tri[tri > 0], q)`` (linear method) for each q, bit for
+    bit, with no copy of ``tri``; [] if none is positive.  Positive order
+    statistic i is tri's zeros + i.  A sorted strided sample brackets the
+    two around (N-1)q; a pass over chunks of tri counts the values below
+    and gathers those inside, and a single-kth partition (several times
+    faster than numpy's multi-kth one) selects them.  A bracket that misses
+    widens, up to (-inf, inf).  They are mixed as numpy's ``_lerp`` does."""
+    N, C, masks = tri.size, _SCRATCH, np.empty((2, _SCRATCH), dtype=bool)
+    chunks = [(tri[c:c + C], masks[:, :min(C, N - c)]) for c in range(0, N, C)]
+    pos = sum(np.count_nonzero(np.greater(x, 0, out=m[0])) for x, m in chunks)
+    if not pos:
+        return []
+    sample = np.concatenate(([-np.inf], np.sort(tri[::max(1, N // _SAMPLE)]), [np.inf]))
+
+    def select(q):
+        v = (pos - 1) * q
+        k = N - pos + math.floor(v)  # tri's ranks k and, below the top, k + 1
+        j, m, want = 1 + k * (sample.size - 2) // N, _MARGIN, min(k + 2, N)
+        while True:
+            lo, hi = sample[max(j - m, 0)], sample[min(j + 1 + m, sample.size - 1)]
+            below, parts = 0, []
+            for x, (inside, le) in chunks:
+                below += x.size - np.count_nonzero(np.greater_equal(x, lo, out=inside))
+                inside &= np.less_equal(x, hi, out=le)
+                parts.append(x[inside])
+            vals = np.concatenate(parts)
+            if below <= k and below + vals.size >= want:
+                break
+            m = 4 * m + 1
+        vals.partition(k - below)
+        a, t = float(vals[k - below]), v - math.floor(v)
+        if want == k + 1:
+            return a
+        b = float(vals[k - below + 1:].min())
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+    return [select(q) for q in qs]
 
 
 def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
@@ -454,12 +482,11 @@ def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
         for r0, r1, D, causal in history.rows(1, n):
             tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2] = D[causal]
         history.tri = tri
-    vals = history.tri[history.tri > 0]
-    if vals.size == 0:
+    quantiles = _quantiles(history.tri, (0.01, 0.99))
+    if not quantiles:
         # degenerate history (all segments identical): any h works
         return np.logspace(-3, 0, count)
-    # the boolean index made vals a copy, so the selection may reorder it
-    q_lo, q_hi = _quantile(vals, 0.01), _quantile(vals, 0.99)
+    q_lo, q_hi = quantiles
     lo = max(q_lo, 1e-12 * q_hi)
     hi = max(q_hi, lo * 10)
     return np.logspace(math.log10(lo), math.log10(hi), count)

@@ -383,21 +383,50 @@ def test_grid_and_cv_share_history_distances():
     np.testing.assert_allclose(cv_shared, cv_fresh, rtol=1e-13)
 
 
-def test_grid_fills_the_triangle_in_place():
-    # the triangle is n(n-1)/2 doubles; with the quantile's copy of its
-    # positive entries the peak reads about 2.3x that, where per-block
-    # pieces joined by a concatenate read 3.3x
+def select_long_history():
+    """The History of the select_long benchmark input: n = 1000, P = 24."""
     n, P = 1000, 24
     segments = gen_synthetic("markov_functional", n, P, 0.25, seed=1).reshape(n, P)
-    history = History(*scaling_coefficients(segments))
+    return History(*scaling_coefficients(segments))
+
+
+def test_grid_fills_the_triangle_in_place():
+    # the triangle is n(n-1)/2 doubles; the peak reads about 1.2x that: the
+    # row blocks' distance planes while it fills, and a gathered bracket of
+    # the distances while the quantiles are selected.  A copy of the
+    # positive entries to select from read 2.15x, and per-block pieces
+    # joined by a concatenate 3.3x
+    history = select_long_history()
     tracemalloc.start()
     try:
         default_bandwidth_grid(history)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert history.tri.size == n * (n - 1) // 2
-    assert peak < 2.75 * history.tri.nbytes
+    assert history.tri.size == 1000 * 999 // 2
+    assert peak < 1.3 * history.tri.nbytes
+
+
+def test_cv_holds_one_kernel_stack():
+    # CV at G = 32 on the grid's History: the kernel stack, (G+1) x rows x
+    # n doubles, is made once for all row blocks.  Beside the triangle the
+    # peak reads about 1.3 stacks: the futures' pieces, numpy's ufunc
+    # buffers and the small per-block arrays.  A stack per block read 2.3,
+    # as a new one was made while the caller still held the last
+    history = select_long_history()
+    n = len(history)
+    tracemalloc.start()
+    try:
+        grid = default_bandwidth_grid(history)
+        tracemalloc.reset_peak()
+        cv_bandwidth(history, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    G = grid.size
+    stack = (G + 1) * (predictor._STACK // (n * G)) * n * 8
+    assert G == 32
+    assert peak < history.tri.nbytes + 1.5 * stack
 
 
 def quantile_grid(tri, count=32):
@@ -425,12 +454,33 @@ def test_grid_quantiles_match_np_quantile(size, seed, decade, levels):
     history.tri = tri.copy()
     got = default_bandwidth_grid(history)
     np.testing.assert_array_equal(got.view(np.int64), quantile_grid(tri).view(np.int64))
-    # the selection at every percentile: the two ways of mixing the order
-    # statistics disagree in the last bit in about 1% of cases
+    # the selection reads the distances in place and leaves them in order
+    np.testing.assert_array_equal(history.tri, tri)
+    # the selection at every percentile, zeros left in: the two ways of
+    # mixing the order statistics disagree in the last bit in about 1% of
+    # cases.  Again from a sample of 16 with no margin, whose brackets miss
     vals = tri[tri > 0]
-    if vals.size:
-        for q in np.linspace(0.0, 1.0, 101):
-            assert predictor._quantile(vals.copy(), float(q)) == np.quantile(vals, q)
+    qs = [float(q) for q in np.linspace(0.0, 1.0, 101)]
+    want = [np.quantile(vals, q) for q in qs] if vals.size else []
+    assert predictor._quantiles(tri, qs) == want
+    with mock.patch.object(predictor, "_SAMPLE", 16), mock.patch.object(predictor, "_MARGIN", 0):
+        assert predictor._quantiles(tri, qs) == want
+
+
+def test_grid_quantile_brackets_widen_until_they_hold_their_ranks():
+    # every sampled entry (stride 10) is 0.5, the smallest positive value,
+    # so the brackets of a sample without margin hold 0.5 alone: the median
+    # and the 99% quantile lie above it, and their brackets widen
+    tri = np.random.default_rng(5).lognormal(size=1000) + 1.0
+    tri[::10], tri[1::10] = 0.5, 0.0
+    qs = [0.01, 0.5, 0.99]
+    passes = mock.Mock(wraps=np.concatenate)  # the sample, then one per pass
+    with mock.patch.object(predictor, "_SAMPLE", 100), \
+            mock.patch.object(predictor, "_MARGIN", 0), \
+            mock.patch.object(predictor.np, "concatenate", passes):
+        got = predictor._quantiles(tri, qs)
+    assert got == [np.quantile(tri[tri > 0], q) for q in qs]
+    assert passes.call_count > 1 + len(qs)
 
 
 def test_history_config_mismatch_rejected():

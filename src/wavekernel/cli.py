@@ -123,7 +123,7 @@ class RunConfig:
     def grid(self, history: predictor.History) -> np.ndarray:
         bounds = self._grid_bounds()
         if bounds is None:
-            return predictor.default_bandwidth_grid(history, config=history.config)
+            return predictor.default_bandwidth_grid(history)
         return np.geomspace(*bounds)
 
 
@@ -245,18 +245,19 @@ def _segments(cfg: RunConfig) -> np.ndarray:
     return segments
 
 
-def _select_bandwidth(cfg: RunConfig, history: predictor.History):
-    """Cross-validate h over the requested grid; return (h, summary fields):
+def _bandwidth(cfg: RunConfig, history: predictor.History):
+    """``--h``, or h cross-validated on ``history`` over the requested grid;
+    return (h, summary fields).  With ``--h`` there are none; else they are
     the CV table and whether its minimum sits on an edge of the grid, where
     the best h may lie beyond it (also warned on stderr).
 
     Grid and CV share the prepared history, so the auto grid's pairwise
     distances are the ones CV reads.
     """
+    if cfg.bandwidth is not None:
+        return cfg.bandwidth, {}
     grid = cfg.grid(history)
-    h_star, cv_values = predictor.cv_bandwidth(
-        history, grid, kernel_family=cfg.kernel, config=history.config
-    )
+    h_star, cv_values = predictor.cv_bandwidth(history, grid, kernel_family=cfg.kernel)
     best = int(np.argmin(cv_values))  # the index cv_bandwidth selects
     edge = grid.size > 1 and best in (0, grid.size - 1)
     if edge:
@@ -269,21 +270,11 @@ def _select_bandwidth(cfg: RunConfig, history: predictor.History):
     return h_star, {"cv_table": table, "cv_min_on_grid_edge": edge}
 
 
-def _bandwidth(cfg: RunConfig, history: predictor.History):
-    """``--h``, or h selected by CV on ``history``; return (h, CV summary
-    fields, empty with ``--h``)."""
-    if cfg.bandwidth is None:
-        return _select_bandwidth(cfg, history)
-    return cfg.bandwidth, {}
-
-
 def _forecast(cfg: RunConfig, history: predictor.History):
     """Forecast the block after ``history`` with the h of :func:`_bandwidth`;
     return (result, CV summary fields)."""
     h, cv = _bandwidth(cfg, history)
-    result = predictor.predict_one_ahead(history, KernelSpec(cfg.kernel, h),
-                                         config=history.config)
-    return result, cv
+    return predictor.predict_one_ahead(history, KernelSpec(cfg.kernel, h)), cv
 
 
 def _write_run(cfg: RunConfig, segments: np.ndarray, tables: dict, **run) -> None:
@@ -312,7 +303,7 @@ def _write_run(cfg: RunConfig, segments: np.ndarray, tables: dict, **run) -> Non
 
 def _run_predict(cfg: RunConfig) -> None:
     segments = _segments(cfg)
-    result, cv = _forecast(cfg, predictor._history(segments, cfg.pipeline()))
+    result, cv = _forecast(cfg, predictor.History(segments, cfg.pipeline()))
     table = _table({"predicted": result.curve})
     _write_run(cfg, segments, {"prediction.csv": table, "plotdata.csv": table},
                h_used=result.h_used, effective_sample=result.effective_sample, **cv)
@@ -320,7 +311,7 @@ def _run_predict(cfg: RunConfig) -> None:
 
 def _run_cv(cfg: RunConfig) -> None:
     segments = _segments(cfg)
-    h_star, cv = _select_bandwidth(cfg, predictor._history(segments, cfg.pipeline()))
+    h_star, cv = _bandwidth(cfg, predictor.History(segments, cfg.pipeline()))
     table = [["h", "cv", "selected"]] + [
         [_fmt(row["h"]), _fmt(row["cv"]), int(row["selected"])] for row in cv["cv_table"]]
     _write_run(cfg, segments, {"cv.csv": table}, h_selected=float(h_star), **cv)
@@ -329,10 +320,15 @@ def _run_cv(cfg: RunConfig) -> None:
 def _run_interval(cfg: RunConfig) -> None:
     segments = _segments(cfg)
     # the history is freed on return, before the draw
-    result, cv = _forecast(cfg, predictor._history(segments, cfg.pipeline()))
+    result, cv = _forecast(cfg, predictor.History(segments, cfg.pipeline()))
     plan = intervals.ResamplingPlan(B=cfg.b, alpha=cfg.alpha, seed=cfg.seed,
                                     weights=result.weights)
-    band = intervals.prediction_interval(segments, result, plan)
+    # the library's warning (B < 1/alpha) becomes one line, as the CLI's own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        band = intervals.prediction_interval(segments, result, plan)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     table = _table({"predicted": result.curve, "lower": band.lower, "upper": band.upper})
     _write_run(cfg, segments, {"prediction.csv": table, "plotdata.csv": table},
                h_used=result.h_used, effective_sample=result.effective_sample,
@@ -342,30 +338,25 @@ def _run_interval(cfg: RunConfig) -> None:
 def _run_eval(cfg: RunConfig) -> None:
     segments = _segments(cfg)
     # the held-out block stays out of the one history, so CV never selects
-    # h on it; the rolling forecasts of the earlier blocks come from it too
-    history = predictor._history(segments[:-1], cfg.pipeline())
-    truth = segments[-1]
+    # h on it.  Both modes score one causal pass over that history, at
+    # origins 2..n-1 with --rolling and the holdout origin alone without;
+    # its last row is the holdout forecast
+    history = predictor.History(segments[:-1], cfg.pipeline())
+    h, cv = _bandwidth(cfg, history)
+    start = 2 if cfg.rolling else max(len(history), 2)
+    preds = evaluation.wk_method(KernelSpec(cfg.kernel, h)).batch(history, start)
+    scores = evaluation.rmae(preds, segments[start:])
+    naive = evaluation.rolling_eval(segments, cfg.p, evaluation.naive_seasonal, start)
+    pred, truth = preds[-1], segments[-1]
     holdout = rolling = None
     if cfg.rolling:
-        h, cv = _bandwidth(cfg, history)
-        wk = evaluation.wk_method(KernelSpec(cfg.kernel, h), history.config)
-        # one causal pass: origins 2..n-1, the last being the holdout forecast
-        preds = wk.batch(history, 2)
-        pred = preds[-1]
-        naive = evaluation.rolling_eval(segments, cfg.p, evaluation.naive_seasonal)
         # with --cv-grid, h was tuned on these same rolling forecasts
-        rolling = {"wk": evaluation.summarize(evaluation.rmae(preds, segments[2:])),
+        rolling = {"wk": evaluation.summarize(scores),
                    "naive": evaluation.summarize(naive),
                    "h_in_sample": cfg.bandwidth is None}
     else:
-        result, cv = _forecast(cfg, history)
-        h, pred = result.h_used, result.curve
-        naive = evaluation.naive_seasonal(segments[:-1])
-        holdout = {
-            "segment_index": int(segments.shape[0]),
-            "wk_rmae": evaluation.rmae(pred, truth),
-            "naive_rmae": evaluation.rmae(naive, truth),
-        }
+        holdout = {"segment_index": int(segments.shape[0]),
+                   "wk_rmae": float(scores[0]), "naive_rmae": float(naive[0])}
         if cfg.external_forecast:
             ext = load_series(cfg.external_forecast)
             if ext.size != cfg.p:

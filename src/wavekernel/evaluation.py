@@ -98,15 +98,15 @@ def _naive_batch(segments, start):
 naive_seasonal.batch = _naive_batch
 
 
-def wk_method(kernel: KernelSpec, config: PipelineConfig = PipelineConfig()):
+def wk_method(kernel: KernelSpec, config: PipelineConfig | None = None):
     """Wrap the wavelet-kernel predictor as a rolling-eval method.
 
     ``method.batch(segments, start)`` returns the forecasts at origins
     start..n, each of the block after the first ``origin`` segments, in
     one causal pass of the predictor instead of one fit per origin.  Its
     last row forecasts the block after the final segment, which is
-    ``method(segments)``; ``segments`` may be a History prepared with
-    ``config``.
+    ``method(segments)``.  ``segments`` and ``config`` are as in
+    :func:`predict_one_ahead`.
     """
 
     def method(history):

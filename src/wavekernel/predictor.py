@@ -172,14 +172,15 @@ def _scale_blocks(X: np.ndarray, config: PipelineConfig):
 
 
 class History:
-    """Rows ``X`` prepared once with ``config``; forecasts cover their first
-    ``P`` columns.  ``tri`` keeps the distances of all pairs m < q, row by
-    row, once :func:`default_bandwidth_grid` built them."""
+    """``segments`` prepared once with ``config``: the padded rows ``X`` of
+    :func:`scaling_coefficients`, whose first ``P`` columns forecasts cover,
+    and their wavelet detail blocks.  ``tri`` keeps the distances of all
+    pairs m < q, row by row, once :func:`default_bandwidth_grid` built them."""
 
-    def __init__(self, X: np.ndarray, P: int,
-                 config: PipelineConfig = PipelineConfig()):
-        self.X, self.P, self.config = X, P, config
-        self.blocks = _scale_blocks(X, config)
+    def __init__(self, segments, config: PipelineConfig = PipelineConfig()):
+        self.X, self.P = scaling_coefficients(segments)
+        self.config = config
+        self.blocks = _scale_blocks(self.X, config)
         self.tri = None
 
     def __len__(self) -> int:
@@ -341,25 +342,28 @@ def _rate_groups(hs: np.ndarray, p: int, a: float):
     return groups
 
 
-def _history(segments, config: PipelineConfig) -> History:
-    """The one way segments become a History; a prepared one passes through."""
+def _history(segments, config: PipelineConfig | None) -> History:
+    """A History, which passes through, or segments prepared with ``config``.
+    None is the History's own config, or the default for segments."""
     if not isinstance(segments, History):
-        return History(*scaling_coefficients(segments), config)
-    if segments.config != config:
+        return History(segments, PipelineConfig() if config is None else config)
+    if config is not None and config != segments.config:
         raise ConfigError("history was prepared with another pipeline config")
     return segments
 
 
 def predict_one_ahead(segments, kernel: KernelSpec,
-                      config: PipelineConfig = PipelineConfig(),
+                      config: PipelineConfig | None = None,
                       weight_mode: str = "normalized") -> PredictionResult:
     """Forecast the segment after the last of ``segments``.
 
     ``segments`` is a matrix (or sequence) of n >= 2 equal-length
-    vectors, row n being the current segment, or a :class:`History`
-    prepared with ``config``.  ``curve`` is the forecast of the causal pass
-    (:meth:`History.forecasts`), whose values under the interpolating
-    convention are its scaling coefficients; ``xi_pred`` holds them padded.
+    vectors, row n being the current segment, or a :class:`History`.
+    ``config`` None means the History's own, or the default for segments;
+    a config other than the History's is a ConfigError.  ``curve`` is the
+    forecast of the causal pass (:meth:`History.forecasts`), whose values
+    under the interpolating convention are its scaling coefficients;
+    ``xi_pred`` holds them padded.
 
     ``weight_mode`` selects the weighting of the observed next-segments:
     "normalized" (the default) uses the resampling weights of
@@ -389,7 +393,7 @@ def predict_one_ahead(segments, kernel: KernelSpec,
 
 
 def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
-                 config: PipelineConfig = PipelineConfig(),
+                 config: PipelineConfig | None = None,
                  weight_mode: str = "normalized") -> tuple[float, np.ndarray]:
     """Bandwidth selection by leave-one-out cross-validation for time series.
 
@@ -401,7 +405,7 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     least one candidate pair, and the smallest h attaining the minimum
     is returned.
 
-    ``segments`` may be a :class:`History` prepared with ``config``.
+    ``segments`` and ``config`` are as in :func:`predict_one_ahead`.
     All h share one pass over row blocks of the distance matrix.
     """
     grid = _floats(grid, "bandwidth grid", error=ConfigError)
@@ -468,11 +472,12 @@ def _quantiles(tri: np.ndarray, qs) -> list[float]:
     return [select(q) for q in qs]
 
 
-def default_bandwidth_grid(segments, config: PipelineConfig = PipelineConfig(),
+def default_bandwidth_grid(segments, config: PipelineConfig | None = None,
                            count: int = 32) -> np.ndarray:
     """Log-spaced grid spanning the 1%..99% quantiles of pairwise distances.
 
-    A :class:`History` passed as ``segments`` keeps them for CV.
+    A :class:`History` passed as ``segments`` keeps them for CV;
+    ``config`` is as in :func:`predict_one_ahead`.
     """
     _int(count, "grid count", 1)
     history = _history(segments, config)

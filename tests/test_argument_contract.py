@@ -35,6 +35,7 @@ import wavekernel as wk
 from wavekernel import WavekernelError
 from wavekernel.cli import main, write_series
 from wavekernel.evaluation import split_segments, summarize, wk_method
+from wavekernel.predictor import History
 from wavekernel.wavelet import forward_array
 
 JUNK = {
@@ -64,6 +65,7 @@ ENTRIES = {
                                            kernel_family="laplace",
                                            weight_mode="raw")),
     "default_bandwidth_grid": (wk.default_bandwidth_grid, dict(segments=SEGS, count=4)),
+    "History": (History, dict(segments=SEGS)),
     "predict_one_ahead": (functools.partial(wk.predict_one_ahead, kernel=KERNEL),
                           dict(segments=SEGS, weight_mode="normalized")),
     "ResamplingPlan": (wk.ResamplingPlan, dict(B=10, alpha=0.1, seed=0, weights=W)),
@@ -101,6 +103,8 @@ CASES = [(entry, param) for entry, (_, valid) in ENTRIES.items() for param in va
 
 
 def is_finite(result) -> bool:
+    if isinstance(result, History):
+        return is_finite((result.X, result.blocks))
     if dataclasses.is_dataclass(result):
         return all(is_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
     if isinstance(result, dict):
@@ -175,6 +179,22 @@ def test_non_finite_element_gives_finite_values_or_typed_error(case, bad, index)
     value = np.array(ENTRIES[entry][1][param], dtype=float)
     value.flat[index % value.size] = JUNK[bad]
     check(entry, param, value)
+
+
+def test_prepared_history_config_is_the_default():
+    # config left out means the History's own: the same grid, CV values and
+    # forecasts as with it passed, and other than the default config's
+    config = wk.PipelineConfig(filter_id="dd6")
+    history = History(SEGS, config)
+    grid = wk.default_bandwidth_grid(history)
+    np.testing.assert_array_equal(grid, wk.default_bandwidth_grid(SEGS, config))
+    assert not np.array_equal(grid, wk.default_bandwidth_grid(SEGS))
+    np.testing.assert_array_equal(wk.cv_bandwidth(history, grid)[1],
+                                  wk.cv_bandwidth(SEGS, grid, config=config)[1])
+    np.testing.assert_array_equal(wk.predict_one_ahead(history, KERNEL).curve,
+                                  wk.predict_one_ahead(SEGS, KERNEL, config).curve)
+    np.testing.assert_array_equal(wk_method(KERNEL).batch(history, 2),
+                                  wk_method(KERNEL, config).batch(SEGS, 2))
 
 
 @pytest.fixture

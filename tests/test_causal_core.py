@@ -44,7 +44,7 @@ from wavekernel.wavelet import FILTERS
 
 def query_distances(X, config, q):
     """Distances from rows 0..q-1 to row q, as predict computes them."""
-    return next(History(X[:q + 1], X.shape[1], config).rows(q, q + 1))[2][0]
+    return next(History(X[:q + 1], config).rows(q, q + 1))[2][0]
 
 
 def loop_forecast(X, q, h, family, config, weight_mode):
@@ -119,7 +119,7 @@ def test_cv_matches_per_cut_loop(case):
     # CLI's path), where blocks are sized by the kernel stack alone
     segments, config, grid, opts = case
     want = loop_cv(segments, grid, opts["family"], config, opts["weight_mode"])
-    history = History(*scaling_coefficients(segments), config)
+    history = History(segments, config)
     with budgets(*opts["scratch"]):
         default_bandwidth_grid(history, config)
         for source in (segments, history):
@@ -225,7 +225,7 @@ def test_predict_curve_is_the_causal_pass_forecast(case):
     kernel, mode = KernelSpec(opts["family"], grid[0]), opts["weight_mode"]
     n = len(segments)
     curve = predict_one_ahead(segments, kernel, config, mode).curve
-    history = History(*scaling_coefficients(segments), config)
+    history = History(segments, config)
     F = next(history.forecasts(np.array(grid[:1]), kernel.family, mode, n - 1, n))[2]
     assert curve.tobytes() == F[0, 0].tobytes()
     if mode == "normalized":
@@ -260,7 +260,7 @@ def test_distances_match_pyramid_oracle_at_any_magnitude(case, k):
     segments, config, _, opts = case
     scaled = np.ldexp(segments, k)
     want = oracle_distances(scaled, config)
-    history = History(*scaling_coefficients(scaled), config)
+    history = History(scaled, config)
     n = len(history)
     with budgets(*opts["scratch"]):
         direct = list(history.rows(1, n))
@@ -294,7 +294,7 @@ def test_distance_blocks_match_reduce_oracle_bit_for_bit(case, k):
     # coefficient-by-coefficient sums are the reduce's own plane-by-plane
     # order, in blocks of any size, and at any magnitude
     segments, config, grid, opts = case
-    history = History(*scaling_coefficients(np.ldexp(segments, k)), config)
+    history = History(np.ldexp(segments, k), config)
     n = len(history)
     with budgets(*opts["scratch"]):
         blocks = list(history.rows(1, n, len(grid)))
@@ -311,9 +311,9 @@ def test_row_one_alone_reads_as_in_any_block():
     # plane as in a larger block; the one-pair block must round the same
     rng = np.random.default_rng(5)
     for _ in range(100):
-        X, P = scaling_coefficients(rng.normal(size=(3, 128)))
-        alone = next(History(X[:2], P).rows(1, 2))[2]
-        assert next(History(X, P).rows(1, 3))[2][0, 0] == alone[0, 0]
+        segments = rng.normal(size=(3, 128))
+        alone = next(History(segments[:2]).rows(1, 2))[2]
+        assert next(History(segments).rows(1, 3))[2][0, 0] == alone[0, 0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -349,7 +349,7 @@ def test_offset_history_distances_bit_identical(scratch):
     # loses most digits here; every path must read predict's distances
     rng = np.random.default_rng(0)
     segments = 1000.0 + 1e-7 * rng.normal(size=(60, 24))
-    history = History(*scaling_coefficients(segments))
+    history = History(segments)
     n = len(history)
     # a stack budget 8x the buffer's: blocks read from the triangle, sized
     # by the stack alone, hold 1, 3 and all 59 rows
@@ -374,7 +374,7 @@ def test_offset_history_distances_bit_identical(scratch):
 
 def test_grid_and_cv_share_history_distances():
     segments = np.random.default_rng(1).normal(size=(30, 12))
-    history = History(*scaling_coefficients(segments))
+    history = History(segments)
     grid = default_bandwidth_grid(history)
     np.testing.assert_array_equal(grid, default_bandwidth_grid(segments))
     h_shared, cv_shared = cv_bandwidth(history, grid)
@@ -387,7 +387,7 @@ def select_long_history():
     """The History of the select_long benchmark input: n = 1000, P = 24."""
     n, P = 1000, 24
     segments = gen_synthetic("markov_functional", n, P, 0.25, seed=1).reshape(n, P)
-    return History(*scaling_coefficients(segments))
+    return History(segments)
 
 
 def test_grid_fills_the_triangle_in_place():
@@ -450,7 +450,7 @@ def test_grid_quantiles_match_np_quantile(size, seed, decade, levels):
     tri = (rng.lognormal(size=size) if levels is None
            else rng.integers(0, levels + 1, size=size).astype(float))
     tri *= 10.0 ** decade
-    history = History(*scaling_coefficients(np.ones((3, 4))))
+    history = History(np.ones((3, 4)))
     history.tri = tri.copy()
     got = default_bandwidth_grid(history)
     np.testing.assert_array_equal(got.view(np.int64), quantile_grid(tri).view(np.int64))
@@ -484,7 +484,7 @@ def test_grid_quantile_brackets_widen_until_they_hold_their_ranks():
 
 
 def test_history_config_mismatch_rejected():
-    history = History(*scaling_coefficients(np.ones((6, 8))))
+    history = History(np.ones((6, 8)))
     with pytest.raises(ConfigError):
         cv_bandwidth(history, [1.0], config=PipelineConfig(filter_id="dd2"))
     with pytest.raises(ConfigError):

@@ -114,20 +114,6 @@ class TestPredictCommand:
                    "--drop-remainder", "--output-dir", str(tmp_path / "o")])
         assert rc == 0
 
-    def test_cv_prepares_one_history(self, series_file, tmp_path, monkeypatch):
-        built = []
-        init = predictor.History.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(predictor.History, "__init__", counting_init)
-        rc = main(["predict", "--input", str(series_file), "--p", "12",
-                   "--cv-grid", "auto", "--output-dir", str(tmp_path / "o")])
-        assert rc == 0
-        assert len(built) == 1
-
     def test_overflowing_cv_scores_are_runtime_error(self, tmp_path):
         path = tmp_path / "big.csv"
         write_series(path, 1e160 * gen_synthetic("seasonal_ar", 20, 12, 0.3, seed=5))
@@ -263,6 +249,13 @@ class TestIntervalCommand:
         for r in rows:
             assert float(r["lower"]) <= float(r["upper"])
 
+    def test_small_b_warning_is_one_line(self, series_file, tmp_path, capsys):
+        rc = main(["interval", "--input", str(series_file), "--p", "12", "--h", "1.0",
+                   "--b", "1", "--output-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: B=1 draws resolve the 0.025 tail poorly (need B >= 1/alpha)\n")
+
 
 class TestEvalCommand:
     def test_holdout_scores(self, series_file, tmp_path):
@@ -395,20 +388,22 @@ def test_rolling_scores_match_rolling_eval(series_file, tmp_path, bandwidth):
 
 @pytest.mark.parametrize("bandwidth", sorted(BANDWIDTHS))
 def test_rolling_holdout_forecast_matches_plain_eval(series_file, tmp_path, bandwidth):
-    # the batch's last row is the holdout forecast of plain eval
+    # the batch's last row is the holdout forecast of plain eval, byte for byte
     tables = {}
     for flags in ([], ["--rolling"]):
         out = tmp_path / f"out{len(flags)}"
         assert main(["eval", "--input", str(series_file), "--p", "12",
                      "--output-dir", str(out), *BANDWIDTHS[bandwidth], *flags]) == 0
-        with (out / "prediction.csv").open() as fh:
-            tables[len(flags)] = np.array([float(r["predicted"])
-                                           for r in csv.DictReader(fh)])
-    assert tables[0].shape == (12,)
-    np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12)
+        tables[len(flags)] = (out / "prediction.csv").read_bytes()
+    assert len(tables[0].splitlines()) == 13  # a header and P = 12 rows
+    assert tables[1] == tables[0]
 
 
-def test_rolling_eval_is_one_causal_pass(series_file, tmp_path, monkeypatch):
+# the pass's (lo, hi) over the 29-block history: plain eval forecasts
+# origin 29 alone, the holdout, and --rolling origins 2..29
+@pytest.mark.parametrize("flags, origins", [([], (28, 29)), (["--rolling"], (1, 29))],
+                         ids=["plain", "rolling"])
+def test_eval_is_one_causal_pass(series_file, tmp_path, monkeypatch, flags, origins):
     passes = []
     forecasts = predictor.History.forecasts
 
@@ -423,8 +418,8 @@ def test_rolling_eval_is_one_causal_pass(series_file, tmp_path, monkeypatch):
     monkeypatch.setattr(predictor, "predict_one_ahead", no_call)
     monkeypatch.setattr(evaluation, "predict_one_ahead", no_call)
     assert main(["eval", "--input", str(series_file), "--p", "12", "--h", "1.0",
-                 "--rolling", "--output-dir", str(tmp_path / "out")]) == 0
-    assert passes == [(1, 29)]  # origins 2..29 of the 29-block history
+                 "--output-dir", str(tmp_path / "out"), *flags]) == 0
+    assert passes == [origins]
 
 
 @pytest.mark.parametrize("command, flags, header", [

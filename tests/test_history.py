@@ -20,7 +20,7 @@ from wavekernel import (
     pad_to_pow2,
     predict_one_ahead,
 )
-from wavekernel.predictor import _history, scaling_coefficients
+from wavekernel.predictor import History, scaling_coefficients
 
 
 class TestScalingCoefficients:
@@ -53,7 +53,7 @@ class TestHistoryInput:
         segments = np.random.default_rng(0).normal(size=(30, 12))
         kernel = KernelSpec("laplace", 0.8)
         want = predict_one_ahead(segments, kernel, self.config, weight_mode)
-        got = predict_one_ahead(_history(segments, self.config), kernel,
+        got = predict_one_ahead(History(segments, self.config), kernel,
                                 self.config, weight_mode)
         for field in ("xi_pred", "curve", "weights"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -62,14 +62,14 @@ class TestHistoryInput:
     def test_resample_weights_equals_array_input(self):
         segments = np.random.default_rng(1).normal(size=(30, 12))
         kernel = KernelSpec("gaussian", 1.3)
-        history = _history(segments, self.config)
+        history = History(segments, self.config)
         np.testing.assert_array_equal(
             predict_one_ahead(history, kernel, self.config).weights,
             predict_one_ahead(segments, kernel, self.config).weights)
 
     def test_coefficients_keep_padded_width(self):
         segments = np.random.default_rng(2).normal(size=(9, 12))
-        history = _history(segments, PipelineConfig())
+        history = History(segments, PipelineConfig())
         res = predict_one_ahead(history, KernelSpec("gaussian", 1.0), weight_mode="raw")
         assert res.xi_pred.size == 16
         # the padded columns repeat the forecast periodically

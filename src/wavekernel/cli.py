@@ -337,6 +337,13 @@ def _run_interval(cfg: RunConfig) -> None:
 
 def _run_eval(cfg: RunConfig) -> None:
     segments = _segments(cfg)
+    ext = None
+    if cfg.external_forecast:  # checked before any forecast work
+        ext = load_series(cfg.external_forecast)
+        if ext.size != cfg.p:
+            raise ConfigError(
+                f"external forecast has {ext.size} values, expected {cfg.p}"
+            )
     # the held-out block stays out of the one history, so CV never selects
     # h on it.  Both modes score one causal pass over that history, at
     # origins 2..n-1 with --rolling and the holdout origin alone without;
@@ -357,12 +364,7 @@ def _run_eval(cfg: RunConfig) -> None:
     else:
         holdout = {"segment_index": int(segments.shape[0]),
                    "wk_rmae": float(scores[0]), "naive_rmae": float(naive[0])}
-        if cfg.external_forecast:
-            ext = load_series(cfg.external_forecast)
-            if ext.size != cfg.p:
-                raise ConfigError(
-                    f"external forecast has {ext.size} values, expected {cfg.p}"
-                )
+        if ext is not None:
             holdout["external_rmae"] = evaluation.rmae(ext, truth)
     _write_run(cfg, segments, {"prediction.csv": _table({"predicted": pred}),
                                "plotdata.csv": _table({"truth": truth, "predicted": pred})},

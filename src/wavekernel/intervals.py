@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (_ALPHAS, _MIN_B, _SEEDS, ConfigError, InsufficientHistoryError,
                      ShapeError, _choice, _finite, _floats, _int, _real)
-from .predictor import PredictionResult, _segment_rows
+from .predictor import _SCRATCH, PredictionResult, _segment_rows
 
 __all__ = [
     "ResamplingPlan",
@@ -79,15 +79,27 @@ def _draw(plan: ResamplingPlan, m: int) -> np.ndarray:
     return rng.choice(m, size=plan.B, p=plan.weights)
 
 
-def _type1_quantiles(atoms, mass, thresholds, kind="stable") -> list:
+def _type1_quantiles(atoms, mass, thresholds, kind="stable", rows=slice(None)) -> list:
     """Per column, the smallest atom whose cumulative mass reaches each threshold.
 
-    ``atoms`` has one row per support point and ``mass`` one entry per row.
-    Equal atoms differ only in the sign of a tied zero, which a stable
-    ``kind`` of argsort takes from the first such row.
+    The support points are the rows ``atoms[rows]``, one ``mass`` entry
+    each.  Equal atoms differ only in the sign of a tied zero, which a
+    stable ``kind`` of argsort takes from the first such row.  Columns go
+    in chunks of about _SCRATCH support values (one chunk when few rows
+    are drawn), each read by index and sorted and summed on its own, so a
+    column sees the same operations in any chunk.
     """
+    step = max(1, _SCRATCH // mass.size)
+    chunks = [_chunk_quantiles(atoms[rows, c:c + step], mass, thresholds, kind)
+              for c in range(0, atoms.shape[1] or 1, step)]  # zero columns: one chunk
+    return [np.concatenate(q) for q in zip(*chunks)]
+
+
+def _chunk_quantiles(atoms, mass, thresholds, kind) -> list:
+    """:func:`_type1_quantiles` of every row of ``atoms`` at once."""
     order = np.argsort(atoms, axis=0, kind=kind)
-    cum = np.cumsum(mass[order], axis=0)
+    cum = mass[order]
+    np.cumsum(cum, axis=0, out=cum)
     cols = np.arange(atoms.shape[1])
     return [atoms[order[np.argmax(cum >= t, axis=0), cols], cols] for t in thresholds]
 
@@ -143,5 +155,6 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
         counts = np.bincount(_draw(plan, m))
         drawn = np.flatnonzero(counts)
         ranks = [min(max(math.ceil(q * plan.B), 1), plan.B) for q in qs]
-        lower, upper = _type1_quantiles(futures[drawn], counts[drawn], ranks, kind=None)
+        lower, upper = _type1_quantiles(futures, counts[drawn], ranks, kind=None,
+                                        rows=drawn)
     return PredictionInterval(lower=lower, upper=upper)

@@ -138,53 +138,66 @@ def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
     Returns ``(X, P)`` with X of shape (n, 2**J): each row is its segment
     extended periodically on the right to the next power of two, which
     under the interpolating convention are its scaling coefficients.
+    X is gathered column by column into column-major memory, the
+    scale-major layout :func:`~wavekernel.wavelet.forward_array` lifts in,
+    so it makes no transposed copy.  :class:`History` calls it once per
+    chunk of segments.
     """
     X = _segment_rows(segments)
     P = X.shape[1]
-    return X[:, np.arange(1 << (P - 1).bit_length()) % P], P
-
-
-def _scale_blocks(X: np.ndarray, config: PipelineConfig):
-    """Decompose rows of X and list the (weight, block) pairs entering D.
-
-    Blocks are scaled by 2**-e, e the exponent of their largest magnitude,
-    and each scale weight 2**-j takes 2**e back.  Both are exact powers of
-    two, so distances are bit-identical to unscaled arithmetic wherever
-    that is finite, and squares no longer overflow near 1e160.  Each block
-    is stored scale-major, shape (width, n), made by one ``np.ldexp`` of the
-    transpose, which also lifts all-subnormal blocks past 2**1023.  A
-    coefficient that overflowed in the transform, or a weight past the
-    largest double (a coefficient of 2**1023 or more at scale 0), raises
-    InvalidInputError.
-    """
-    rng = _scale_range(config.j0, config.scale_range, X.shape[-1].bit_length() - 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        coarse, details = forward_array(X, j0=config.j0, filter_id=config.filter_id)
-    blocks = [(j, details[j]) for j in range(rng.j_lo, rng.j_hi + 1)]
-    top = max(float(np.abs(b).max()) for _, b in blocks)
-    e = math.frexp(top)[1]
-    if not math.isfinite(top) or e - blocks[0][0] > 1023:
-        raise InvalidInputError(
-            f"wavelet coefficients of magnitude {top:.3g} are too large for doubles; "
-            "rescale the series")
-    return [(math.ldexp(1.0, e - j), np.ldexp(b.T, -e, out=np.empty(b.shape[::-1])))
-            for j, b in blocks]
+    return X.T[np.arange(1 << (P - 1).bit_length()) % P].T, P
 
 
 class History:
-    """``segments`` prepared once with ``config``: the padded rows ``X`` of
-    :func:`scaling_coefficients`, whose first ``P`` columns forecasts cover,
-    and their wavelet detail blocks.  ``tri`` keeps the distances of all
-    pairs m < q, row by row, once :func:`default_bandwidth_grid` built them."""
+    """``segments`` prepared once with ``config``: the checked (n, P) rows
+    ``segments`` (float input is kept, not copied, so it must not be written
+    while the History is in use) and their wavelet detail blocks.  ``tri``
+    keeps the distances of all pairs m < q, row by row, once
+    :func:`default_bandwidth_grid` built them.
+
+    The blocks are built chunk by chunk: each chunk of segments, padded
+    rows of about _SCRATCH doubles, goes through
+    :func:`scaling_coefficients` and :func:`~wavekernel.wavelet.forward_array`
+    once, and its details are copied straight into preallocated
+    scale-major (width, n) blocks.  The blocks are then scaled in place by
+    2**-e, e the exponent of their largest magnitude, and each scale
+    weight 2**-j takes 2**e back.  Both are exact powers of two, so
+    distances are bit-identical to unscaled arithmetic wherever that is
+    finite, and squares no longer overflow near 1e160; one ``np.ldexp``
+    also lifts all-subnormal blocks past 2**1023.  A coefficient that
+    overflowed in the transform, or a weight past the largest double (a
+    coefficient of 2**1023 or more at scale 0), raises InvalidInputError.
+    So beside its input a History holds only the blocks, and its build
+    one chunk's working set.
+    """
 
     def __init__(self, segments, config: PipelineConfig = PipelineConfig()):
-        self.X, self.P = scaling_coefficients(segments)
+        self.segments = _segment_rows(segments)
+        n, self.P = self.segments.shape
         self.config = config
-        self.blocks = _scale_blocks(self.X, config)
+        width = 1 << (self.P - 1).bit_length()  # of the padded rows
+        rng = _scale_range(config.j0, config.scale_range, width.bit_length() - 1)
+        blocks = {j: np.empty((1 << j, n)) for j in range(rng.j_lo, rng.j_hi + 1)}
+        top, step = 0.0, max(1, _SCRATCH // width)
+        for c0 in range(0, n, step):
+            chunk = scaling_coefficients(self.segments[c0:c0 + step])[0]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                details = forward_array(chunk, config.j0, config.filter_id)[1]
+            for j, block in blocks.items():
+                block[:, c0:c0 + step] = details[j].T  # scale-major as made
+                top = max(top, float(np.abs(details[j]).max()))
+            del chunk, details  # freed before the next chunk is made
+        e = math.frexp(top)[1]
+        if not math.isfinite(top) or e - rng.j_lo > 1023:
+            raise InvalidInputError(
+                f"wavelet coefficients of magnitude {top:.3g} are too large for doubles; "
+                "rescale the series")
+        self.blocks = [(math.ldexp(1.0, e - j), np.ldexp(b, -e, out=b))
+                       for j, b in blocks.items()]
         self.tri = None
 
     def __len__(self) -> int:
-        return self.X.shape[0]
+        return self.segments.shape[0]
 
     def _step(self, lo: int, hi: int, depth: int) -> int:
         """Rows per block of :meth:`rows`, from the budgets it describes."""
@@ -245,10 +258,10 @@ class History:
             yield r0, r1, D, causal
 
     def _centred_futures(self, m0: int, m1: int) -> np.ndarray:
-        """Rows m0..m1-1 of X[1:, :P] - X[1, :P], with a ones column."""
+        """Rows m0..m1-1 of segments[1:] - segments[1], with a ones column."""
         Z = np.empty((m1 - m0, self.P + 1))
         Z[:, self.P] = 1.0
-        np.subtract(self.X[m0 + 1:m1 + 1, :self.P], self.X[1, :self.P],
+        np.subtract(self.segments[m0 + 1:m1 + 1], self.segments[1],
                     out=Z[:, :self.P])
         return Z
 
@@ -263,14 +276,14 @@ class History:
         by a power of two) is made once for all h, and each h costs one
         multiply and one exp.  One GEMM takes E, and a row of ones over the
         q candidates, against the futures centred on the first,
-        Z = X[1:, :P] - X[1, :P], with a ones column: it gives E.Z, the
+        Z = segments[1:] - segments[1], with a ones column: it gives E.Z, the
         mass S = sum(E) and sum(Z[:q]).  Each mode is then an affine map
         per row, over d = c/(q+1) + S:
 
-            raw:        (E.Z + S X[1, :P]) / d
-            normalized: X[1, :P] + (E.Z + c/(q(q+1)) sum(Z[:q])) / d
+            raw:        (E.Z + S segments[1]) / d
+            normalized: segments[1] + (E.Z + c/(q(q+1)) sum(Z[:q])) / d
 
-        The normalized map is X[1, :P] + sum_m w_m Z_m with the weights of
+        The normalized map is segments[1] + sum_m w_m Z_m with the weights of
         normalized_weights, as they sum to 1: a single candidate row (Z = 0) is
         reproduced bit for bit, and a forecast is the convex combination of its
         reported weights up to rounding.  Z is made in pieces of about _PIECE
@@ -282,7 +295,7 @@ class History:
         G, P = hs.size, self.P
         groups = _rate_groups(hs, p, a)
         n, C = len(self), max(1, _PIECE // (P + 1))
-        fut0 = self.X[1, :P]
+        fut0 = self.segments[1]
         q = np.arange(lo, hi)[:, None]
         damp, share = c / (q + 1), c / (q * (q + 1))
         pieces = []  # Z in pieces of C rows, kept while a later block needs them
@@ -381,7 +394,7 @@ def predict_one_ahead(segments, kernel: KernelSpec,
     _, _, F, E = next(history.forecasts(
         np.array([kernel.bandwidth]), kernel.family, weight_mode, n - 1, n))
     # periodic padding of the P forecast columns, as in scaling_coefficients
-    xi = F[0, 0][np.arange(history.X.shape[1]) % history.P]
+    xi = F[0, 0][np.arange(1 << (history.P - 1).bit_length()) % history.P]
     k = E[0, 0] / _KERNELS[kernel.family][2]
     return PredictionResult(
         xi_pred=xi,
@@ -421,7 +434,7 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
         raise InsufficientHistoryError(f"cross-validation needs n >= 3, got {n}")
     sq_err = np.zeros(grid.size)
     for r0, r1, F, _ in history.forecasts(grid, kernel_family, weight_mode, 1, n - 1):
-        F -= history.X[r0 + 1:r1 + 1, :history.P]
+        F -= history.segments[r0 + 1:r1 + 1]
         with np.errstate(over="ignore"):  # checked below
             sq_err += np.mean(np.square(F, out=F), axis=-1).sum(axis=-1)
     cv_values = sq_err / (n - 2)

@@ -167,19 +167,20 @@ def _is_pow2(n: int) -> bool:
 
 
 def _predict_odds(s: np.ndarray, filter_id: str) -> np.ndarray:
-    """Interpolate the odd positions from coarse samples, periodically.
+    """Interpolate the odd positions from coarse samples, periodically along axis 0.
 
     Tap ``off`` reads s[k + off mod m] at position k: a slice of one
     periodic extension of s, which also covers m below the filter's reach.
+    The taps are summed in filter order from zero, one product at a time.
     """
     offsets, weights = FILTERS[filter_id]
-    m = s.shape[-1]
+    m = s.shape[0]
     lo, hi = int(offsets.min()), int(offsets.max())
-    ext = s[..., np.arange(lo, m + hi) % m]
-    out = np.zeros_like(s)
+    ext = s[np.arange(lo, m + hi) % m]
+    out, tap = np.zeros(s.shape), np.empty(s.shape)
     for off, w in zip(offsets, weights):
         a = int(off) - lo
-        out += w * ext[..., a:a + m]
+        out += np.multiply(ext[a:a + m], w, out=tap)
     return out
 
 
@@ -187,7 +188,12 @@ def forward_array(x: np.ndarray, j0: int = 0, filter_id: str = DEFAULT_FILTER):
     """Lifting decomposition of finite sample vectors (batched over leading axes).
 
     Returns ``(coarse, details)`` where ``details`` maps scale j to the
-    detail array for j = j0 .. J-1.  Operates along the last axis.
+    detail array for j = j0 .. J-1.  Operates along the last axis.  The
+    lifting runs scale-major, on the samples laid out (length, vectors),
+    so every step is one contiguous pass over all the vectors; that layout
+    is a transposed copy of x, or a view of column-major x such as
+    :func:`~wavekernel.predictor.scaling_coefficients` makes.  Each returned
+    array is a transposed view of a scale-major (width, vectors) one.
     """
     x = _floats(x, "x")
     if x.ndim == 0 or not _is_pow2(x.shape[-1]):
@@ -196,14 +202,15 @@ def forward_array(x: np.ndarray, j0: int = 0, filter_id: str = DEFAULT_FILTER):
     _choice(filter_id, "filter_id", FILTERS, error=ShapeError)
     J = x.shape[-1].bit_length() - 1
     _int(j0, "j0", 0, J, error=LevelError)
+    lead = x.shape[:-1]
     details: dict[int, np.ndarray] = {}
-    s = x
+    s = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
     for j in range(J - 1, j0 - 1, -1):
-        even = s[..., 0::2]
-        odd = s[..., 1::2]
-        details[j] = odd - _predict_odds(even, filter_id)
+        even = s[0::2]
+        d = _predict_odds(even, filter_id)
+        details[j] = np.subtract(s[1::2], d, out=d).T.reshape(lead + (1 << j,))
         s = even
-    return s, details
+    return s.T.reshape(lead + (1 << j0,)), details
 
 
 def pad_to_pow2(segment: Segment) -> Segment:

@@ -24,7 +24,7 @@ def inverse_array(coarse: np.ndarray, details: dict[int, np.ndarray],
             raise ShapeError(
                 f"detail scale {j} has {d.shape[-1]} entries, expected {s.shape[-1]}"
             )
-        odd = d + _predict_odds(s, filter_id)
+        odd = d + _predict_odds(s.T, filter_id).T
         out = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=float)
         out[..., 0::2] = s
         out[..., 1::2] = odd

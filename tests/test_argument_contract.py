@@ -104,7 +104,7 @@ CASES = [(entry, param) for entry, (_, valid) in ENTRIES.items() for param in va
 
 def is_finite(result) -> bool:
     if isinstance(result, History):
-        return is_finite((result.X, result.blocks))
+        return is_finite((result.segments, result.blocks))
     if dataclasses.is_dataclass(result):
         return all(is_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
     if isinstance(result, dict):

@@ -47,13 +47,18 @@ def query_distances(X, config, q):
     return next(History(X[:q + 1], config).rows(q, q + 1))[2][0]
 
 
-def loop_forecast(X, q, h, family, config, weight_mode):
-    """Forecast of row q+1 from rows 0..q with its kernel values."""
+def loop_forecast(X, q, h, family, config, weight_mode, origin=0.0):
+    """Forecast of row q+1 from rows 0..q, less ``origin``, with its kernel
+    values.  Each row is less ``origin`` before it is weighted, so with the
+    truth as origin the error is no difference of two values rounded at
+    the series' level."""
     with np.errstate(over="ignore"):  # d / h past the largest double: k = 0
         k = kernel_eval(KernelSpec(family, h), query_distances(X, config, q) / h)
+    rows = X[1:q + 1] - origin
     if weight_mode == "raw":
-        return (k @ X[1:q + 1]) / (1.0 / (q + 1) + float(k.sum())), k
-    return normalized_weights(k, q + 1) @ X[1:q + 1], k
+        # (k.X) / d - origin, with d = 1/(q+1) + sum(k)
+        return (k @ rows - origin / (q + 1)) / (1.0 / (q + 1) + float(k.sum())), k
+    return normalized_weights(k, q + 1) @ rows, k
 
 
 def loop_cv(segments, grid, family, config, weight_mode):
@@ -64,11 +69,24 @@ def loop_cv(segments, grid, family, config, weight_mode):
     for gi, h in enumerate(grid):
         errs = []
         for q in range(1, n - 1):
-            xi, _ = loop_forecast(X, q, h, family, config, weight_mode)
-            diff = xi[:P] - X[q + 1, :P]
+            diff = loop_forecast(X, q, h, family, config, weight_mode, X[q + 1])[0][:P]
             errs.append(float(np.mean(diff * diff)))
         cv[gi] = float(np.mean(errs))
     return cv
+
+
+def offset_draws():
+    """n = 4 blocks of P = 2, spread 1e-3 about a level of 5: a forecast
+    rounded at the level and then differenced from the truth scores CV with
+    about 1e-12 relative error."""
+    rng = np.random.default_rng(2019)
+    n = int(rng.integers(3, 8))
+    P = int(rng.integers(2, 5))
+    return rng.normal(size=(n, P)) * 1e-3 + 5.0
+
+
+OFFSET_CASE = (offset_draws(), PipelineConfig(filter_id="dd2"), [1.0],
+               {"family": "gaussian", "weight_mode": "normalized", "scratch": (1, 1)})
 
 
 @contextmanager
@@ -114,6 +132,7 @@ def cases(draw):
 @example((np.random.default_rng(0).normal(size=(3, 2)) * 10.0 ** -3 + 5.0,
           PipelineConfig(filter_id="dd2"), [1.0],
           {"family": "gaussian", "weight_mode": "normalized", "scratch": (1, 1)}))
+@example(OFFSET_CASE)
 def test_cv_matches_per_cut_loop(case):
     # on raw segments, and on a History whose triangle the grid built (the
     # CLI's path), where blocks are sized by the kernel stack alone
@@ -131,6 +150,7 @@ def test_cv_matches_per_cut_loop(case):
 
 @settings(max_examples=100, deadline=None)
 @given(cases(), st.sampled_from([1, 7, predictor._PIECE]))
+@example(OFFSET_CASE, 1)
 def test_predict_and_cv_share_one_forecast(case, piece):
     # with one bandwidth and one row per block, CV's forecast of cut q and
     # predict on rows 0..q make the same calls on the same values, for
@@ -230,6 +250,52 @@ def test_predict_curve_is_the_causal_pass_forecast(case):
     assert curve.tobytes() == F[0, 0].tobytes()
     if mode == "normalized":
         assert curve.tobytes() == wk_method(kernel, config).batch(segments, n)[-1].tobytes()
+
+
+# n = 40 blocks padded to 32: chunks of 6 blocks at _SCRATCH = 200, the last of 4
+@settings(max_examples=100, deadline=None)
+@given(cases())
+@example((np.random.default_rng(1).normal(size=(40, 20)), PipelineConfig(), [1.0],
+          {"family": "gaussian", "weight_mode": "raw", "scratch": (200, 200)}))
+def test_chunked_blocks_equal_a_one_chunk_build(case):
+    # each chunk of blocks is padded and transformed on its own, one traced
+    # call each, and lands in the same bits as a build of all blocks at once
+    segments, config, _, opts = case
+    scratch = opts["scratch"][0]
+    with mock.patch.object(predictor, "_SCRATCH", 1 << 40):
+        whole = History(segments, config)
+    width = 1 << (segments.shape[1] - 1).bit_length()
+    chunks = -(-len(segments) // max(1, scratch // width))
+    with mock.patch.object(predictor, "_SCRATCH", scratch), \
+            mock.patch.object(predictor, "scaling_coefficients",
+                              wraps=scaling_coefficients) as pad, \
+            mock.patch.object(predictor, "forward_array",
+                              wraps=predictor.forward_array) as lift:
+        chunked = History(segments, config)
+    assert pad.call_count == lift.call_count == chunks
+    assert [w for w, _ in chunked.blocks] == [w for w, _ in whole.blocks]
+    for (_, got), (_, want) in zip(chunked.blocks, whole.blocks):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.shares_memory(chunked.segments, segments)  # the rows, not a copy
+
+
+def test_history_build_holds_the_blocks_and_one_chunk():
+    # n = 2000 blocks of P = 96, padded to 128: 1.94 MiB of blocks.  Beside
+    # them the build holds one chunk's padded rows (_SCRATCH doubles) and the
+    # finest level's periodic extension, prediction and tap product, about
+    # 2.6 chunks (3.23 MiB in all on numpy 2.4); the bound allows four.  A
+    # padded copy of every block, full-size transform temporaries and a
+    # transposed copy of each scale read 5.83 MiB
+    segments = np.random.default_rng(4).normal(size=(2000, 96))
+    tracemalloc.start()
+    try:
+        history = History(segments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = sum(b.nbytes for _, b in history.blocks)
+    assert blocks == 127 * 2000 * 8
+    assert peak < blocks + 4 * predictor._SCRATCH * 8
 
 
 def test_rolling_eval_uses_batch_with_same_scores():
@@ -361,7 +427,7 @@ def test_offset_history_distances_bit_identical(scratch):
     offset = 0
     for r0, r1, D, _ in blocks:
         for q in range(r0, r1):
-            want = query_distances(history.X, history.config, q)
+            want = query_distances(history.segments, history.config, q)
             np.testing.assert_array_equal(D[q - r0, :q], want)
             np.testing.assert_array_equal(tri[offset:offset + q], want)
             offset += q

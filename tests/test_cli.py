@@ -297,6 +297,23 @@ class TestEvalCommand:
         assert rc == 2
         assert "external forecast has 11 values, expected 12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values, code", [(11, 2), (None, 1)])
+    def test_external_forecast_checked_before_any_forecast(self, series_file, tmp_path,
+                                                           monkeypatch, values, code):
+        # a file of the wrong length (config error) or a missing file (runtime
+        # error) exits before the history, grid, CV and causal pass
+        ext = tmp_path / "ext.csv"
+        if values is not None:
+            write_series(ext, load_series(series_file)[-values:])
+        calls = []
+        forecasts = predictor.History.forecasts
+        monkeypatch.setattr(predictor.History, "forecasts",
+                            lambda self, *a: calls.append(a) or forecasts(self, *a))
+        rc = main(["eval", "--input", str(series_file), "--p", "12", "--cv-grid", "auto",
+                   "--external-forecast", str(ext),
+                   "--output-dir", str(tmp_path / "out")])
+        assert (rc, calls) == (code, [])
+
     def test_rolling_summary(self, series_file, tmp_path):
         out = tmp_path / "out"
         rc = main(["eval", "--input", str(series_file), "--p", "12",

@@ -1,11 +1,10 @@
 """Command-line interface: data loading, configuration and batch runs.
 
-Subcommands
------------
-predict   one-step-ahead point forecast of the next segment
-cv        bandwidth selection table by time-series cross-validation
-interval  point forecast plus resampling prediction interval
-eval      holdout / rolling scoring against the naive seasonal baseline
+One parser reads the command (``wavekernel --help`` lists the four) and
+every flag, each declared once; it only splits argv and converts types.
+The flags given, over the values of a ``--config`` file, make one
+:class:`RunConfig`, whose checks are the one rule set of every flag, run
+before the input is read.
 
 ``predict``, ``interval`` and ``eval`` write a prediction CSV, a plot-data
 CSV and a JSON summary echoing the full configuration (sufficient to
@@ -47,7 +46,8 @@ _TYPES = {"int": (int,), "float": (float, int), "str": (str,), "bool": (bool,)}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to replay a run."""
+    """Everything needed to replay a run.  Every value is checked here, from
+    argv or ``--config`` alike, before any input is read."""
 
     command: str
     input: str
@@ -72,8 +72,13 @@ class RunConfig:
             kind, _, optional = f.type.partition(" | ")
             if not (value is None and optional or type(value) in _TYPES[kind]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        _choice(self.command, "command", _RUNNERS)
+        if self.command != "eval" and (self.rolling or self.external_forecast is not None):
+            flag = "--rolling" if self.rolling else "--external-forecast"
+            raise ConfigError(f"{flag} applies to eval only, not to {self.command}")
         _int(self.p, "--p", _MIN_P)
         _choice(self.filter_id, "--filter", FILTERS)
+        _choice(self.kernel, "--kernel", predictor._KERNELS)
         _real(self.alpha, "--alpha", *_ALPHAS)
         _int(self.b, "--b", _MIN_B)
         _int(self.seed, "--seed", *_SEEDS)
@@ -380,65 +385,60 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser, which splits argv and converts types; a flag left out is absent."""
     parser = argparse.ArgumentParser(
-        prog="wavekernel",
-        description="Wavelet-kernel one-step-ahead forecasting of segmented series.",
-    )
-    # the flags every subcommand takes, declared once
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with defaults for any flag")
-    common.add_argument("--input", help="CSV series, one value per row")
-    common.add_argument("--output-dir", default=None)
-    common.add_argument("--p", type=int, help="segment length")
-    common.add_argument("--filter", dest="filter_id", choices=sorted(FILTERS),
-                        default=None)
-    common.add_argument("--j0", type=int, default=None)
-    common.add_argument("--kernel", choices=sorted(predictor._KERNELS), default=None)
-    common.add_argument("--h", dest="bandwidth", type=float, default=None)
-    common.add_argument("--cv-grid", default=None, metavar="LO:HI:COUNT|auto")
-    common.add_argument("--alpha", type=float, default=None)
-    common.add_argument("--b", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--scales", default=None, metavar="LO:HI")
-    common.add_argument("--drop-remainder", action="store_true", default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("predict", "point forecast of the next segment"),
-        ("cv", "cross-validation bandwidth table"),
-        ("interval", "forecast with resampling prediction interval"),
-        ("eval", "holdout / rolling evaluation"),
-    ]:
-        sp = sub.add_parser(name, help=help_text, parents=[common])
-        if name == "eval":
-            sp.add_argument("--rolling", action="store_true", default=None)
-            sp.add_argument("--external-forecast", default=None)
+        prog="wavekernel", argument_default=argparse.SUPPRESS,
+        description="Wavelet-kernel one-step-ahead forecasting of segmented series. "
+                    "Commands: predict, point forecast of the next segment; cv, "
+                    "cross-validation bandwidth table; interval, forecast with "
+                    "resampling prediction interval; eval, holdout / rolling evaluation.")
+
+    def one_of(names):  # argparse's spelling of a choice list
+        return "{" + ",".join(names) + "}"
+
+    parser.add_argument("command", metavar=one_of(_RUNNERS))
+    parser.add_argument("--config", help="JSON file with defaults for any flag")
+    parser.add_argument("--input", help="CSV series, one value per row")
+    parser.add_argument("--output-dir")
+    parser.add_argument("--p", type=int, help="segment length")
+    parser.add_argument("--filter", dest="filter_id", metavar=one_of(sorted(FILTERS)))
+    parser.add_argument("--j0", type=int)
+    parser.add_argument("--kernel", metavar=one_of(sorted(predictor._KERNELS)))
+    parser.add_argument("--h", dest="bandwidth", type=float)
+    parser.add_argument("--cv-grid", metavar="LO:HI:COUNT|auto")
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--b", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--scales", metavar="LO:HI")
+    parser.add_argument("--drop-remainder", action="store_true")
+    parser.add_argument("--rolling", action="store_true", help="eval only")
+    parser.add_argument("--external-forecast", help="eval only")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    names = {f.name for f in fields(RunConfig)}
+    """The ``--config`` file's values, overridden by the flags given."""
+    given = vars(args)
+    config = given.pop("config", None)
     merged: dict = {}
-    if args.config:
-        path = Path(args.config)
+    if config:
+        path = Path(config)
         try:
             loaded = json.loads(path.read_text())
         except (OSError, ValueError) as exc:  # unreadable, not text, or not JSON
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        unknown = set(loaded) - names
+        unknown = set(loaded) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
+    merged.update(given)
     if not merged.get("input"):
         raise ConfigError("--input is required")
     if merged.get("p") is None:
         raise ConfigError("--p is required")
-    if args.command == "cv":
+    if merged["command"] == "cv":
         merged.setdefault("cv_grid", "auto")
     elif merged.get("bandwidth") is None and merged.get("cv_grid") is None:
         raise ConfigError("pass exactly one of --h and --cv-grid (or --cv-grid auto)")
@@ -447,9 +447,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        _RUNNERS[args.command](_config_from_args(args))
+        cfg = _config_from_args(parser.parse_args(argv))
+        _RUNNERS[cfg.command](cfg)
         return 0
     except (ConfigError, LevelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

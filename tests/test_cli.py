@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -500,6 +501,9 @@ class TestConfigFile:
     (["predict", "--h", "1", "--j0", "5"], "got j0=5"),  # P=12 pads to 16: J = 4
     (["predict", "--h", "1", "--j0", "-1"], "got j0=-1"),
     (["predict", "--h", "1", "--scales", "0:9"], "outside pyramid scales [0, 3]"),
+    (["predict", "--h", "1", "--filter", "db4"], "unknown --filter 'db4'"),
+    (["cv", "--kernel", "cosine"], "unknown --kernel 'cosine'"),
+    (["interval", "--h", "1", "--rolling"], "--rolling applies to eval only"),
 ])
 def test_bad_flags_are_config_errors(tmp_path, capsys, flags, message):
     rc = main([*flags, "--input", str(tmp_path / "nope.csv"), "--p", "12",
@@ -514,6 +518,9 @@ def test_bad_flags_are_config_errors(tmp_path, capsys, flags, message):
     ["predict", "--h", "nan"],
     ["predict", "--h", "1", "--j0", "5"],
     ["predict", "--h", "1", "--scales", "0:9"],
+    ["predict", "--h", "1", "--filter", "db4"],
+    ["cv", "--kernel", "cosine"],
+    ["interval", "--h", "1", "--external-forecast", "x.csv"],
 ])
 def test_bad_flags_rejected_before_input_is_read(series_file, tmp_path, monkeypatch,
                                                  flags):
@@ -538,41 +545,85 @@ def test_config_value_of_wrong_type_rejected(series_file, tmp_path, capsys, key,
     assert f"{key} must be" in capsys.readouterr().err
 
 
-
-# each flag every subcommand takes: (argument, namespace field, parsed value)
+# each flag every command takes: (argument, value, RunConfig field, parsed
+# value); cv takes no --h, so the two bandwidth flags are pinned apart
 SHARED_FLAGS = [
-    ("--config", "c.json", "config", "c.json"),
     ("--input", "x.csv", "input", "x.csv"),
     ("--output-dir", "o", "output_dir", "o"),
     ("--p", "12", "p", 12),
     ("--filter", "dd2", "filter_id", "dd2"),
     ("--j0", "1", "j0", 1),
     ("--kernel", "laplace", "kernel", "laplace"),
-    ("--h", "0.5", "bandwidth", 0.5),
-    ("--cv-grid", "1:2:3", "cv_grid", "1:2:3"),
     ("--alpha", "0.1", "alpha", 0.1),
     ("--b", "7", "b", 7),
     ("--seed", "3", "seed", 3),
-    ("--scales", "0:1", "scales", "0:1"),
+    ("--scales", "1:2", "scales", "1:2"),
     ("--drop-remainder", None, "drop_remainder", True),
 ]
+BANDWIDTH_FLAGS = [("--h", "0.5", "bandwidth", 0.5),
+                   ("--cv-grid", "1:2:3", "cv_grid", "1:2:3")]
 
 
 @pytest.mark.parametrize("command", ["predict", "cv", "interval", "eval"])
-def test_every_subcommand_takes_the_shared_flags(command):
-    argv = [command]
-    for flag, arg, _, _ in SHARED_FLAGS:
-        argv += [flag] if arg is None else [flag, arg]
-    args = vars(cli._build_parser().parse_args(argv))
-    assert args == {"command": command,
-                     **{dest: value for _, _, dest, value in SHARED_FLAGS},
-                     **({"rolling": None, "external_forecast": None}
-                        if command == "eval" else {})}
+def test_every_subcommand_takes_the_shared_flags(command, tmp_path, monkeypatch):
+    # main reads each shared flag into the same RunConfig field on every
+    # command, from argv and from --config alike
+    runs = []
+    monkeypatch.setitem(cli._RUNNERS, command, runs.append)
+    cfg = tmp_path / "c.json"
+    for bandwidth in BANDWIDTH_FLAGS[command == "cv":]:
+        flags = SHARED_FLAGS + [bandwidth]
+        argv = [command]
+        for flag, arg, _, _ in flags:
+            argv += [flag] if arg is None else [flag, arg]
+        values = {field: value for _, _, field, value in flags}
+        cfg.write_text(json.dumps(values))
+        assert main(argv) == 0
+        assert main([command, "--config", str(cfg)]) == 0
+        want = {"command": command, "bandwidth": None, "cv_grid": None,
+                "rolling": False, "external_forecast": None, **values}
+        assert [asdict(run) for run in runs[-2:]] == [want, want]
 
 
 @pytest.mark.parametrize("command", ["predict", "cv", "interval"])
-def test_only_eval_takes_rolling(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli._build_parser().parse_args([command, "--rolling"])
-    assert exc.value.code == 2
-    assert "--rolling" in capsys.readouterr().err
+def test_only_eval_takes_rolling(command, series_file, tmp_path, capsys):
+    # an eval-only flag on another command is one error line naming it
+    bandwidth = [] if command == "cv" else ["--h", "1.0"]
+    for flags in (["--rolling"], ["--external-forecast", str(series_file)]):
+        rc = main([command, "--input", str(series_file), "--p", "12", *bandwidth,
+                   "--output-dir", str(tmp_path / "o"), *flags])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert (rc, len(errors)) == (2, 1)
+        assert flags[0] in errors[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["rolling", "external_forecast"])
+@pytest.mark.parametrize("command", ["predict", "cv", "interval"])
+def test_eval_only_config_keys_rejected_before_input_is_read(
+        series_file, tmp_path, monkeypatch, capsys, command, key):
+    def no_read(path):
+        raise AssertionError(f"input {path} read before the config was checked")
+
+    monkeypatch.setattr(cli, "load_series", no_read)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: True if key == "rolling"
+                               else str(tmp_path / "missing.csv")}))
+    bandwidth = [] if command == "cv" else ["--h", "1.0"]
+    rc = main([command, "--config", str(cfg), "--input", str(series_file), "--p", "12",
+               *bandwidth, "--output-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert (rc, sum("error:" in line for line in err.splitlines())) == (2, 1), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "cv", "interval", "eval"])
+def test_unknown_kernel_in_config_rejected_before_history(series_file, tmp_path,
+                                                          histories, capsys, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kernel": "bogus"}))
+    rc = main([command, "--config", str(cfg), "--input", str(series_file), "--p", "12",
+               "--cv-grid", "auto", "--output-dir", str(tmp_path / "o")])
+    assert (rc, histories) == (2, [])
+    assert "unknown --kernel 'bogus'" in capsys.readouterr().err

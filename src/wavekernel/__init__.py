@@ -16,15 +16,17 @@ from .intervals import (
     weighted_quantile,
 )
 from .predictor import (
+    History,
     KernelSpec,
     PipelineConfig,
     PredictionResult,
+    ScaleRange,
     cv_bandwidth,
     default_bandwidth_grid,
     kernel_eval,
     predict_one_ahead,
 )
-from .similarity import ScaleRange, combined_distance, scale_distance
+from .similarity import combined_distance, scale_distance
 from .wavelet import (
     DEFAULT_FILTER,
     FILTERS,
@@ -51,6 +53,7 @@ __all__ = [
     "ResamplingPlan",
     "prediction_interval",
     "weighted_quantile",
+    "History",
     "KernelSpec",
     "PipelineConfig",
     "PredictionResult",

@@ -29,8 +29,7 @@ import numpy as np
 from . import evaluation, intervals, predictor
 from .errors import (_ALPHAS, _MIN_B, _MIN_P, _SEEDS, ConfigError, InvalidInputError,
                      LevelError, WavekernelError, _choice, _int, _real)
-from .predictor import KernelSpec, PipelineConfig
-from .similarity import ScaleRange, _scale_range
+from .predictor import KernelSpec, PipelineConfig, ScaleRange, _scale_range
 from .wavelet import FILTERS, DEFAULT_FILTER
 
 __all__ = ["RunConfig", "load_series", "write_series", "main"]
@@ -50,9 +49,9 @@ class RunConfig:
     argv or ``--config`` alike, before any input is read."""
 
     command: str
-    input: str
+    input: str | None = None
     output_dir: str = "."
-    p: int = 0
+    p: int | None = None
     filter_id: str = DEFAULT_FILTER
     j0: int = 0
     kernel: str = "gaussian"
@@ -67,6 +66,10 @@ class RunConfig:
     external_forecast: str | None = None
 
     def __post_init__(self):
+        if not self.input:
+            raise ConfigError("--input is required")
+        if self.p is None:
+            raise ConfigError("--p is required")
         for f in fields(self):
             value = getattr(self, f.name)
             kind, _, optional = f.type.partition(" | ")
@@ -86,6 +89,8 @@ class RunConfig:
             raise ConfigError("cv takes --cv-grid (or its auto default), not --h")
         if self.bandwidth is not None and self.cv_grid is not None:
             raise ConfigError("pass exactly one of --h and --cv-grid, not both")
+        if self.command != "cv" and self.bandwidth is None and self.cv_grid is None:
+            raise ConfigError("pass exactly one of --h and --cv-grid (or --cv-grid auto)")
         if self.rolling and self.external_forecast is not None:
             raise ConfigError("--external-forecast scores the holdout; "
                               "it cannot be combined with --rolling")
@@ -352,12 +357,19 @@ def _run_eval(cfg: RunConfig) -> None:
     # the held-out block stays out of the one history, so CV never selects
     # h on it.  Both modes score one causal pass over that history, at
     # origins 2..n-1 with --rolling and the holdout origin alone without;
-    # its last row is the holdout forecast
+    # its last row is the holdout forecast.  A zero in a scored block is
+    # caught before any forecast work
+    start = 2 if cfg.rolling else max(segments.shape[0] - 1, 2)
+    scored = segments[start:]
+    zeros = np.argwhere(scored == 0)
+    if zeros.size:
+        i, j = zeros[0] + 1
+        raise InvalidInputError(f"input segment {start + i} has a zero at point {j} "
+                                f"of {cfg.p}; its relative error is undefined")
     history = predictor.History(segments[:-1], cfg.pipeline())
     h, cv = _bandwidth(cfg, history)
-    start = 2 if cfg.rolling else max(len(history), 2)
     preds = evaluation.wk_method(KernelSpec(cfg.kernel, h)).batch(history, start)
-    scores = evaluation.rmae(preds, segments[start:])
+    scores = evaluation.rmae(preds, scored)
     naive = evaluation.rolling_eval(segments, cfg.p, evaluation.naive_seasonal, start)
     pred, truth = preds[-1], segments[-1]
     holdout = rolling = None
@@ -434,14 +446,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
     merged.update(given)
-    if not merged.get("input"):
-        raise ConfigError("--input is required")
-    if merged.get("p") is None:
-        raise ConfigError("--p is required")
     if merged["command"] == "cv":
         merged.setdefault("cv_grid", "auto")
-    elif merged.get("bandwidth") is None and merged.get("cv_grid") is None:
-        raise ConfigError("pass exactly one of --h and --cv-grid (or --cv-grid auto)")
     return RunConfig(**merged)
 
 

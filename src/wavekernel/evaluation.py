@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import (_MIN_P, _SEEDS, ConfigError, InsufficientHistoryError,
                      InvalidInputError, _choice, _finite, _floats, _int, _real)
-from .predictor import KernelSpec, PipelineConfig, _history, predict_one_ahead
+from .predictor import KernelSpec, _history, predict_one_ahead
 
 __all__ = [
     "rmae",
@@ -98,23 +98,23 @@ def _naive_batch(segments, start):
 naive_seasonal.batch = _naive_batch
 
 
-def wk_method(kernel: KernelSpec, config: PipelineConfig | None = None):
+def wk_method(kernel: KernelSpec):
     """Wrap the wavelet-kernel predictor as a rolling-eval method.
 
     ``method.batch(segments, start)`` returns the forecasts at origins
     start..n, each of the block after the first ``origin`` segments, in
     one causal pass of the predictor instead of one fit per origin.  Its
     last row forecasts the block after the final segment, which is
-    ``method(segments)``.  ``segments`` and ``config`` are as in
-    :func:`predict_one_ahead`.
+    ``method(segments)``.  ``segments`` is as in :func:`predict_one_ahead`:
+    a :class:`~wavekernel.predictor.History` sets the pipeline config.
     """
 
     def method(history):
-        return predict_one_ahead(history, kernel, config=config).curve
+        return predict_one_ahead(history, kernel).curve
 
     def batch(segments, start):
         _int(start, "start", 2, error=InsufficientHistoryError)
-        history = _history(segments, config)
+        history = _history(segments)
         n = len(history)
         if n < start:
             raise InsufficientHistoryError(f"need at least {start} segments, got {n}")

@@ -18,13 +18,13 @@ import numpy as np
 
 from .errors import (ConfigError, InsufficientHistoryError, InvalidInputError, LevelError,
                      ShapeError, _choice, _finite, _floats, _int, _real)
-from .similarity import ScaleRange, _scale_range
 from .wavelet import DEFAULT_FILTER, FILTERS, forward_array
 
 __all__ = [
     "KernelSpec",
     "PipelineConfig",
     "PredictionResult",
+    "ScaleRange",
     "kernel_eval",
     "normalized_weights",
     "predict_one_ahead",
@@ -76,8 +76,36 @@ def kernel_eval(spec: KernelSpec, u) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ScaleRange:
+    """Inclusive bounds on the detail scales entering the combined distance."""
+
+    j_lo: int
+    j_hi: int
+
+    def __post_init__(self):
+        _int(self.j_lo, "j_lo", 0, error=LevelError)
+        _int(self.j_hi, "j_hi", 0, error=LevelError)
+        if self.j_lo > self.j_hi:
+            raise LevelError(f"need j_lo <= j_hi, got [{self.j_lo}, {self.j_hi}]")
+
+
+def _scale_range(j0: int, scale_range: ScaleRange | None, J: int) -> ScaleRange:
+    """The detail scales entering the distance for a pyramid of J levels:
+    those of ``scale_range`` (by default all), each within [j0, J-1]."""
+    if not 0 <= j0 < J:
+        raise LevelError(f"need 0 <= j0 < J = {J}, got j0={j0}")
+    rng = scale_range or ScaleRange(j0, J - 1)
+    if rng.j_lo < j0 or rng.j_hi > J - 1:
+        raise LevelError(
+            f"scale range [{rng.j_lo}, {rng.j_hi}] outside pyramid "
+            f"scales [{j0}, {J - 1}]"
+        )
+    return rng
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Wavelet and similarity settings shared across the pipeline."""
+    """Wavelet and similarity settings of a :class:`History`, set nowhere else."""
 
     filter_id: str = DEFAULT_FILTER
     j0: int = 0
@@ -90,9 +118,8 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """Predicted scaling coefficients and the forecast curve they start with."""
+    """The forecast curve, its resampling weights and the kernel mass."""
 
-    xi_pred: np.ndarray
     curve: np.ndarray
     weights: np.ndarray
     h_used: float
@@ -355,28 +382,21 @@ def _rate_groups(hs: np.ndarray, p: int, a: float):
     return groups
 
 
-def _history(segments, config: PipelineConfig | None) -> History:
-    """A History, which passes through, or segments prepared with ``config``.
-    None is the History's own config, or the default for segments."""
-    if not isinstance(segments, History):
-        return History(segments, PipelineConfig() if config is None else config)
-    if config is not None and config != segments.config:
-        raise ConfigError("history was prepared with another pipeline config")
-    return segments
+def _history(segments) -> History:
+    """A History, which passes through, or segments prepared with the default config."""
+    return segments if isinstance(segments, History) else History(segments)
 
 
 def predict_one_ahead(segments, kernel: KernelSpec,
-                      config: PipelineConfig | None = None,
                       weight_mode: str = "normalized") -> PredictionResult:
     """Forecast the segment after the last of ``segments``.
 
     ``segments`` is a matrix (or sequence) of n >= 2 equal-length
-    vectors, row n being the current segment, or a :class:`History`.
-    ``config`` None means the History's own, or the default for segments;
-    a config other than the History's is a ConfigError.  ``curve`` is the
-    forecast of the causal pass (:meth:`History.forecasts`), whose values
-    under the interpolating convention are its scaling coefficients;
-    ``xi_pred`` holds them padded.
+    vectors, row n being the current segment, prepared with the default
+    :class:`PipelineConfig`, or a :class:`History`, which carries its own.
+    ``curve`` is the forecast of the causal pass (:meth:`History.forecasts`),
+    whose values under the interpolating convention are its scaling
+    coefficients.
 
     ``weight_mode`` selects the weighting of the observed next-segments:
     "normalized" (the default) uses the resampling weights of
@@ -387,17 +407,14 @@ def predict_one_ahead(segments, kernel: KernelSpec,
     prediction tends to zero, but the denominator never drops below 1/n).
     """
     _choice(weight_mode, "weight_mode", _WEIGHT_MODES)
-    history = _history(segments, config)
+    history = _history(segments)
     n = len(history)
     if n < 2:
         raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
     _, _, F, E = next(history.forecasts(
         np.array([kernel.bandwidth]), kernel.family, weight_mode, n - 1, n))
-    # periodic padding of the P forecast columns, as in scaling_coefficients
-    xi = F[0, 0][np.arange(1 << (history.P - 1).bit_length()) % history.P]
     k = E[0, 0] / _KERNELS[kernel.family][2]
     return PredictionResult(
-        xi_pred=xi,
         curve=F[0, 0],
         weights=normalized_weights(k, n),
         h_used=kernel.bandwidth,
@@ -406,7 +423,6 @@ def predict_one_ahead(segments, kernel: KernelSpec,
 
 
 def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
-                 config: PipelineConfig | None = None,
                  weight_mode: str = "normalized") -> tuple[float, np.ndarray]:
     """Bandwidth selection by leave-one-out cross-validation for time series.
 
@@ -418,8 +434,8 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     least one candidate pair, and the smallest h attaining the minimum
     is returned.
 
-    ``segments`` and ``config`` are as in :func:`predict_one_ahead`.
-    All h share one pass over row blocks of the distance matrix.
+    ``segments`` is as in :func:`predict_one_ahead`.  All h share one pass
+    over row blocks of the distance matrix.
     """
     grid = _floats(grid, "bandwidth grid", error=ConfigError)
     if grid.ndim != 1 or grid.size == 0:
@@ -428,7 +444,7 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
         raise ConfigError("bandwidth grid must be positive and finite")
     _choice(kernel_family, "kernel family", _KERNELS)
     _choice(weight_mode, "weight_mode", _WEIGHT_MODES)
-    history = _history(segments, config)
+    history = _history(segments)
     n = len(history)
     if n < 3:
         raise InsufficientHistoryError(f"cross-validation needs n >= 3, got {n}")
@@ -485,15 +501,14 @@ def _quantiles(tri: np.ndarray, qs) -> list[float]:
     return [select(q) for q in qs]
 
 
-def default_bandwidth_grid(segments, config: PipelineConfig | None = None,
-                           count: int = 32) -> np.ndarray:
+def default_bandwidth_grid(segments, count: int = 32) -> np.ndarray:
     """Log-spaced grid spanning the 1%..99% quantiles of pairwise distances.
 
-    A :class:`History` passed as ``segments`` keeps them for CV;
-    ``config`` is as in :func:`predict_one_ahead`.
+    ``segments`` is as in :func:`predict_one_ahead`; a :class:`History`
+    keeps the distances for CV.
     """
     _int(count, "grid count", 1)
-    history = _history(segments, config)
+    history = _history(segments)
     if history.tri is None:
         n = len(history)
         tri = np.empty(n * (n - 1) // 2)

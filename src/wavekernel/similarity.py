@@ -1,4 +1,4 @@
-"""Multiscale discrepancy between wavelet pyramids.
+"""Multiscale discrepancy between wavelet pyramids, the oracle of ``History.rows``.
 
 Per scale j the discrepancy is the Euclidean norm of the detail
 coefficient differences; scales are combined with geometric weights
@@ -10,42 +10,14 @@ reproduces constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelError, ShapeError, _finite, _floats, _int
+from .errors import ShapeError, _finite, _floats
+from .predictor import ScaleRange, _scale_range
 from .wavelet import WaveletPyramid
 
-__all__ = ["ScaleRange", "scale_distance", "combined_distance"]
-
-
-@dataclass(frozen=True)
-class ScaleRange:
-    """Inclusive bounds on the detail scales entering the combined distance."""
-
-    j_lo: int
-    j_hi: int
-
-    def __post_init__(self):
-        _int(self.j_lo, "j_lo", 0, error=LevelError)
-        _int(self.j_hi, "j_hi", 0, error=LevelError)
-        if self.j_lo > self.j_hi:
-            raise LevelError(f"need j_lo <= j_hi, got [{self.j_lo}, {self.j_hi}]")
-
-
-def _scale_range(j0: int, scale_range: ScaleRange | None, J: int) -> ScaleRange:
-    """The detail scales entering the distance for a pyramid of J levels:
-    those of ``scale_range`` (by default all), each within [j0, J-1]."""
-    if not 0 <= j0 < J:
-        raise LevelError(f"need 0 <= j0 < J = {J}, got j0={j0}")
-    rng = scale_range or ScaleRange(j0, J - 1)
-    if rng.j_lo < j0 or rng.j_hi > J - 1:
-        raise LevelError(
-            f"scale range [{rng.j_lo}, {rng.j_hi}] outside pyramid "
-            f"scales [{j0}, {J - 1}]"
-        )
-    return rng
+__all__ = ["scale_distance", "combined_distance"]
 
 
 def scale_distance(a: np.ndarray, b: np.ndarray) -> float:

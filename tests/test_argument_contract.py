@@ -181,22 +181,6 @@ def test_non_finite_element_gives_finite_values_or_typed_error(case, bad, index)
     check(entry, param, value)
 
 
-def test_prepared_history_config_is_the_default():
-    # config left out means the History's own: the same grid, CV values and
-    # forecasts as with it passed, and other than the default config's
-    config = wk.PipelineConfig(filter_id="dd6")
-    history = History(SEGS, config)
-    grid = wk.default_bandwidth_grid(history)
-    np.testing.assert_array_equal(grid, wk.default_bandwidth_grid(SEGS, config))
-    assert not np.array_equal(grid, wk.default_bandwidth_grid(SEGS))
-    np.testing.assert_array_equal(wk.cv_bandwidth(history, grid)[1],
-                                  wk.cv_bandwidth(SEGS, grid, config=config)[1])
-    np.testing.assert_array_equal(wk.predict_one_ahead(history, KERNEL).curve,
-                                  wk.predict_one_ahead(SEGS, KERNEL, config).curve)
-    np.testing.assert_array_equal(wk_method(KERNEL).batch(history, 2),
-                                  wk_method(KERNEL, config).batch(SEGS, 2))
-
-
 @pytest.fixture
 def series_file(tmp_path):
     path = tmp_path / "series.csv"

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavekernel import (
-    ConfigError,
     InsufficientHistoryError,
     KernelSpec,
     PipelineConfig,
@@ -30,6 +29,7 @@ from wavekernel import (
     kernel_eval,
     pad_to_pow2,
     predictor,
+    rmae,
     rolling_eval,
 )
 from wavekernel.evaluation import wk_method
@@ -134,16 +134,16 @@ def cases(draw):
           {"family": "gaussian", "weight_mode": "normalized", "scratch": (1, 1)}))
 @example(OFFSET_CASE)
 def test_cv_matches_per_cut_loop(case):
-    # on raw segments, and on a History whose triangle the grid built (the
+    # on a fresh History, and on one whose triangle the grid built (the
     # CLI's path), where blocks are sized by the kernel stack alone
     segments, config, grid, opts = case
     want = loop_cv(segments, grid, opts["family"], config, opts["weight_mode"])
     history = History(segments, config)
     with budgets(*opts["scratch"]):
-        default_bandwidth_grid(history, config)
-        for source in (segments, history):
+        default_bandwidth_grid(history)
+        for source in (History(segments, config), history):
             h, cv = cv_bandwidth(source, grid, kernel_family=opts["family"],
-                                 config=config, weight_mode=opts["weight_mode"])
+                                 weight_mode=opts["weight_mode"])
             np.testing.assert_allclose(cv, want, rtol=1e-12, atol=0)
             assert h == grid[int(np.argmin(cv))]
 
@@ -168,30 +168,30 @@ def test_predict_and_cv_share_one_forecast(case, piece):
     with mock.patch.object(predictor, "_PIECE", piece):
         with budgets(1, 1):
             with mock.patch.object(History, "forecasts", spy):
-                cv_bandwidth(segments, [h], kernel_family=family, config=config,
+                cv_bandwidth(History(segments, config), [h], kernel_family=family,
                              weight_mode=mode)
             assert sorted(seen) == list(range(1, len(segments) - 1))
             P = segments.shape[1]
             for q, want in seen.items():
-                got = predict_one_ahead(segments[:q + 1], KernelSpec(family, h),
-                                        config, mode)
-                np.testing.assert_array_equal(got.xi_pred[:P], want)
+                got = predict_one_ahead(History(segments[:q + 1], config),
+                                        KernelSpec(family, h), mode)
+                np.testing.assert_array_equal(got.curve, want)
         # the whole history against the per-cut loop; effective_sample stays
         # the raw kernel mass (subnormal kernel values carry no relative
         # precision)
         X, _ = scaling_coefficients(segments)
         n = X.shape[0]
-        result = predict_one_ahead(segments, KernelSpec(family, h), config, mode)
-        _, cv = cv_bandwidth(segments, grid, kernel_family=family, config=config,
-                             weight_mode=mode)
+        history = History(segments, config)
+        result = predict_one_ahead(history, KernelSpec(family, h), mode)
+        _, cv = cv_bandwidth(history, grid, kernel_family=family, weight_mode=mode)
     xi, k = loop_forecast(X, n - 1, h, family, config, mode)
     # centring the futures on the first rounds each to ulp(max |X|), so a
     # component that cancels to near 0 carries that absolute error
     atol = 1e-13 * np.max(np.abs(X))
-    np.testing.assert_allclose(result.xi_pred, xi, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(result.curve, xi[:P], rtol=1e-12, atol=atol)
     np.testing.assert_allclose(result.effective_sample, k.sum(), rtol=1e-12, atol=1e-300)
     if mode == "normalized":
-        np.testing.assert_allclose(result.xi_pred, result.weights @ X[1:],
+        np.testing.assert_allclose(result.curve, (result.weights @ X[1:])[:P],
                                    rtol=1e-12, atol=atol)
     np.testing.assert_allclose(cv, loop_cv(segments, grid, family, config, mode),
                                rtol=1e-12, atol=0)
@@ -205,18 +205,16 @@ def test_predict_and_cv_share_one_forecast(case, piece):
 def test_extreme_bandwidths_match_per_cut_loop(grid, family, weight_mode):
     segments = np.random.default_rng(8).normal(size=(12, 10)) + 3.0
     config = PipelineConfig()
-    _, cv = cv_bandwidth(segments, grid, kernel_family=family, config=config,
-                         weight_mode=weight_mode)
+    _, cv = cv_bandwidth(segments, grid, kernel_family=family, weight_mode=weight_mode)
     want = loop_cv(segments, grid, family, config, weight_mode)
     assert np.all(np.isfinite(cv))
     np.testing.assert_allclose(cv, want, rtol=1e-12, atol=0)
-    X, _ = scaling_coefficients(segments)
+    X, P = scaling_coefficients(segments)
     for h in (1e-300, 1e300):
-        result = predict_one_ahead(segments, KernelSpec(family, h), config,
-                                   weight_mode)
+        result = predict_one_ahead(segments, KernelSpec(family, h), weight_mode)
         xi, k = loop_forecast(X, len(X) - 1, h, family, config, weight_mode)
-        assert np.all(np.isfinite(result.xi_pred))
-        np.testing.assert_allclose(result.xi_pred, xi, rtol=1e-12, atol=0)
+        assert np.all(np.isfinite(result.curve))
+        np.testing.assert_allclose(result.curve, xi[:P], rtol=1e-12, atol=0)
         np.testing.assert_allclose(result.effective_sample, k.sum(), rtol=1e-12)
 
 
@@ -224,11 +222,11 @@ def test_extreme_bandwidths_match_per_cut_loop(grid, family, weight_mode):
 @given(cases())
 def test_batched_rolling_matches_per_prefix_fits(case):
     segments, config, grid, opts = case
-    method = wk_method(KernelSpec(opts["family"], grid[0]), config)
+    method = wk_method(KernelSpec(opts["family"], grid[0]))
     with budgets(*opts["scratch"]):
-        batched = method.batch(segments, 2)
+        batched = method.batch(History(segments, config), 2)
     # the last row forecasts the block after the final segment
-    per_prefix = np.stack([method(list(segments[:i]))
+    per_prefix = np.stack([method(History(list(segments[:i]), config))
                            for i in range(2, len(segments) + 1)])
     # a block of several rows takes its kernel-weighted sums in one GEMM,
     # which may round them unlike a one-row product
@@ -244,12 +242,12 @@ def test_predict_curve_is_the_causal_pass_forecast(case):
     segments, config, grid, opts = case
     kernel, mode = KernelSpec(opts["family"], grid[0]), opts["weight_mode"]
     n = len(segments)
-    curve = predict_one_ahead(segments, kernel, config, mode).curve
     history = History(segments, config)
+    curve = predict_one_ahead(history, kernel, mode).curve
     F = next(history.forecasts(np.array(grid[:1]), kernel.family, mode, n - 1, n))[2]
     assert curve.tobytes() == F[0, 0].tobytes()
     if mode == "normalized":
-        assert curve.tobytes() == wk_method(kernel, config).batch(segments, n)[-1].tobytes()
+        assert curve.tobytes() == wk_method(kernel).batch(history, n)[-1].tobytes()
 
 
 # n = 40 blocks padded to 32: chunks of 6 blocks at _SCRATCH = 200, the last of 4
@@ -300,7 +298,7 @@ def test_history_build_holds_the_blocks_and_one_chunk():
 
 def test_rolling_eval_uses_batch_with_same_scores():
     segments = np.random.default_rng(3).normal(size=(25, 12)) + 10.0
-    method = wk_method(KernelSpec("laplace", 0.7), PipelineConfig(filter_id="dd6"))
+    method = wk_method(KernelSpec("laplace", 0.7))
 
     def per_prefix(history):
         return method(history)
@@ -308,6 +306,13 @@ def test_rolling_eval_uses_batch_with_same_scores():
     fast = rolling_eval(segments.reshape(-1), 12, method)
     slow = rolling_eval(segments.reshape(-1), 12, per_prefix)
     assert fast.shape == slow.shape == (23,)  # origins 2..24
+    np.testing.assert_allclose(fast, slow, rtol=1e-12)
+    # another config rides on a History: the batch scored as the CLI scores it
+    config = PipelineConfig(filter_id="dd6")
+    fast = rmae(method.batch(History(segments, config), 2)[:-1], segments[2:])
+    slow = rmae(np.stack([per_prefix(History(segments[:i], config))
+                          for i in range(2, 25)]), segments[2:])
+    assert fast.shape == slow.shape == (23,)
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
 
@@ -330,7 +335,7 @@ def test_distances_match_pyramid_oracle_at_any_magnitude(case, k):
     n = len(history)
     with budgets(*opts["scratch"]):
         direct = list(history.rows(1, n))
-        default_bandwidth_grid(history, config)
+        default_bandwidth_grid(history)
         from_tri = list(history.rows(1, n))
     for blocks in (direct, from_tri):
         assert blocks[0][0] == 1 and blocks[-1][1] == n
@@ -391,16 +396,15 @@ def test_raw_forecast_is_zero_when_every_kernel_value_underflows(case, decades):
     d = query_distances(X, config, len(X) - 1)
     h = max(float(d.min()) * 10.0 ** -decades, 1e-300)
     assert d.min() / h > 1e19  # every exponent is below -1e19: each k is 0
-    result = predict_one_ahead(X, KernelSpec(opts["family"], h), config,
+    result = predict_one_ahead(History(X, config), KernelSpec(opts["family"], h),
                                weight_mode="raw")
     n = len(X)
     assert result.effective_sample == 0.0
-    np.testing.assert_array_equal(result.xi_pred, np.zeros(X.shape[1]))
     np.testing.assert_array_equal(result.curve, np.zeros(X.shape[1]))
     np.testing.assert_array_equal(result.weights, np.full(n - 1, 1.0 / (n - 1)))
     xi, k = loop_forecast(X, n - 1, h, opts["family"], config, "raw")
     assert not np.any(k)
-    np.testing.assert_array_equal(result.xi_pred, xi)
+    np.testing.assert_array_equal(result.curve, xi)
 
 
 def test_rolling_needs_two_segments_per_cut():
@@ -548,11 +552,4 @@ def test_grid_quantile_brackets_widen_until_they_hold_their_ranks():
     assert got == [np.quantile(tri[tri > 0], q) for q in qs]
     assert passes.call_count > 1 + len(qs)
 
-
-def test_history_config_mismatch_rejected():
-    history = History(np.ones((6, 8)))
-    with pytest.raises(ConfigError):
-        cv_bandwidth(history, [1.0], config=PipelineConfig(filter_id="dd2"))
-    with pytest.raises(ConfigError):
-        default_bandwidth_grid(history, config=PipelineConfig(j0=1))
 

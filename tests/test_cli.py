@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wavekernel import (
+    ConfigError,
     InvalidInputError,
     KernelSpec,
     cv_bandwidth,
@@ -472,6 +473,35 @@ class TestConfigFile:
         assert (out1 / "prediction.csv").read_bytes() == \
             (out2 / "prediction.csv").read_bytes()
 
+    # the summary of a run that selects h on the auto grid, and of a rolling
+    # eval, replays to the same forecast
+    @pytest.mark.parametrize("command, flags", [
+        ("predict", ["--cv-grid", "auto"]),
+        ("eval", ["--rolling", "--h", "1.0"]),
+    ])
+    def test_summary_config_replays(self, series_file, tmp_path, command, flags):
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main([command, "--input", str(series_file), "--p", "12", *flags,
+                     "--output-dir", str(out1)]) == 0
+        cfg_path = tmp_path / "replay.json"
+        cfg_path.write_text(json.dumps(read_summary(out1)["config"]))
+        assert main([command, "--config", str(cfg_path), "--output-dir", str(out2)]) == 0
+        assert (out1 / "prediction.csv").read_bytes() == \
+            (out2 / "prediction.csv").read_bytes()
+
+    # the rules for a missing --input, --p or bandwidth are RunConfig's own, so
+    # a RunConfig made without argv cannot echo a summary that fails to replay
+    @pytest.mark.parametrize("values, message", [
+        (dict(p=12, bandwidth=1.0), "--input is required"),
+        (dict(input="s.csv", bandwidth=1.0), "--p is required"),
+        (dict(input="s.csv", p=12),
+         "pass exactly one of --h and --cv-grid (or --cv-grid auto)"),
+    ])
+    def test_run_config_requires_input_p_and_bandwidth(self, values, message):
+        with pytest.raises(ConfigError) as excinfo:
+            cli.RunConfig(command="predict", **values)
+        assert str(excinfo.value) == message
+
     def test_unknown_config_keys_rejected(self, series_file, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"input": str(series_file), "p": 12,
@@ -616,6 +646,22 @@ def test_eval_only_config_keys_rejected_before_input_is_read(
     err = capsys.readouterr().err
     assert (rc, sum("error:" in line for line in err.splitlines())) == (2, 1), err
     assert not (tmp_path / "o").exists()
+
+
+# a zero truth value makes the block's relative error undefined: one error
+# line names the input segment (1-based, as holdout.segment_index) and point,
+# before any History is built
+@pytest.mark.parametrize("flags, segment", [([], 10), (["--rolling"], 3)])
+def test_eval_zero_truth_names_its_input_segment(tmp_path, capsys, histories,
+                                                 flags, segment):
+    path = tmp_path / "z.csv"
+    write_series(path, np.tile(np.arange(12.0), 10))
+    rc = main(["eval", "--input", str(path), "--p", "12", "--h", "1.0",
+               "--output-dir", str(tmp_path / "o"), *flags])
+    assert (rc, histories) == (1, [])
+    assert capsys.readouterr().err == (
+        f"error: input segment {segment} has a zero at point 1 of 12; "
+        "its relative error is undefined\n")
 
 
 @pytest.mark.parametrize("command", ["predict", "cv", "interval", "eval"])

@@ -19,9 +19,11 @@ from wavekernel import (
     naive_seasonal,
     predict_one_ahead,
     prediction_interval,
+    rmae,
     rolling_eval,
 )
 from wavekernel.evaluation import wk_method
+from wavekernel.predictor import History
 from wavekernel.wavelet import FILTERS
 
 
@@ -87,24 +89,24 @@ def test_entry_points_finite_or_typed_error(case):
     config = PipelineConfig(filter_id=case["filter_id"], j0=case["j0"])
     family = case["family"]
 
-    grid = finite_or_typed(default_bandwidth_grid, segments, config=config)
+    history = finite_or_typed(History, segments, config)
+    grid = None if history is None else finite_or_typed(default_bandwidth_grid, history)
     if grid is None:
         return  # no distances, so no other entry point can run
     assert_finite(grid)
     assert np.all(grid > 0)
 
-    selected = finite_or_typed(cv_bandwidth, segments, grid, family, config)
+    selected = finite_or_typed(cv_bandwidth, history, grid, family)
     if selected is not None:
         h, scores = selected
         assert_finite(h, scores)
 
     for h in (grid[0], grid[-1]):
         kernel = KernelSpec(family, float(h))
-        result = finite_or_typed(predict_one_ahead, segments, kernel, config)
+        result = finite_or_typed(predict_one_ahead, history, kernel)
         if result is None:
             continue
-        assert_finite(result.xi_pred, result.curve, result.weights,
-                      result.effective_sample)
+        assert_finite(result.curve, result.weights, result.effective_sample)
         plan = ResamplingPlan(B=200, alpha=0.025, seed=case["seed"],
                               weights=result.weights)
         for method in ("monte-carlo", "exact"):
@@ -113,7 +115,12 @@ def test_entry_points_finite_or_typed_error(case):
                 assert_finite(band.lower, band.upper)
 
         series = segments.reshape(-1)
-        for method in (wk_method(kernel, config), naive_seasonal):
+        for method in (wk_method(kernel), naive_seasonal):
             scores = finite_or_typed(rolling_eval, series, case["P"], method)
             if scores is not None:
                 assert_finite(scores)
+        # the case's config through the batch on its History, as the CLI scores
+        preds = finite_or_typed(wk_method(kernel).batch, history, 2)
+        scores = None if preds is None else finite_or_typed(rmae, preds[:-1], segments[2:])
+        if scores is not None:
+            assert_finite(scores)

@@ -48,32 +48,34 @@ class TestScalingCoefficients:
 class TestHistoryInput:
     config = PipelineConfig(filter_id="dd6", j0=1)
 
+    # array input is prepared with the default config; a History carries its own
     @pytest.mark.parametrize("weight_mode", ["raw", "normalized"])
     def test_predict_one_ahead_equals_array_input(self, weight_mode):
         segments = np.random.default_rng(0).normal(size=(30, 12))
         kernel = KernelSpec("laplace", 0.8)
-        want = predict_one_ahead(segments, kernel, self.config, weight_mode)
-        got = predict_one_ahead(History(segments, self.config), kernel,
-                                self.config, weight_mode)
-        for field in ("xi_pred", "curve", "weights"):
+        want = predict_one_ahead(segments, kernel, weight_mode)
+        got = predict_one_ahead(History(segments), kernel, weight_mode)
+        for field in ("curve", "weights"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
         assert got.effective_sample == want.effective_sample
+        other = predict_one_ahead(History(segments, self.config), kernel, weight_mode)
+        assert not np.array_equal(other.curve, want.curve)
 
     def test_resample_weights_equals_array_input(self):
         segments = np.random.default_rng(1).normal(size=(30, 12))
         kernel = KernelSpec("gaussian", 1.3)
-        history = History(segments, self.config)
         np.testing.assert_array_equal(
-            predict_one_ahead(history, kernel, self.config).weights,
-            predict_one_ahead(segments, kernel, self.config).weights)
+            predict_one_ahead(History(segments), kernel).weights,
+            predict_one_ahead(segments, kernel).weights)
 
     def test_coefficients_keep_padded_width(self):
         segments = np.random.default_rng(2).normal(size=(9, 12))
         history = History(segments, PipelineConfig())
+        # the rows keep P = 12 values, the detail blocks the padded width 16
+        assert history.segments.shape == (9, 12)
+        assert [b.shape for _, b in history.blocks] == [(1, 9), (2, 9), (4, 9), (8, 9)]
         res = predict_one_ahead(history, KernelSpec("gaussian", 1.0), weight_mode="raw")
-        assert res.xi_pred.size == 16
-        # the padded columns repeat the forecast periodically
-        np.testing.assert_array_equal(res.xi_pred[12:], res.xi_pred[:4])
+        assert res.curve.size == 12
 
 
 def _fit(segments):

@@ -245,6 +245,15 @@ class History:
         row included.  Entries m >= q read +inf, zero weight under every
         kernel.
 
+        A coefficient's differences x_m - x_q fill their plane as one
+        rank-2 product, the (rows, 2) array [1, x_q] times the (2, cols)
+        array [x_m; -1], both made once per pass.  Each entry is
+        1 * x_m + x_q * -1: both products are exact, so the sum is rounded
+        once, to the IEEE x_m - x_q, for any BLAS blocking, thread count or
+        FMA use, and in numpy's own matmul loop.  Only the sign of an exact
+        zero may differ, and the square erases it.  This needs finite
+        values, which the blocks' 2**-e scaling guarantees (|x| < 1).
+
         A block has as many rows as two budgets allow.  While ``tri`` is
         unset, the block computes its distances in three (rows x n)-double
         planes, the sum, one coefficient's squares and D, which together
@@ -254,21 +263,25 @@ class History:
         :func:`default_bandwidth_grid` holds n(n-1)/2 doubles.
         """
         n, step = len(self), self._step(lo, hi, depth)
-        planes = np.empty((2, step * n)) if self.tri is None else None
+        if self.tri is None:
+            planes = np.empty((2, step * n))
+            # the rank-2 factors [1, x_q] and [x_m; -1], refilled per coefficient
+            ones_x, x_neg = np.ones((step, 2)), np.full((2, n), -1.0)
         for r0 in range(lo, hi, step):
             r1 = min(r0 + step, hi)
             causal = np.arange(r1 - 1) < np.arange(r0, r1)[:, None]
             if self.tri is None:
                 acc, tmp = planes[:, :causal.size].reshape((2,) + causal.shape)
+                a, b = ones_x[:r1 - r0], x_neg[:, :r1 - 1]
                 D = None
                 for weight, block in self.blocks:
                     for k, row in enumerate(block):
-                        # out[i, m] = row[m] - row[r0 + i], by a broadcast copy
-                        # and an in-place subtract: one ufunc over two
-                        # broadcast operands takes about twice as long
+                        # out[i, m] = 1 * row[m] + row[r0 + i] * -1: two exact
+                        # products, so one rounding of row[m] - row[r0 + i]
                         out = tmp if k else acc
-                        np.copyto(out, row[:r1 - 1])
-                        out -= row[r0:r1, None]
+                        a[:, 1] = row[r0:r1]
+                        b[0] = row[:r1 - 1]
+                        np.matmul(a, b, out=out)
                         out *= out
                         if k:
                             acc += tmp

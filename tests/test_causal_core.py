@@ -377,6 +377,43 @@ def test_distance_blocks_match_reduce_oracle_bit_for_bit(case, k):
         np.testing.assert_array_equal(D.view(np.int64), want.view(np.int64))
 
 
+def adversarial_history():
+    """n = 12 rows of P = 8 whose coefficients, after the History's 2**-e
+    scaling, hold repeated blocks (rows 1 and 2, 3 and 4, 0 and 11, and the
+    +0.0 and -0.0 rows 7 and 8), signed zeros, subnormals and values one
+    ulp apart (rows 9 and 10, and 3 and 6, come from segments one ulp
+    apart)."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(3, 8))
+    tiny = np.ldexp(rng.normal(size=8), -1030)
+    return History(np.array([x[0], x[1], x[1], tiny, tiny, -tiny,
+                             np.nextafter(tiny, np.inf), np.zeros(8), -np.zeros(8),
+                             x[2], np.nextafter(x[2], np.inf), x[0]]))
+
+
+@pytest.mark.parametrize("scratch", [1, 200, predictor._SCRATCH])
+def test_adversarial_distances_match_reduce_oracle_bit_for_bit(scratch):
+    # the rank-2 products that form the differences must round as the
+    # reduce's subtract does, signed zeros and subnormals included
+    history = adversarial_history()
+    coef = np.concatenate([b for _, b in history.blocks])
+    assert np.any((coef != 0) & (np.abs(coef) < np.finfo(float).tiny))
+    assert np.any((coef == 0) & np.signbit(coef))
+    assert np.any(np.abs(np.diff(coef[:, 9:11].view(np.int64), axis=1)) == 1)
+    n = len(history)
+    with budgets(scratch, predictor._STACK):
+        blocks = list(history.rows(1, n))
+    assert blocks[-1][1] == n
+    full = np.full((n, n - 1), np.nan)
+    for r0, r1, D, _ in blocks:
+        want = reduce_rows(history, r0, r1)
+        np.testing.assert_array_equal(D.view(np.int64), want.view(np.int64))
+        full[r0:r1, :r1 - 1] = D
+    for m, q in [(1, 2), (3, 4), (0, 11), (7, 8)]:
+        assert full[q, m].view(np.int64) == 0  # +0.0, not -0.0
+    assert np.all(full[np.tril_indices(n, -1)] >= 0)
+
+
 def test_row_one_alone_reads_as_in_any_block():
     # numpy sums the squares of a lone pair's block pairwise, not plane by
     # plane as in a larger block; the one-pair block must round the same
@@ -475,6 +512,19 @@ def test_grid_fills_the_triangle_in_place():
         tracemalloc.stop()
     assert history.tri.size == 1000 * 999 // 2
     assert peak < 1.3 * history.tri.nbytes
+
+
+def test_select_long_triangle_matches_reduce_oracle_bit_for_bit():
+    # the Hypothesis cases stop at n = 40; here the grid's triangle at
+    # n = 1000, 21 rows per block, against the reduce in blocks of 50 rows
+    history = select_long_history()
+    default_bandwidth_grid(history)
+    n = len(history)
+    for r0 in range(1, n, 50):
+        r1 = min(r0 + 50, n)
+        want = reduce_rows(history, r0, r1)[np.arange(r1 - 1) < np.arange(r0, r1)[:, None]]
+        got = history.tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2]
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cv_holds_one_kernel_stack():

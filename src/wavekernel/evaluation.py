@@ -104,8 +104,8 @@ def wk_method(kernel: KernelSpec):
     ``method.batch(segments, start)`` returns the forecasts at origins
     start..n, each of the block after the first ``origin`` segments, in
     one causal pass of the predictor instead of one fit per origin.  Its
-    last row forecasts the block after the final segment, which is
-    ``method(segments)``.  ``segments`` is as in :func:`predict_one_ahead`:
+    last row forecasts the block after the final segment, and is
+    ``method(segments)`` bit for bit.  ``segments`` is as in :func:`predict_one_ahead`:
     a :class:`~wavekernel.predictor.History` sets the pipeline config.
     """
 

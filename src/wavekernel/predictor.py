@@ -229,8 +229,7 @@ class History:
     def _step(self, lo: int, hi: int, depth: int) -> int:
         """Rows per block of :meth:`rows`, from the budgets it describes."""
         n = len(self)
-        planes = hi - lo if self.tri is not None else _SCRATCH // (3 * n)
-        return max(1, min(hi - lo, _STACK // (n * depth), planes))
+        return max(1, min(hi - lo, _STACK // (n * depth), _SCRATCH // (3 * n)))
 
     def rows(self, lo: int, hi: int, depth: int = 1):
         """Yield (r0, r1, D[r0:r1, :r1-1], causal mask) for rows [lo, hi), lo >= 1.
@@ -254,13 +253,12 @@ class History:
         zero may differ, and the square erases it.  This needs finite
         values, which the blocks' 2**-e scaling guarantees (|x| < 1).
 
-        A block has as many rows as two budgets allow.  While ``tri`` is
-        unset, the block computes its distances in three (rows x n)-double
-        planes, the sum, one coefficient's squares and D, which together
-        hold at most _SCRATCH.  The caller's stack of ``depth`` planes made
-        from D (forecasts: one kernel plane per bandwidth), depth x rows x
-        n doubles, holds at most _STACK.  The triangle ``tri`` of
-        :func:`default_bandwidth_grid` holds n(n-1)/2 doubles.
+        A block has as many rows as two budgets allow, from n and ``depth``
+        alone, whether it reads ``tri`` or not: the three (rows x n)-double
+        planes that compute its distances, the sum, one coefficient's
+        squares and D, hold at most _SCRATCH, and the caller's stack of
+        ``depth`` planes made from D (forecasts: one kernel plane per
+        bandwidth), depth x rows x n doubles, at most _STACK.
         """
         n, step = len(self), self._step(lo, hi, depth)
         if self.tri is None:
@@ -329,7 +327,9 @@ class History:
         reported weights up to rounding.  Z is made in pieces of about _PIECE
         doubles, one product each (one in all for n - 1 <= _PIECE / (P + 1)),
         so a one-row call (predict) never holds a copy of the futures.  Each E
-        views one stack, so it is valid only until the next iteration.
+        views one stack, so it is valid only until the next iteration.  A GEMM
+        rounds by its row count, so the final cut hi-1, in a block of several
+        rows, is formed again alone: bit for bit the one-row pass's forecast.
         """
         p, a, c = _KERNELS[family]
         G, P = hs.size, self.P
@@ -352,6 +352,7 @@ class History:
             np.exp(E[:G], out=E[:G])
             E[G] = causal
             E2 = E.reshape(-1, r1 - 1)
+            last = E[:, -1] if r1 == hi > r0 + 1 else None  # the final cut, alone
             for k, m0 in enumerate(range(0, r1 - 1, C)):  # all h in one GEMM per piece
                 Z = (pieces[k] if k < len(pieces)
                      else self._centred_futures(m0, min(m0 + C, n - 1)))
@@ -359,7 +360,12 @@ class History:
                     pieces.append(Z)
                 part = E2[:, m0:m0 + C] @ Z[:r1 - 1 - m0]
                 R = R + part if k else part
+                if last is not None:
+                    part = last[:, m0:m0 + C] @ Z[:r1 - 1 - m0]
+                    R_last = R_last + part if k else part
             R = R.reshape(E.shape[:2] + (P + 1,))
+            if last is not None:
+                R[:, -1] = R_last
             S, i = R[:G, :, P:], slice(r0 - lo, r1 - lo)
             F = R[:G, :, :P] + (S * fut0 if weight_mode == "raw"
                                 else R[G, :, :P] * share[i])

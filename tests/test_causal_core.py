@@ -229,16 +229,23 @@ def test_batched_rolling_matches_per_prefix_fits(case):
     per_prefix = np.stack([method(History(list(segments[:i]), config))
                            for i in range(2, len(segments) + 1)])
     # a block of several rows takes its kernel-weighted sums in one GEMM,
-    # which may round them unlike a one-row product
+    # which may round them unlike a one-row product; the final cut is
+    # formed alone, so it is the one-row product under any budget
     atol = 1e-13 * np.max(np.abs(segments))
     np.testing.assert_allclose(batched, per_prefix, rtol=1e-12, atol=atol)
+    assert batched[-1].tobytes() == per_prefix[-1].tobytes()
 
 
 @settings(max_examples=150, deadline=None)
 @given(cases())
+# a batch from origin 2 puts the final cut in a block of many rows
+@example((gen_synthetic("seasonal_ar", 400, 24, 0.5, seed=400).reshape(400, 24),
+          PipelineConfig(filter_id="dd6"), [2.0],
+          {"family": "laplace", "weight_mode": "normalized", "scratch": None}))
 def test_predict_curve_is_the_causal_pass_forecast(case):
     # bit for bit the one-row pass's value, in both weight modes: no
-    # transform round trip rounds it
+    # transform round trip rounds it.  A batch forms its final cut alone,
+    # so its last row is that value too, from any origin
     segments, config, grid, opts = case
     kernel, mode = KernelSpec(opts["family"], grid[0]), opts["weight_mode"]
     n = len(segments)
@@ -247,7 +254,8 @@ def test_predict_curve_is_the_causal_pass_forecast(case):
     F = next(history.forecasts(np.array(grid[:1]), kernel.family, mode, n - 1, n))[2]
     assert curve.tobytes() == F[0, 0].tobytes()
     if mode == "normalized":
-        assert curve.tobytes() == wk_method(kernel).batch(history, n)[-1].tobytes()
+        for start in (2, n):
+            assert curve.tobytes() == wk_method(kernel).batch(history, start)[-1].tobytes()
 
 
 # n = 40 blocks padded to 32: chunks of 6 blocks at _SCRATCH = 200, the last of 4
@@ -479,15 +487,21 @@ def test_offset_history_distances_bit_identical(scratch):
                                           tri[q * (q - 1) // 2:q * (q + 1) // 2])
 
 
+# block sizes follow n and the grid alone, whether CV reads the grid's
+# triangle or computes its distances, so each cut's GEMM rounds alike; at
+# 8 and 4 bandwidths the distance-plane budget, not the stack, sets them
 def test_grid_and_cv_share_history_distances():
-    segments = np.random.default_rng(1).normal(size=(30, 12))
-    history = History(segments)
-    grid = default_bandwidth_grid(history)
-    np.testing.assert_array_equal(grid, default_bandwidth_grid(segments))
-    h_shared, cv_shared = cv_bandwidth(history, grid)
-    h_fresh, cv_fresh = cv_bandwidth(segments, grid)
-    assert h_shared == h_fresh
-    np.testing.assert_allclose(cv_shared, cv_fresh, rtol=1e-13)
+    cases = [(np.random.default_rng(1).normal(size=(30, 12)), 32)] + [
+        (gen_synthetic("markov_functional", n, 24, 0.25, seed=3).reshape(n, 24), count)
+        for n, count in [(400, 8), (1000, 4)]]
+    for segments, count in cases:
+        history = History(segments)
+        grid = default_bandwidth_grid(history, count)
+        np.testing.assert_array_equal(grid, default_bandwidth_grid(segments, count))
+        h_shared, cv_shared = cv_bandwidth(history, grid)
+        h_fresh, cv_fresh = cv_bandwidth(segments, grid)
+        assert h_shared == h_fresh
+        np.testing.assert_array_equal(cv_shared, cv_fresh)
 
 
 def select_long_history():

@@ -405,16 +405,28 @@ def test_rolling_scores_match_rolling_eval(series_file, tmp_path, bandwidth):
                                [want["mean_rmae"], want["median_rmae"]], rtol=1e-12)
 
 
-@pytest.mark.parametrize("bandwidth", sorted(BANDWIDTHS))
-def test_rolling_holdout_forecast_matches_plain_eval(series_file, tmp_path, bandwidth):
+# the 29-block series, and long series whose --rolling pass puts the
+# holdout cut in a block of many rows, where the pass forms it alone
+@pytest.mark.parametrize("series, flags", [
+    (None, BANDWIDTHS["grid"]),
+    (None, BANDWIDTHS["h"]),
+    (("seasonal_ar", 700, 24), ["--filter", "dd6", "--kernel", "laplace", "--h", "2.0"]),
+    (("markov_functional", 400, 12), ["--filter", "dd2", "--cv-grid", "auto"]),
+], ids=["grid", "h", "seasonal_ar-700-h", "markov_functional-400-grid"])
+def test_rolling_holdout_forecast_matches_plain_eval(series_file, tmp_path, series, flags):
     # the batch's last row is the holdout forecast of plain eval, byte for byte
+    path, P = series_file, 12
+    if series is not None:
+        kind, n, P = series
+        path = tmp_path / "long.csv"
+        write_series(path, gen_synthetic(kind, n, P, 0.5, seed=n))
     tables = {}
-    for flags in ([], ["--rolling"]):
-        out = tmp_path / f"out{len(flags)}"
-        assert main(["eval", "--input", str(series_file), "--p", "12",
-                     "--output-dir", str(out), *BANDWIDTHS[bandwidth], *flags]) == 0
-        tables[len(flags)] = (out / "prediction.csv").read_bytes()
-    assert len(tables[0].splitlines()) == 13  # a header and P = 12 rows
+    for rolling in ([], ["--rolling"]):
+        out = tmp_path / f"out{len(rolling)}"
+        assert main(["eval", "--input", str(path), "--p", str(P),
+                     "--output-dir", str(out), *flags, *rolling]) == 0
+        tables[len(rolling)] = (out / "prediction.csv").read_bytes()
+    assert len(tables[0].splitlines()) == P + 1  # a header and P rows
     assert tables[1] == tables[0]
 
 

@@ -331,8 +331,7 @@ def _run_interval(cfg: RunConfig) -> None:
     segments = _segments(cfg)
     # the history is freed on return, before the draw
     result, cv = _forecast(cfg, predictor.History(segments, cfg.pipeline()))
-    plan = intervals.ResamplingPlan(B=cfg.b, alpha=cfg.alpha, seed=cfg.seed,
-                                    weights=result.weights)
+    plan = intervals.ResamplingPlan(B=cfg.b, alpha=cfg.alpha, seed=cfg.seed)
     # the library's warning (B < 1/alpha) becomes one line, as the CLI's own
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,10 +1,10 @@
 """Resampling-based pointwise prediction intervals for the next segment.
 
 Pseudo-realizations of segment n+1 are drawn from the observed
-next-segments Z_2..Z_n with probabilities given by the normalized
-similarity weights.  Residuals of the pseudo-blocks around the point
-predictor give per-time-point quantiles, which shifted back by the
-predictor yield the interval bounds.  Since the same curve is
+next-segments Z_2..Z_n with probabilities given by the forecast's
+normalized similarity weights.  Residuals of the pseudo-blocks around
+the point predictor give per-time-point quantiles, which shifted back
+by the predictor yield the interval bounds.  Since the same curve is
 subtracted and added, the bounds equal quantiles of the pseudo-block
 values directly.
 
@@ -46,23 +46,16 @@ def _check_weights(w: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ResamplingPlan:
-    """How to draw pseudo-blocks: count, tail mass, seed and weights."""
+    """How to draw pseudo-blocks: count, tail mass and seed."""
 
     B: int
     alpha: float
     seed: int
-    weights: np.ndarray
 
     def __post_init__(self):
         _int(self.B, "B", _MIN_B)  # rng.choice takes an int size
         _real(self.alpha, "alpha", *_ALPHAS)
         _int(self.seed, "seed", *_SEEDS)
-        w = _floats(self.weights, "weights").copy()
-        if w.ndim != 1 or w.size < 1:
-            raise ShapeError("weights must be a nonempty vector")
-        _check_weights(w)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -73,14 +66,11 @@ class PredictionInterval:
     upper: np.ndarray
 
 
-def _draw(plan: ResamplingPlan, m: int) -> np.ndarray:
-    """Indices of B seeded i.i.d. draws from 0..m-1 with the plan's weights."""
-    rng = np.random.Generator(np.random.Philox(key=plan.seed))
-    return rng.choice(m, size=plan.B, p=plan.weights)
-
-
 def _type1_quantiles(atoms, mass, thresholds, kind="stable", rows=slice(None)) -> list:
     """Per column, the smallest atom whose cumulative mass reaches each threshold.
+
+    A threshold past a column's total mass (weights may sum to 1 - 1e-12)
+    reads as that total: the largest atom that carries mass.
 
     The support points are the rows ``atoms[rows]``, one ``mass`` entry
     each.  Equal atoms differ only in the sign of a tied zero, which a
@@ -101,7 +91,8 @@ def _chunk_quantiles(atoms, mass, thresholds, kind) -> list:
     cum = mass[order]
     np.cumsum(cum, axis=0, out=cum)
     cols = np.arange(atoms.shape[1])
-    return [atoms[order[np.argmax(cum >= t, axis=0), cols], cols] for t in thresholds]
+    return [atoms[order[np.argmax(cum >= np.minimum(t, cum[-1]), axis=0), cols], cols]
+            for t in thresholds]
 
 
 def weighted_quantile(atoms: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
@@ -127,17 +118,19 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
                         method: str = "monte-carlo") -> PredictionInterval:
     """Pointwise (1 - 2*alpha) interval around the kernel predictor.
 
-    ``method`` is "monte-carlo" (B seeded draws, the default) or
-    "exact" (weighted quantiles over the n-1 observed next-segments,
-    equivalent to the B -> infinity limit).
+    ``method`` is "monte-carlo" (B seeded draws with ``center.weights``,
+    the default) or "exact" (quantiles over the n-1 observed
+    next-segments weighted by them, the B -> infinity limit).
     """
     _choice(method, "interval method", {"exact", "monte-carlo"})
     futures = _segment_rows(segments)[1:]
     m, P = futures.shape
     if m == 0:
         raise InsufficientHistoryError("need at least 2 segments")
-    if m != plan.weights.size:
-        raise ShapeError(f"plan has {plan.weights.size} weights for {m} candidates")
+    w = _floats(center.weights, "center weights")
+    if w.shape != (m,):
+        raise ShapeError(f"center has {w.size} weights for {m} candidates")
+    _check_weights(w)
     if np.size(center.curve) != P:
         raise ShapeError(
             f"center curve has {np.size(center.curve)} points, segments have {P}")
@@ -148,11 +141,12 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
         )
     qs = (plan.alpha, 1.0 - plan.alpha)
     if method == "exact":
-        lower, upper = _type1_quantiles(futures, plan.weights, [q - 1e-12 for q in qs])
+        lower, upper = _type1_quantiles(futures, w, [q - 1e-12 for q in qs])
     else:
         # the k-th smallest of the B draws, off the counts of the drawn rows;
         # unstable like a sort of the draws, so a tied zero's sign is open
-        counts = np.bincount(_draw(plan, m))
+        rng = np.random.Generator(np.random.Philox(key=plan.seed))
+        counts = np.bincount(rng.choice(m, size=plan.B, p=w))
         drawn = np.flatnonzero(counts)
         ranks = [min(max(math.ceil(q * plan.B), 1), plan.B) for q in qs]
         lower, upper = _type1_quantiles(futures, counts[drawn], ranks, kind=None,

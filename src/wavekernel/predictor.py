@@ -134,13 +134,18 @@ def normalized_weights(kernel_values: np.ndarray, n: int) -> np.ndarray:
     mass equally, even when every kernel value underflows to zero (then
     all weights equal 1/(n-1)).  The weights sum to 1 up to rounding; a
     single weight is exactly 1.  A history of fewer than two segments has
-    no past segment to weigh: InsufficientHistoryError.
+    no past segment to weigh: InsufficientHistoryError.  The kernel values
+    are n-1 finite, non-negative reals.
     """
+    _int(n, "n", 0)
     if n < 2:
         raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
-    k = np.asarray(kernel_values, dtype=float)
-    if k.size != n - 1:
-        raise ShapeError(f"expected {n - 1} kernel values, got {k.size}")
+    k = _floats(kernel_values, "kernel values")
+    if k.shape != (n - 1,):
+        raise ShapeError(f"expected {n - 1} kernel values, got shape {k.shape}")
+    _finite("kernel values", k)
+    if np.any(k < 0):
+        raise InvalidInputError("kernel values must be non-negative")
     if n == 2:
         return np.ones(1)
     total = float(k.sum())

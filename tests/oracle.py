@@ -39,12 +39,11 @@ def inverse_dwt(pyramid: WaveletPyramid) -> Segment:
     return Segment(values)
 
 
-def draw_pseudo_blocks(plan, future_segments) -> np.ndarray:
-    """Draw B pseudo-blocks i.i.d. from Z_2..Z_n with the plan's weights."""
+def draw_pseudo_blocks(plan, weights, future_segments) -> np.ndarray:
+    """Draw the plan's B pseudo-blocks i.i.d. from Z_2..Z_n with ``weights``."""
     futures = _floats(future_segments, "future_segments")
-    if futures.ndim != 2 or futures.shape[0] != plan.weights.size:
-        raise ShapeError(
-            f"expected {plan.weights.size} future segments, got shape {futures.shape}"
-        )
+    w = _floats(weights, "weights")
+    if futures.ndim != 2 or w.shape != futures.shape[:1]:
+        raise ShapeError(f"expected {w.size} future segments, got shape {futures.shape}")
     rng = np.random.Generator(np.random.Philox(key=plan.seed))
-    return futures[rng.choice(futures.shape[0], size=plan.B, p=plan.weights)]
+    return futures[rng.choice(futures.shape[0], size=plan.B, p=w)]

@@ -124,7 +124,7 @@ def test_criterion_5_weighted_quantile_oracle():
     hist = rng.normal(size=(25, 12)) + 10
     kernel = wk.KernelSpec("gaussian", 1.0)
     center = wk.predict_one_ahead(hist, kernel)
-    plan = wk.ResamplingPlan(B=50_000, alpha=0.025, seed=55, weights=center.weights)
+    plan = wk.ResamplingPlan(B=50_000, alpha=0.025, seed=55)
     mc = wk.prediction_interval(hist, center, plan)
     exact = wk.prediction_interval(hist, center, plan, method="exact")
     futures = hist[1:]
@@ -160,8 +160,7 @@ def test_criterion_7_interval_coverage():
     for t in range(n_hist, n_hist + n_pred):
         hist = segs[t - n_hist:t]
         center = wk.predict_one_ahead(hist, kernel)
-        plan = wk.ResamplingPlan(B=500, alpha=0.025, seed=1000 + t,
-                                 weights=center.weights)
+        plan = wk.ResamplingPlan(B=500, alpha=0.025, seed=1000 + t)
         band = wk.prediction_interval(hist, center, plan)
         covered += (band.lower <= segs[t]) & (segs[t] <= band.upper)
     covered /= n_pred

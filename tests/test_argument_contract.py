@@ -13,7 +13,9 @@ array argument to NaN, +inf or -inf, under the same rule.
 Object-typed parameters are outside the contract and keep Python's own
 TypeError or AttributeError: a ``KernelSpec``, a ``PipelineConfig``, a
 ``ScaleRange``, the ``center`` of an interval, a resampling ``plan``, a
-rolling ``method`` and a pyramid.  They stay fixed here.
+rolling ``method`` and a pyramid.  They stay fixed here, but for the
+center's weights: the interval resamples with them, so they are data,
+and take the junk through a copy of the center.
 
 The CLI twin passes junk strings to the flags that take values, and
 wrong-typed values through a ``--config`` file: each run exits 0, 1 or 2,
@@ -23,6 +25,7 @@ a failing one with exactly one ``error:`` line, and none raises.
 import dataclasses
 import functools
 import json
+import math
 import numbers
 import warnings
 
@@ -32,10 +35,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wavekernel as wk
-from wavekernel import WavekernelError
+from wavekernel import ConfigError, WavekernelError
 from wavekernel.cli import main, write_series
 from wavekernel.evaluation import split_segments, summarize, wk_method
-from wavekernel.predictor import History
+from wavekernel.predictor import History, normalized_weights
 from wavekernel.wavelet import forward_array
 
 JUNK = {
@@ -49,7 +52,13 @@ SEGS = 10.0 + np.random.default_rng(0).normal(size=(5, 8))
 W = np.full(4, 0.25)
 KERNEL = wk.KernelSpec("gaussian", 1.0)
 CENTER = wk.predict_one_ahead(SEGS, KERNEL)
-PLAN = wk.ResamplingPlan(B=200, alpha=0.025, seed=0, weights=CENTER.weights)
+PLAN = wk.ResamplingPlan(B=200, alpha=0.025, seed=0)
+
+
+def interval_around(weights):
+    """The exact interval of SEGS around CENTER with ``weights`` in its place."""
+    return wk.prediction_interval(SEGS, dataclasses.replace(CENTER, weights=weights),
+                                  PLAN, "exact")
 
 
 def synthetic(kind):
@@ -68,11 +77,13 @@ ENTRIES = {
     "History": (History, dict(segments=SEGS)),
     "predict_one_ahead": (functools.partial(wk.predict_one_ahead, kernel=KERNEL),
                           dict(segments=SEGS, weight_mode="normalized")),
-    "ResamplingPlan": (wk.ResamplingPlan, dict(B=10, alpha=0.1, seed=0, weights=W)),
+    "normalized_weights": (normalized_weights, dict(kernel_values=[0.5, 1.0], n=3)),
+    "ResamplingPlan": (wk.ResamplingPlan, dict(B=10, alpha=0.1, seed=0)),
     "weighted_quantile": (wk.weighted_quantile, dict(atoms=SEGS[1:], weights=W, q=0.5)),
     "prediction_interval": (functools.partial(wk.prediction_interval, center=CENTER,
                                               plan=PLAN),
                             dict(segments=SEGS, method="exact")),
+    "prediction_interval center.weights": (interval_around, dict(weights=CENTER.weights)),
     "rmae": (wk.rmae, dict(pred=SEGS[1], truth=SEGS[2], zero_floor=0.5)),
     "split_segments": (split_segments, dict(series=np.arange(1.0, 15.0), P=4,
                                             drop_remainder=True)),
@@ -144,6 +155,7 @@ def check(entry, param, value):
 @example(("gen_synthetic seasonal_ar", "noise"), "'1'")
 @example(("gen_synthetic markov_functional", "ar_coef"), "'1'")
 @example(("ResamplingPlan", "alpha"), "'1'")
+@example(("normalized_weights", "kernel_values"), "'abc'")
 @example(("weighted_quantile", "q"), "'1'")
 @example(("rmae", "zero_floor"), "'1'")
 @example(("cv_bandwidth", "grid"), "'abc'")
@@ -168,6 +180,8 @@ ARRAY_CASES = [(entry, param) for entry, (_, valid) in ENTRIES.items()
 @given(st.sampled_from(ARRAY_CASES), st.sampled_from(["nan", "inf", "-inf"]),
        st.integers(0, 255))
 @example(("weighted_quantile", "atoms"), "nan", 0)
+@example(("normalized_weights", "kernel_values"), "nan", 0)
+@example(("normalized_weights", "kernel_values"), "inf", 0)
 @example(("rmae", "pred"), "inf", 0)
 @example(("rmae", "truth"), "nan", 0)
 @example(("split_segments", "series"), "nan", 0)
@@ -179,6 +193,42 @@ def test_non_finite_element_gives_finite_values_or_typed_error(case, bad, index)
     value = np.array(ENTRIES[entry][1][param], dtype=float)
     value.flat[index % value.size] = JUNK[bad]
     check(entry, param, value)
+
+
+def weighable(kernel_values, n) -> bool:
+    """Whether ``normalized_weights`` can weigh these: n - 1 finite,
+    non-negative values in a list, and n an int >= 2."""
+    return (of_its_kind("n", n) and n >= 2 and isinstance(kernel_values, list)
+            and len(kernel_values) == n - 1
+            and all(math.isfinite(v) and v >= 0 for v in kernel_values))
+
+
+# what the property above cannot reach: a negative kernel value, a value of
+# None where the n = 2 shortcut skipped every check, and an n of the wrong
+# kind, which is a ConfigError naming n, not a kernel-value count of 2.5
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from([0.0, 0.5, 1.0, -5.0, math.nan, math.inf]),
+                          max_size=3),
+                 st.sampled_from(sorted(JUNK)).map(JUNK.get)),
+       st.one_of(st.integers(-1, 4), st.sampled_from([2.5, 3.5, True, None, "3"])))
+@example([math.nan, 1.0], 3)
+@example([math.inf, 1.0], 3)
+@example("abc", 2)
+@example([-5.0, 1.0], 3)
+@example([1.0, 1.0], 3.5)
+@example(None, 2)
+def test_normalized_weights_weighs_only_what_it_can(kernel_values, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not of_its_kind("n", n):
+            with pytest.raises(ConfigError, match="n must be an int"):
+                normalized_weights(kernel_values, n)
+        elif not weighable(kernel_values, n):
+            with pytest.raises(WavekernelError):
+                normalized_weights(kernel_values, n)
+        else:
+            w = normalized_weights(kernel_values, n)
+            assert w.shape == (n - 1,) and np.all((w >= 0) & (w <= 1))
 
 
 @pytest.fixture

@@ -107,8 +107,7 @@ def test_entry_points_finite_or_typed_error(case):
         if result is None:
             continue
         assert_finite(result.curve, result.weights, result.effective_sample)
-        plan = ResamplingPlan(B=200, alpha=0.025, seed=case["seed"],
-                              weights=result.weights)
+        plan = ResamplingPlan(B=200, alpha=0.025, seed=case["seed"])
         for method in ("monte-carlo", "exact"):
             band = finite_or_typed(prediction_interval, segments, result, plan, method)
             if band is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -25,8 +26,8 @@ from wavekernel.predictor import kernel_eval, normalized_weights
 from oracle import draw_pseudo_blocks
 
 
-def make_plan(weights, B=500, alpha=0.025, seed=0):
-    return ResamplingPlan(B=B, alpha=alpha, seed=seed, weights=np.asarray(weights))
+def make_plan(B=500, alpha=0.025, seed=0):
+    return ResamplingPlan(B=B, alpha=alpha, seed=seed)
 
 
 class TestResampleWeights:
@@ -68,67 +69,70 @@ class TestResampleWeights:
 class TestResamplingPlan:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ConfigError):
-            make_plan([1.0], alpha=0.5)
+            make_plan(alpha=0.5)
         with pytest.raises(ConfigError):
-            make_plan([1.0], alpha=0.0)
+            make_plan(alpha=0.0)
 
     def test_rejects_bad_b(self):
         with pytest.raises(ConfigError):
-            make_plan([1.0], B=0)
+            make_plan(B=0)
 
     @pytest.mark.parametrize("B", [-2, 2.5, 3.0, True, "5", None])
     def test_rejects_b_that_is_no_positive_int(self, B):
         with pytest.raises(ConfigError, match="B must"):
-            make_plan([1.0], B=B)
+            make_plan(B=B)
 
     def test_accepts_numpy_int_b(self):
-        plan = make_plan([0.5, 0.5], B=np.int64(4), alpha=0.25)
-        band = prediction_interval(np.eye(3), predict_one_ahead(np.eye(3), KernelSpec()),
+        plan = make_plan(B=np.int64(4), alpha=0.25)
+        center = predict_one_ahead(np.eye(3), KernelSpec())
+        band = prediction_interval(np.eye(3), dataclasses.replace(center, weights=[0.5, 0.5]),
                                    plan)
         assert band.lower.shape == band.upper.shape == (3,)
 
     def test_rejects_unnormalized_weights(self):
+        center = predict_one_ahead(np.eye(3), KernelSpec())
         with pytest.raises(ConfigError):
-            make_plan([0.6, 0.6])
+            prediction_interval(np.eye(3), dataclasses.replace(center, weights=[0.6, 0.6]),
+                                make_plan())
 
     @pytest.mark.parametrize("seed", [-3, 2**128, 1.5, True, "3", None])
     def test_rejects_seed_outside_philox_keys(self, seed):
         with pytest.raises(ConfigError, match="seed"):
-            make_plan([1.0], seed=seed)
+            make_plan(seed=seed)
 
     @pytest.mark.parametrize("seed", [2**128 - 1, np.uint64(5)])
     def test_accepts_any_philox_key(self, seed):
-        plan = make_plan([0.5, 0.5], B=3, alpha=0.4, seed=seed)
-        prediction_interval(np.eye(3), predict_one_ahead(np.eye(3), KernelSpec()), plan)
+        plan = make_plan(B=3, alpha=0.4, seed=seed)
+        center = predict_one_ahead(np.eye(3), KernelSpec())
+        prediction_interval(np.eye(3), dataclasses.replace(center, weights=[0.5, 0.5]), plan)
 
 
 class TestDrawPseudoBlocks:
     def test_point_mass(self):
         futures = np.arange(12.0).reshape(3, 4)
-        plan = make_plan([1.0, 0.0, 0.0], B=25)
-        blocks = draw_pseudo_blocks(plan, futures)
+        blocks = draw_pseudo_blocks(make_plan(B=25), [1.0, 0.0, 0.0], futures)
         assert blocks.shape == (25, 4)
         assert np.all(blocks == futures[0])
 
     def test_multinomial_frequencies(self):
         n_cand = 5
         futures = np.arange(n_cand, dtype=float)[:, None] * np.ones((1, 2))
-        plan = make_plan(np.full(n_cand, 1.0 / n_cand), B=40000, seed=77)
-        blocks = draw_pseudo_blocks(plan, futures)
+        plan = make_plan(B=40000, seed=77)
+        blocks = draw_pseudo_blocks(plan, np.full(n_cand, 1.0 / n_cand), futures)
         freq = np.array([(blocks[:, 0] == m).mean() for m in range(n_cand)])
         se = np.sqrt((1 / n_cand) * (1 - 1 / n_cand) / 40000)
         assert np.all(np.abs(freq - 1 / n_cand) <= 3 * se)
 
     def test_fixed_seed_reproducible(self):
         futures = np.random.default_rng(2).normal(size=(6, 8))
-        plan = make_plan(np.full(6, 1 / 6), B=200, seed=123)
-        b1 = draw_pseudo_blocks(plan, futures)
-        b2 = draw_pseudo_blocks(plan, futures)
+        plan = make_plan(B=200, seed=123)
+        b1 = draw_pseudo_blocks(plan, np.full(6, 1 / 6), futures)
+        b2 = draw_pseudo_blocks(plan, np.full(6, 1 / 6), futures)
         np.testing.assert_array_equal(b1, b2)
 
     def test_weight_count_mismatch(self):
         with pytest.raises(ShapeError):
-            draw_pseudo_blocks(make_plan([0.5, 0.5]), np.ones((3, 4)))
+            draw_pseudo_blocks(make_plan(), [0.5, 0.5], np.ones((3, 4)))
 
 
 class TestWeightedQuantile:
@@ -146,6 +150,16 @@ class TestWeightedQuantile:
         w = np.array([0.0, 1.0, 0.0])
         assert weighted_quantile(atoms, w, 0.025)[0] == 2.0
         assert weighted_quantile(atoms, w, 0.975)[0] == 2.0
+
+    def test_threshold_past_the_total_weight_reads_the_largest_atom(self):
+        # the weights sum to 1 - 9.9987e-13, inside the 1e-12 tolerance, so the
+        # sorted cumulative sum ends short of q - 1e-12 at q = 1; a zero-weight
+        # atom above the others carries no mass and is never the bound
+        w = np.array([0.307547174334848, 0.4400633375291528, 0.25238948813499923])
+        atoms = np.array([[1.0], [2.0], [0.0]])
+        assert weighted_quantile(atoms, w, 1.0).tolist() == [2.0]
+        atoms = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [3.0, -1.0]])
+        assert weighted_quantile(atoms, np.append(w, 0.0), 1.0).tolist() == [2.0, 2.0]
 
     @pytest.mark.parametrize("q", [-0.1, 1.5, float("nan")])
     def test_rejects_q_outside_unit_interval(self, q):
@@ -171,21 +185,21 @@ class TestPredictionInterval:
         hist = rng.normal(size=(n, P)) + 10
         kernel = KernelSpec("gaussian", h)
         center = predict_one_ahead(hist, kernel)
-        return hist, center, center.weights
+        return hist, center
 
     def test_degenerate_distribution(self):
         seg = np.linspace(1, 2, 8)
         hist = np.tile(seg, (6, 1))
         kernel = KernelSpec("gaussian", 1.0)
         center = predict_one_ahead(hist, kernel)
-        plan = make_plan(center.weights, B=300)
+        plan = make_plan(B=300)
         band = prediction_interval(hist, center, plan)
         np.testing.assert_allclose(band.lower, seg, atol=1e-12)
         np.testing.assert_allclose(band.upper, seg, atol=1e-12)
 
     def test_ordering_and_atom_support(self):
-        hist, center, weights = self._setup()
-        plan = make_plan(weights, B=2000, seed=9)
+        hist, center = self._setup()
+        plan = make_plan(B=2000, seed=9)
         band = prediction_interval(hist, center, plan)
         assert np.all(band.lower <= band.upper)
         futures = hist[1:]
@@ -194,8 +208,8 @@ class TestPredictionInterval:
             assert band.upper[i] in futures[:, i]
 
     def test_monte_carlo_matches_exact_oracle(self):
-        hist, center, weights = self._setup(seed=5)
-        plan = make_plan(weights, B=50000, seed=11)
+        hist, center = self._setup(seed=5)
+        plan = make_plan(B=50000, seed=11)
         mc = prediction_interval(hist, center, plan)
         exact = prediction_interval(hist, center, plan, method="exact")
         futures = hist[1:]
@@ -205,22 +219,22 @@ class TestPredictionInterval:
             assert abs(mc.upper[i] - exact.upper[i]) <= 0.005 * gap
 
     def test_small_b_warns(self):
-        hist, center, weights = self._setup()
-        plan = make_plan(weights, B=10, alpha=0.025)
+        hist, center = self._setup()
+        plan = make_plan(B=10, alpha=0.025)
         with pytest.warns(UserWarning):
             prediction_interval(hist, center, plan)
 
     def test_unknown_method(self):
-        hist, center, weights = self._setup()
-        plan = make_plan(weights)
+        hist, center = self._setup()
+        plan = make_plan()
         with pytest.raises(ConfigError):
             prediction_interval(hist, center, plan, method="jackknife")
 
     def test_unknown_method_checked_before_any_work(self):
         # a too-small B would warn, and bad segments would raise ShapeError;
         # the method is rejected first
-        hist, center, weights = self._setup()
-        plan = make_plan(weights, B=10, alpha=0.025)
+        hist, center = self._setup()
+        plan = make_plan(B=10, alpha=0.025)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for segments in (hist, [[1.0, 2.0], [3.0]]):
@@ -228,8 +242,8 @@ class TestPredictionInterval:
                     prediction_interval(segments, center, plan, method="jackknife")
 
     def test_determinism(self):
-        hist, center, weights = self._setup()
-        plan = make_plan(weights, B=777, seed=5)
+        hist, center = self._setup()
+        plan = make_plan(B=777, seed=5)
         b1 = prediction_interval(hist, center, plan)
         b2 = prediction_interval(hist, center, plan)
         np.testing.assert_array_equal(b1.lower, b2.lower)
@@ -238,9 +252,9 @@ class TestPredictionInterval:
     def test_fixed_seed_reproducible(self):
         # a plan made afresh with the same seed gives the same bounds
         hist = np.random.default_rng(2).normal(size=(7, 8))
-        center = predict_one_ahead(hist, KernelSpec())
-        b1, b2 = (prediction_interval(hist, center, make_plan(np.full(6, 1 / 6), B=200,
-                                                              alpha=0.1, seed=123))
+        center = dataclasses.replace(predict_one_ahead(hist, KernelSpec()),
+                                     weights=np.full(6, 1 / 6))
+        b1, b2 = (prediction_interval(hist, center, make_plan(B=200, alpha=0.1, seed=123))
                   for _ in range(2))
         np.testing.assert_array_equal(b1.lower, b2.lower)
         np.testing.assert_array_equal(b1.upper, b2.upper)
@@ -249,13 +263,14 @@ class TestPredictionInterval:
     def test_weight_count_mismatch(self, method):
         hist = np.ones((4, 4))
         with pytest.raises(ShapeError, match="2 weights for 3 candidates"):
-            prediction_interval(hist, predict_one_ahead(hist, KernelSpec()),
-                                make_plan([0.5, 0.5]), method=method)
+            center = predict_one_ahead(hist, KernelSpec())
+            prediction_interval(hist, dataclasses.replace(center, weights=[0.5, 0.5]),
+                                make_plan(), method=method)
 
 
-def sorted_draws_quantile(plan, futures, q):
+def sorted_draws_quantile(plan, weights, futures, q):
     """The k-th smallest of B drawn pseudo-blocks, by a full sort of the draws."""
-    blocks = np.sort(draw_pseudo_blocks(plan, futures), axis=0)
+    blocks = np.sort(draw_pseudo_blocks(plan, weights, futures), axis=0)
     k = min(max(math.ceil(q * plan.B), 1), plan.B)
     return blocks[k - 1]
 
@@ -264,7 +279,9 @@ def argsort_weighted_quantile(atoms, weights, q):
     """One argsort per quantile: the smallest atom whose cumulative weight reaches q."""
     order = np.argsort(atoms, axis=0, kind="stable")
     cumw = np.cumsum(weights[order], axis=0)
-    first = np.argmax(cumw >= q - 1e-12, axis=0)
+    # a threshold past a column's total weight, which rounding can leave an
+    # ulp short, reads as that total, as in the library
+    first = np.argmax(cumw >= np.minimum(q - 1e-12, cumw[-1]), axis=0)
     return np.take_along_axis(atoms, order, axis=0)[first, np.arange(atoms.shape[1])]
 
 
@@ -287,20 +304,22 @@ def test_bounds_match_sorted_draws(n, P, decimals, concentration, sharpen, B, al
     hist = np.round(rng.normal(size=(n, P)) * 2, decimals)  # rounding makes ties
     # a power of a Dirichlet draw is close to a point mass
     weights = rng.dirichlet(np.full(n - 1, concentration)) ** sharpen
-    plan = make_plan(weights / weights.sum(), B=B, alpha=alpha, seed=seed)
-    center = predict_one_ahead(hist, KernelSpec("gaussian", 1.0))
+    weights = weights / weights.sum()
+    plan = make_plan(B=B, alpha=alpha, seed=seed)
+    center = dataclasses.replace(predict_one_ahead(hist, KernelSpec("gaussian", 1.0)),
+                                 weights=weights)
     futures = hist[1:]
     mc = prediction_interval(hist, center, plan)
     # values only: neither this sort nor the one under test is stable, so
     # which of a tied 0.0 and -0.0 lands at rank k is each sort's choice
     np.testing.assert_array_equal(mc.lower,
-                                  sorted_draws_quantile(plan, futures, alpha))
+                                  sorted_draws_quantile(plan, weights, futures, alpha))
     np.testing.assert_array_equal(mc.upper,
-                                  sorted_draws_quantile(plan, futures, 1 - alpha))
+                                  sorted_draws_quantile(plan, weights, futures, 1 - alpha))
     exact = prediction_interval(hist, center, plan, method="exact")
     # both exact paths sort stably, so even the sign of a tied zero agrees
     for got, q in ((exact.lower, alpha), (exact.upper, 1 - alpha)):
-        expect = argsort_weighted_quantile(futures, plan.weights, q)
+        expect = argsort_weighted_quantile(futures, weights, q)
         np.testing.assert_array_equal(got, expect)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))
 
@@ -309,10 +328,9 @@ def bound_bytes(band):
     return band.lower.tobytes() + band.upper.tobytes()
 
 
-def bounds_by_budget(hist, plan, method, scratch):
+def bounds_by_budget(hist, center, plan, method, scratch):
     with mock.patch.object(intervals, "_SCRATCH", scratch):
-        return bound_bytes(prediction_interval(
-            hist, predict_one_ahead(hist, KernelSpec("gaussian", 1.0)), plan, method))
+        return bound_bytes(prediction_interval(hist, center, plan, method))
 
 
 # columns in chunks of one, a few, or all of them, at B below and above the
@@ -327,10 +345,12 @@ def test_column_chunks_give_the_unchunked_bounds(n, P, decimals, B, scratch, see
     signs = rng.choice([-1.0, 1.0], size=(n, P))  # signed zeros among the ties
     hist = np.round(rng.normal(size=(n, P)), decimals) * signs
     weights = rng.dirichlet(np.ones(n - 1))
-    plan = make_plan(weights / weights.sum(), B=B, seed=seed)
+    center = dataclasses.replace(predict_one_ahead(hist, KernelSpec("gaussian", 1.0)),
+                                 weights=weights / weights.sum())
+    plan = make_plan(B=B, seed=seed)
     for method in ("exact", "monte-carlo"):
-        assert (bounds_by_budget(hist, plan, method, scratch)
-                == bounds_by_budget(hist, plan, method, 1 << 40))
+        assert (bounds_by_budget(hist, center, plan, method, scratch)
+                == bounds_by_budget(hist, center, plan, method, 1 << 40))
 
 
 @pytest.fixture(scope="module")
@@ -345,10 +365,10 @@ def test_wide_bounds_equal_one_chunk(wide, B):
     # B = 500 draws at most 500 rows, one chunk of all 96 columns; B = 20000
     # draws about 1900 of the 1999 rows, three chunks, as does the exact method
     hist, center = wide
-    plan = make_plan(center.weights, B=B, seed=7)
+    plan = make_plan(B=B, seed=7)
     for method in ("exact", "monte-carlo"):
-        assert (bounds_by_budget(hist, plan, method, intervals._SCRATCH)
-                == bounds_by_budget(hist, plan, method, 1 << 40))
+        assert (bounds_by_budget(hist, center, plan, method, intervals._SCRATCH)
+                == bounds_by_budget(hist, center, plan, method, 1 << 40))
 
 
 @pytest.mark.parametrize("method", ["exact", "monte-carlo"])
@@ -359,7 +379,7 @@ def test_interval_holds_one_column_chunk(wide, method):
     # full-size order and sums, read 3.47 MiB (monte-carlo) and 4.39 MiB
     # (exact)
     hist, center = wide
-    plan = make_plan(center.weights, B=20000, seed=7)
+    plan = make_plan(B=20000, seed=7)
     tracemalloc.start()
     try:
         prediction_interval(hist, center, plan, method)

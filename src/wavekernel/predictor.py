@@ -135,7 +135,9 @@ def normalized_weights(kernel_values: np.ndarray, n: int) -> np.ndarray:
     all weights equal 1/(n-1)).  The weights sum to 1 up to rounding; a
     single weight is exactly 1.  A history of fewer than two segments has
     no past segment to weigh: InsufficientHistoryError.  The kernel values
-    are n-1 finite, non-negative reals.
+    are n-1 finite, non-negative reals.  Values whose sum passes the
+    largest double get the weights k / sum(k), computed on k / max(k):
+    beside such a sum the damping terms are nil.
     """
     _int(n, "n", 0)
     if n < 2:
@@ -148,7 +150,11 @@ def normalized_weights(kernel_values: np.ndarray, n: int) -> np.ndarray:
         raise InvalidInputError("kernel values must be non-negative")
     if n == 2:
         return np.ones(1)
-    total = float(k.sum())
+    with np.errstate(over="ignore"):
+        total = float(k.sum())
+    if math.isinf(total):
+        k = k / k.max()
+        return k / k.sum()
     return k / (1.0 / n + total) + 1.0 / ((n - 1) * (1.0 + n * total))
 
 

@@ -5,7 +5,10 @@ forward one.  ``draw_pseudo_blocks`` builds the B x P pseudo-block matrix
 that ``prediction_interval`` never forms; a full sort of it gives the
 Monte Carlo bounds the library takes off draw counts.  It makes its own
 seeded draw, so it does not share the library's sampling code.
+``quantile_grid`` is the auto bandwidth grid read off ``np.quantile``.
 """
+
+import math
 
 import numpy as np
 
@@ -47,3 +50,14 @@ def draw_pseudo_blocks(plan, weights, future_segments) -> np.ndarray:
         raise ShapeError(f"expected {w.size} future segments, got shape {futures.shape}")
     rng = np.random.Generator(np.random.Philox(key=plan.seed))
     return futures[rng.choice(futures.shape[0], size=plan.B, p=w)]
+
+
+def quantile_grid(tri, count=32):
+    """The auto grid from numpy's quantiles of the positive distances."""
+    vals = tri[tri > 0]
+    if vals.size == 0:
+        return np.logspace(-3, 0, count)
+    q_lo, q_hi = np.quantile(vals, [0.01, 0.99])
+    lo = max(float(q_lo), 1e-12 * float(q_hi))
+    hi = max(float(q_hi), lo * 10)
+    return np.logspace(math.log10(lo), math.log10(hi), count)

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 import wavekernel as wk
 from wavekernel import ConfigError, WavekernelError
-from wavekernel.cli import main, write_series
+from wavekernel.cli import main
 from wavekernel.evaluation import split_segments, summarize, wk_method
 from wavekernel.predictor import History, normalized_weights
 from wavekernel.wavelet import forward_array
@@ -217,6 +217,7 @@ def weighable(kernel_values, n) -> bool:
 @example([-5.0, 1.0], 3)
 @example([1.0, 1.0], 3.5)
 @example(None, 2)
+@example([1e308, 1e308], 3)  # a sum past the largest double
 def test_normalized_weights_weighs_only_what_it_can(kernel_values, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -229,13 +230,16 @@ def test_normalized_weights_weighs_only_what_it_can(kernel_values, n):
         else:
             w = normalized_weights(kernel_values, n)
             assert w.shape == (n - 1,) and np.all((w >= 0) & (w <= 1))
+            assert abs(w.sum() - 1.0) <= 1e-12
 
 
-@pytest.fixture
-def series_file(tmp_path):
-    path = tmp_path / "series.csv"
-    write_series(path, wk.gen_synthetic("seasonal_ar", 30, 12, 0.3, seed=5))
-    return path
+def test_normalized_weights_of_an_overflowing_sum_are_its_shares():
+    # beside a sum past the largest double, the 1/n damping is nil
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(normalized_weights([1e308, 1e308], 3), [0.5, 0.5])
+        w = normalized_weights([1e308, 1e308, 5e307, 0.0], 5)
+    np.testing.assert_allclose(w, [0.4, 0.4, 0.2, 0.0], rtol=1e-15)
 
 
 def run(argv, capsys):

@@ -5,7 +5,6 @@ kernel evaluation, weight vector and forecast per cut point, with the
 distances ``predict`` uses (one query row at a time).
 """
 
-import math
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -40,6 +39,8 @@ from wavekernel.predictor import (
     scaling_coefficients,
 )
 from wavekernel.wavelet import FILTERS
+
+from oracle import quantile_grid
 
 
 def query_distances(X, config, q):
@@ -561,17 +562,6 @@ def test_cv_holds_one_kernel_stack():
     stack = (G + 1) * (predictor._STACK // (n * G)) * n * 8
     assert G == 32
     assert peak < history.tri.nbytes + 1.5 * stack
-
-
-def quantile_grid(tri, count=32):
-    """The auto grid from numpy's quantiles of the positive distances."""
-    vals = tri[tri > 0]
-    if vals.size == 0:
-        return np.logspace(-3, 0, count)
-    q_lo, q_hi = np.quantile(vals, [0.01, 0.99])
-    lo = max(float(q_lo), 1e-12 * float(q_hi))
-    hi = max(float(q_hi), lo * 10)
-    return np.logspace(math.log10(lo), math.log10(hi), count)
 
 
 @settings(max_examples=300, deadline=None)

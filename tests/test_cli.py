@@ -20,14 +20,6 @@ from wavekernel.cli import load_series, main, write_series
 from wavekernel.evaluation import summarize, wk_method
 
 
-@pytest.fixture
-def series_file(tmp_path):
-    series = gen_synthetic("seasonal_ar", 30, 12, 0.3, seed=5)
-    path = tmp_path / "series.csv"
-    write_series(path, series)
-    return path
-
-
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
@@ -176,20 +168,21 @@ class TestScaleFlags:
 
 
 class TestCvCommand:
-    def test_emits_full_table_with_selection(self, series_file, tmp_path):
-        out = tmp_path / "out"
-        rc = main(["cv", "--input", str(series_file), "--p", "12",
-                   "--cv-grid", "0.1:10:8", "--output-dir", str(out)])
-        assert rc == 0
-        summary = read_summary(out)
-        table = summary["cv_table"]
-        assert len(table) == 8
-        assert sum(row["selected"] for row in table) == 1
-        selected = [row["h"] for row in table if row["selected"]][0]
-        assert summary["h_selected"] == selected
-        with (out / "cv.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 8
+    def test_emits_full_table_with_selection(self, series_file, smoke_file, tmp_path):
+        for path in (series_file, smoke_file):
+            out = tmp_path / path.stem
+            rc = main(["cv", "--input", str(path), "--p", "12",
+                       "--cv-grid", "0.1:10:8", "--output-dir", str(out)])
+            assert rc == 0
+            summary = read_summary(out)
+            table = summary["cv_table"]
+            assert len(table) == 8
+            assert sum(row["selected"] for row in table) == 1
+            selected = [row["h"] for row in table if row["selected"]][0]
+            assert summary["h_selected"] == selected
+            with (out / "cv.csv").open() as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["h", "cv", "selected"] and len(rows) == 9
 
     def test_duplicate_bandwidths_select_one_row(self, series_file, tmp_path):
         # the row at cv_bandwidth's index, not every row equal to its h
@@ -316,14 +309,16 @@ class TestEvalCommand:
                    "--output-dir", str(tmp_path / "out")])
         assert (rc, calls) == (code, [])
 
-    def test_rolling_summary(self, series_file, tmp_path):
-        out = tmp_path / "out"
-        rc = main(["eval", "--input", str(series_file), "--p", "12",
-                   "--h", "1.0", "--rolling", "--output-dir", str(out)])
-        assert rc == 0
-        rolling = read_summary(out)["rolling"]
-        assert rolling["wk"]["count"] == rolling["naive"]["count"] == 28
-        assert rolling["h_in_sample"] is False  # --h was not tuned on the blocks
+    def test_rolling_summary(self, series_file, smoke_file, tmp_path):
+        # n blocks give n - 2 rolling origins
+        for path, count in ((series_file, 28), (smoke_file, 18)):
+            out = tmp_path / path.stem
+            rc = main(["eval", "--input", str(path), "--p", "12",
+                       "--h", "1.0", "--rolling", "--output-dir", str(out)])
+            assert rc == 0
+            rolling = read_summary(out)["rolling"]
+            assert rolling["wk"]["count"] == rolling["naive"]["count"] == count
+            assert rolling["h_in_sample"] is False  # --h was not tuned on the blocks
 
     # two blocks leave a one-block history: no forecast, plain or rolling
     @pytest.mark.parametrize("flags", [[], ["--rolling"]])
@@ -405,21 +400,29 @@ def test_rolling_scores_match_rolling_eval(series_file, tmp_path, bandwidth):
                                [want["mean_rmae"], want["median_rmae"]], rtol=1e-12)
 
 
-# the 29-block series, and long series whose --rolling pass puts the
-# holdout cut in a block of many rows, where the pass forms it alone
+LAPLACE_DD6 = ["--filter", "dd6", "--kernel", "laplace"]
+
+
+# the 29-block and 20-block series, and long series whose --rolling pass
+# puts the holdout cut in a block of many rows, where the pass forms it
+# alone: (kind, n, P, noise, seed), or None for the 29 blocks
 @pytest.mark.parametrize("series, flags", [
     (None, BANDWIDTHS["grid"]),
     (None, BANDWIDTHS["h"]),
-    (("seasonal_ar", 700, 24), ["--filter", "dd6", "--kernel", "laplace", "--h", "2.0"]),
-    (("markov_functional", 400, 12), ["--filter", "dd2", "--cv-grid", "auto"]),
-], ids=["grid", "h", "seasonal_ar-700-h", "markov_functional-400-grid"])
+    (("seasonal_ar", 20, 12, 0.3, 1), BANDWIDTHS["grid"]),
+    (("seasonal_ar", 20, 12, 0.3, 1), BANDWIDTHS["h"]),
+    (("seasonal_ar", 700, 24, 0.5, 700), LAPLACE_DD6 + ["--h", "2.0"]),
+    (("seasonal_ar", 700, 24, 0.5, 700), LAPLACE_DD6 + BANDWIDTHS["grid"]),
+    (("markov_functional", 400, 12, 0.5, 400), ["--filter", "dd2", "--cv-grid", "auto"]),
+], ids=["grid", "h", "seasonal_ar-20-grid", "seasonal_ar-20-h", "seasonal_ar-700-h",
+        "seasonal_ar-700-grid", "markov_functional-400-grid"])
 def test_rolling_holdout_forecast_matches_plain_eval(series_file, tmp_path, series, flags):
     # the batch's last row is the holdout forecast of plain eval, byte for byte
     path, P = series_file, 12
     if series is not None:
-        kind, n, P = series
+        kind, n, P, noise, seed = series
         path = tmp_path / "long.csv"
-        write_series(path, gen_synthetic(kind, n, P, 0.5, seed=n))
+        write_series(path, gen_synthetic(kind, n, P, noise, seed=seed))
     tables = {}
     for rolling in ([], ["--rolling"]):
         out = tmp_path / f"out{len(rolling)}"
@@ -485,21 +488,23 @@ class TestConfigFile:
         assert (out1 / "prediction.csv").read_bytes() == \
             (out2 / "prediction.csv").read_bytes()
 
-    # the summary of a run that selects h on the auto grid, and of a rolling
-    # eval, replays to the same forecast
+    # the summary of a run that selects h on the auto grid, of a rolling
+    # eval, and of an interval replays to the same forecast and bounds
     @pytest.mark.parametrize("command, flags", [
         ("predict", ["--cv-grid", "auto"]),
         ("eval", ["--rolling", "--h", "1.0"]),
+        ("interval", ["--h", "1.0"]),
     ])
-    def test_summary_config_replays(self, series_file, tmp_path, command, flags):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main([command, "--input", str(series_file), "--p", "12", *flags,
-                     "--output-dir", str(out1)]) == 0
-        cfg_path = tmp_path / "replay.json"
-        cfg_path.write_text(json.dumps(read_summary(out1)["config"]))
-        assert main([command, "--config", str(cfg_path), "--output-dir", str(out2)]) == 0
-        assert (out1 / "prediction.csv").read_bytes() == \
-            (out2 / "prediction.csv").read_bytes()
+    def test_summary_config_replays(self, series_file, smoke_file, tmp_path, command, flags):
+        for path in (series_file, smoke_file):
+            out1, out2 = tmp_path / f"{path.stem}1", tmp_path / f"{path.stem}2"
+            assert main([command, "--input", str(path), "--p", "12", *flags,
+                         "--output-dir", str(out1)]) == 0
+            cfg_path = tmp_path / f"{path.stem}.json"
+            cfg_path.write_text(json.dumps(read_summary(out1)["config"]))
+            assert main([command, "--config", str(cfg_path), "--output-dir", str(out2)]) == 0
+            assert (out1 / "prediction.csv").read_bytes() == \
+                (out2 / "prediction.csv").read_bytes()
 
     # the rules for a missing --input, --p or bandwidth are RunConfig's own, so
     # a RunConfig made without argv cannot echo a summary that fails to replay

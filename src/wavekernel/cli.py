@@ -7,10 +7,12 @@ The flags given, over the values of a ``--config`` file, make one
 before the input is read.
 
 ``predict``, ``interval`` and ``eval`` write a prediction CSV, a plot-data
-CSV and a JSON summary echoing the full configuration (sufficient to
-replay the run); ``cv`` writes its CV table and the summary.
-Numbers are written with 17 significant digits so files round-trip
-doubles exactly; a fixed seed therefore yields byte-identical outputs.
+CSV and a JSON summary echoing the full configuration, which ``--config``
+replays; ``cv`` writes its CV table and the summary.  Numbers are written
+with 17 significant digits so files round-trip doubles exactly; reruns
+and replays with an identical configuration and seed are byte-identical
+under the same numpy, BLAS library and BLAS thread count.  Under another
+thread count the CV values may differ in the last place.
 """
 
 from __future__ import annotations
@@ -367,7 +369,7 @@ def _run_eval(cfg: RunConfig) -> None:
                                 f"of {cfg.p}; its relative error is undefined")
     history = predictor.History(segments[:-1], cfg.pipeline())
     h, cv = _bandwidth(cfg, history)
-    preds = evaluation.wk_method(KernelSpec(cfg.kernel, h)).batch(history, start)
+    preds = evaluation.wk_method(KernelSpec(cfg.kernel, h))(history, start)
     scores = evaluation.rmae(preds, scored)
     naive = evaluation.rolling_eval(segments, cfg.p, evaluation.naive_seasonal, start)
     pred, truth = preds[-1], segments[-1]

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import (_MIN_P, _SEEDS, ConfigError, InsufficientHistoryError,
                      InvalidInputError, _choice, _finite, _floats, _int, _real)
-from .predictor import KernelSpec, _history, predict_one_ahead
+from .predictor import KernelSpec, _history
 
 __all__ = [
     "rmae",
@@ -26,7 +26,8 @@ def rmae(pred, truth, zero_floor: float | None = None):
     a stack of blocks (..., P), giving one score per block.  Truth values
     of exactly zero make the ratio undefined; by default that is an error
     naming the offending block and index, or pass ``zero_floor`` to clamp
-    |truth| from below.
+    |truth| from below.  A score past the largest double is an error
+    naming the first such block, without a RuntimeWarning.
     """
     if zero_floor is not None:
         _real(zero_floor, "zero_floor", 0)
@@ -49,7 +50,12 @@ def rmae(pred, truth, zero_floor: float | None = None):
             f"truth value is zero at {at}; relative error undefined "
             "(pass zero_floor to clamp)"
         )
-    scores = (np.abs(p - t) / denom).mean(axis=-1)
+    with np.errstate(over="ignore"):  # checked below
+        scores = (np.abs(p - t) / denom).mean(axis=-1)
+    if not np.isfinite(scores).all():
+        block = np.argwhere(~np.isfinite(scores))[0].tolist()
+        at = f" of block {block[0] if len(block) == 1 else tuple(block)}" if block else ""
+        raise InvalidInputError(f"relative error{at} overflows a double")
     return float(scores) if scores.ndim == 0 else scores
 
 
@@ -76,17 +82,13 @@ def split_segments(series, P: int, drop_remainder: bool = False) -> np.ndarray:
     return x.reshape(-1, P)
 
 
-def naive_seasonal(segments) -> np.ndarray:
-    """Forecast the next segment by repeating the last observed one.
+def naive_seasonal(segments, start: int) -> np.ndarray:
+    """Forecast each segment by repeating the one before it.
 
-    ``segments`` is a sequence of past segments (a list, or the rows of
-    an array).  ``naive_seasonal.batch(segments, start)`` gives the
-    forecasts at origins start..n at once: segments start-1..n-1.
+    Returns the forecasts at origins start..n, each of the block after
+    the first ``origin`` segments: segments start-1..n-1.  ``segments``
+    is a sequence of past segments (a list, or the rows of an array).
     """
-    return _naive_batch(segments, 1)[-1]
-
-
-def _naive_batch(segments, start):
     _int(start, "start", 1, error=InsufficientHistoryError)
     segs = _floats(segments, "segments")
     if segs.ndim != 2 or len(segs) < start:
@@ -95,24 +97,19 @@ def _naive_batch(segments, start):
     return segs[start - 1:]
 
 
-naive_seasonal.batch = _naive_batch
-
-
 def wk_method(kernel: KernelSpec):
     """Wrap the wavelet-kernel predictor as a rolling-eval method.
 
-    ``method.batch(segments, start)`` returns the forecasts at origins
+    ``method(segments, start)`` returns the forecasts at origins
     start..n, each of the block after the first ``origin`` segments, in
     one causal pass of the predictor instead of one fit per origin.  Its
     last row forecasts the block after the final segment, and is
-    ``method(segments)`` bit for bit.  ``segments`` is as in :func:`predict_one_ahead`:
+    ``predict_one_ahead(segments, kernel).curve`` bit for bit.
+    ``segments`` is as in :func:`~wavekernel.predictor.predict_one_ahead`:
     a :class:`~wavekernel.predictor.History` sets the pipeline config.
     """
 
-    def method(history):
-        return predict_one_ahead(history, kernel).curve
-
-    def batch(segments, start):
+    def method(segments, start):
         _int(start, "start", 2, error=InsufficientHistoryError)
         history = _history(segments)
         n = len(history)
@@ -125,46 +122,34 @@ def wk_method(kernel: KernelSpec):
             out[r0 + 1 - start:r1 + 1 - start] = F[0]
         return out
 
-    method.batch = batch
     return method
 
 
 def rolling_eval(series, P: int, method, min_history: int = 2) -> np.ndarray:
-    """Rolling-origin evaluation: fit on each prefix, score the next segment.
+    """Rolling-origin evaluation: score each segment's forecast from the ones before.
 
-    ``method`` is a callable mapping a sequence of past segments (the
-    rows of an array view) to a length-P forecast; it only ever sees
-    segments strictly before the one being scored.  A method with a
-    ``batch(segments, start)`` attribute (:func:`wk_method`,
-    :func:`naive_seasonal`) gives the forecasts at origins start..n in
-    one call, of which all but the last are scored.  Returns the
-    :func:`rmae` of every origin min_history..n-1, in order, from one
-    call on the stacked forecasts.
+    ``method(segments, start)`` returns the forecasts at origins start..n
+    of the n segments, one row each, and forecasts origin t from
+    ``segments[:t]`` alone, as :func:`wk_method` and
+    :func:`naive_seasonal` do.  It is called once, with start
+    ``min_history``.  Returns the :func:`rmae` of every origin
+    min_history..n-1, in order; the last row, the forecast of the block
+    after the final segment, has no truth.
     """
     _int(min_history, "min_history", 1)
     segs = split_segments(series, P)
     n = segs.shape[0]
     if n < min_history + 1:
-        raise ConfigError(
-            f"need at least {min_history + 1} segments, got {n}"
-        )
-    if hasattr(method, "batch"):
-        preds = method.batch(segs, min_history)[:-1]
-    else:
-        preds = [np.asarray(method(segs[:i]), dtype=float) for i in range(min_history, n)]
-        for i, pred in enumerate(preds, start=min_history):
-            if pred.shape != (P,):  # else stacking fails untyped or misaligns
-                raise ConfigError(f"forecast of segment {i} has shape {pred.shape}, "
-                                  f"expected ({P},)")
-    return rmae(preds, segs[min_history:])
+        raise ConfigError(f"need at least {min_history + 1} segments, got {n}")
+    return rmae(method(segs, min_history)[:-1], segs[min_history:])
 
 
 def summarize(scores) -> dict:
     """Count, mean and median of a nonempty 1-d array of finite scores."""
     vals = _floats(scores, "scores")
-    if vals.ndim != 1 or vals.size == 0 or not np.isfinite(vals).all():
-        raise InvalidInputError(
-            f"need a nonempty 1-d array of finite scores, got shape {vals.shape}")
+    if vals.ndim != 1 or vals.size == 0:
+        raise InvalidInputError(f"need a nonempty 1-d array of scores, got shape {vals.shape}")
+    _finite("scores", vals)
     return {
         "count": int(vals.size),
         "mean_rmae": float(vals.mean()),

@@ -6,6 +6,7 @@ that ``prediction_interval`` never forms; a full sort of it gives the
 Monte Carlo bounds the library takes off draw counts.  It makes its own
 seeded draw, so it does not share the library's sampling code.
 ``quantile_grid`` is the auto bandwidth grid read off ``np.quantile``.
+``per_origin`` is the rolling forecast stack made one prefix at a time.
 """
 
 import math
@@ -61,3 +62,9 @@ def quantile_grid(tri, count=32):
     lo = max(float(q_lo), 1e-12 * float(q_hi))
     hi = max(float(q_hi), lo * 10)
     return np.logspace(math.log10(lo), math.log10(hi), count)
+
+
+def per_origin(forecast, segments, start):
+    """The stack of ``forecast(segments[:t])`` for t = start..n: what a rolling
+    method's one call returns, from one call per origin on its prefix alone."""
+    return np.stack([forecast(segments[:t]) for t in range(start, len(segments) + 1)])

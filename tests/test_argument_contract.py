@@ -91,8 +91,8 @@ ENTRIES = {
                            dict(series=SEGS.reshape(-1), P=8, min_history=2)),
     "rolling_eval wk": (functools.partial(wk.rolling_eval, method=wk_method(KERNEL)),
                         dict(series=SEGS.reshape(-1), P=8, min_history=2)),
-    "wk batch": (wk_method(KERNEL).batch, dict(segments=SEGS, start=2)),
-    "naive batch": (wk.naive_seasonal.batch, dict(segments=SEGS, start=1)),
+    "wk_method": (wk_method(KERNEL), dict(segments=SEGS, start=2)),
+    "naive_seasonal": (wk.naive_seasonal, dict(segments=SEGS, start=1)),
     "summarize": (summarize, dict(scores=[0.1, 0.2, 0.4])),
     "gen_synthetic seasonal_ar": synthetic("seasonal_ar"),
     "gen_synthetic markov_functional": synthetic("markov_functional"),
@@ -159,8 +159,8 @@ def check(entry, param, value):
 @example(("weighted_quantile", "q"), "'1'")
 @example(("rmae", "zero_floor"), "'1'")
 @example(("cv_bandwidth", "grid"), "'abc'")
-@example(("wk batch", "start"), "2.5")
-@example(("naive batch", "start"), "2.5")
+@example(("wk_method", "start"), "2.5")
+@example(("naive_seasonal", "start"), "2.5")
 @example(("summarize", "scores"), "[]")
 @example(("summarize", "scores"), "None")
 @example(("gen_synthetic seasonal_ar", "noise"), "1e308")
@@ -185,7 +185,7 @@ ARRAY_CASES = [(entry, param) for entry, (_, valid) in ENTRIES.items()
 @example(("rmae", "pred"), "inf", 0)
 @example(("rmae", "truth"), "nan", 0)
 @example(("split_segments", "series"), "nan", 0)
-@example(("naive batch", "segments"), "-inf", 0)
+@example(("naive_seasonal", "segments"), "-inf", 0)
 @example(("scale_distance", "a"), "nan", 0)
 @example(("forward_array", "x"), "inf", 0)
 def test_non_finite_element_gives_finite_values_or_typed_error(case, bad, index):

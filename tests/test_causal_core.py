@@ -40,7 +40,7 @@ from wavekernel.predictor import (
 )
 from wavekernel.wavelet import FILTERS
 
-from oracle import quantile_grid
+from oracle import per_origin, quantile_grid
 
 
 def query_distances(X, config, q):
@@ -223,12 +223,13 @@ def test_extreme_bandwidths_match_per_cut_loop(grid, family, weight_mode):
 @given(cases())
 def test_batched_rolling_matches_per_prefix_fits(case):
     segments, config, grid, opts = case
-    method = wk_method(KernelSpec(opts["family"], grid[0]))
+    kernel = KernelSpec(opts["family"], grid[0])
     with budgets(*opts["scratch"]):
-        batched = method.batch(History(segments, config), 2)
+        batched = wk_method(kernel)(History(segments, config), 2)
     # the last row forecasts the block after the final segment
-    per_prefix = np.stack([method(History(list(segments[:i]), config))
-                           for i in range(2, len(segments) + 1)])
+    per_prefix = per_origin(
+        lambda prefix: predict_one_ahead(History(list(prefix), config), kernel).curve,
+        segments, 2)
     # a block of several rows takes its kernel-weighted sums in one GEMM,
     # which may round them unlike a one-row product; the final cut is
     # formed alone, so it is the one-row product under any budget
@@ -256,7 +257,7 @@ def test_predict_curve_is_the_causal_pass_forecast(case):
     assert curve.tobytes() == F[0, 0].tobytes()
     if mode == "normalized":
         for start in (2, n):
-            assert curve.tobytes() == wk_method(kernel).batch(history, start)[-1].tobytes()
+            assert curve.tobytes() == wk_method(kernel)(history, start)[-1].tobytes()
 
 
 # n = 40 blocks padded to 32: chunks of 6 blocks at _SCRATCH = 200, the last of 4
@@ -307,20 +308,22 @@ def test_history_build_holds_the_blocks_and_one_chunk():
 
 def test_rolling_eval_uses_batch_with_same_scores():
     segments = np.random.default_rng(3).normal(size=(25, 12)) + 10.0
-    method = wk_method(KernelSpec("laplace", 0.7))
+    kernel = KernelSpec("laplace", 0.7)
+    method = wk_method(kernel)
 
-    def per_prefix(history):
-        return method(history)
+    def per_prefix(config):
+        return per_origin(
+            lambda prefix: predict_one_ahead(History(prefix, config), kernel).curve,
+            segments, 2)[:-1]
 
     fast = rolling_eval(segments.reshape(-1), 12, method)
-    slow = rolling_eval(segments.reshape(-1), 12, per_prefix)
+    slow = rmae(per_prefix(PipelineConfig()), segments[2:])
     assert fast.shape == slow.shape == (23,)  # origins 2..24
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
     # another config rides on a History: the batch scored as the CLI scores it
     config = PipelineConfig(filter_id="dd6")
-    fast = rmae(method.batch(History(segments, config), 2)[:-1], segments[2:])
-    slow = rmae(np.stack([per_prefix(History(segments[:i], config))
-                          for i in range(2, 25)]), segments[2:])
+    fast = rmae(method(History(segments, config), 2)[:-1], segments[2:])
+    slow = rmae(per_prefix(config), segments[2:])
     assert fast.shape == slow.shape == (23,)
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
 

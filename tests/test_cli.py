@@ -15,7 +15,7 @@ from wavekernel import (
     predictor,
     rolling_eval,
 )
-from wavekernel import cli, evaluation
+from wavekernel import cli
 from wavekernel.cli import load_series, main, write_series
 from wavekernel.evaluation import summarize, wk_method
 
@@ -450,7 +450,6 @@ def test_eval_is_one_causal_pass(series_file, tmp_path, monkeypatch, flags, orig
 
     monkeypatch.setattr(predictor.History, "forecasts", counting_forecasts)
     monkeypatch.setattr(predictor, "predict_one_ahead", no_call)
-    monkeypatch.setattr(evaluation, "predict_one_ahead", no_call)
     assert main(["eval", "--input", str(series_file), "--p", "12", "--h", "1.0",
                  "--output-dir", str(tmp_path / "out"), *flags]) == 0
     assert passes == [origins]

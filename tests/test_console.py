@@ -167,6 +167,9 @@ EXITS = [
     (2, "predict --rolling --input smoke.csv --p 12 --h 1.0 --output-dir rolling"),
     (2, "interval --config ext-config.json --input smoke.csv --p 12 --h 1.0 "
         "--output-dir ext-interval"),
+    # a finite truth value so small that its relative error overflows a double
+    (1, "eval --input tiny.csv --p 4 --h 1.0 --output-dir tiny"),
+    (1, "eval --rolling --input tiny.csv --p 4 --h 1.0 --output-dir tiny-rolling"),
 ]
 
 
@@ -177,6 +180,9 @@ def test_exit_code_and_one_error_line(smoke_file, code, args):
     write_series(cwd / "ext.csv", [1.0] * 11)
     (cwd / "config.json").write_text('{"p": "12"}')
     (cwd / "ext-config.json").write_text('{"external_forecast": "ext.csv"}')
+    tiny = gen_synthetic("seasonal_ar", 20, 4, 0.3, seed=1)
+    tiny[-1] = 5e-324
+    write_series(cwd / "tiny.csv", tiny)
     src = str(Path(wavekernel.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -184,6 +190,7 @@ def test_exit_code_and_one_error_line(smoke_file, code, args):
                           cwd=cwd, env=env, capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr  # numpy's own, not one of ours
     assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
     out = cwd / args.split()[-1]
     assert out == smoke_file or not out.exists()

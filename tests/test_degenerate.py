@@ -119,7 +119,7 @@ def test_entry_points_finite_or_typed_error(case):
             if scores is not None:
                 assert_finite(scores)
         # the case's config through the batch on its History, as the CLI scores
-        preds = finite_or_typed(wk_method(kernel).batch, history, 2)
+        preds = finite_or_typed(wk_method(kernel), history, 2)
         scores = None if preds is None else finite_or_typed(rmae, preds[:-1], segments[2:])
         if scores is not None:
             assert_finite(scores)

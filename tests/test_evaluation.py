@@ -13,6 +13,8 @@ from wavekernel import (
 )
 from wavekernel.evaluation import split_segments, summarize, wk_method
 
+from oracle import per_origin
+
 
 class TestRmae:
     def test_identity(self):
@@ -83,6 +85,24 @@ class TestRmae:
         with pytest.raises(InvalidInputError, match=r"block \(1, 0\), index 5"):
             rmae(np.ones((2, 2, 6)), truth.reshape(2, 2, 6))
 
+    # finite inputs whose quotient, or whose difference, is past the
+    # largest double: an error, not an inf score and a RuntimeWarning
+    @pytest.mark.parametrize("pred, truth", [([1e308, 1.0], [1e-10, 1.0]),
+                                             ([-1e308, 1e308], [1e308, -1e308]),
+                                             ([1.0, 1.0], [1.0, 5e-324])])
+    def test_overflowing_score_rejected(self, pred, truth):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            rmae(pred, truth)
+
+    def test_overflowing_score_in_stack_names_first_block(self):
+        truth = np.ones((4, 6))
+        truth[1, 3] = truth[3, 0] = 1e-310
+        pred = np.full((4, 6), 2.0)
+        with pytest.raises(InvalidInputError, match="block 1 overflows"):
+            rmae(pred, truth)
+        with pytest.raises(InvalidInputError, match=r"block \(0, 1\) overflows"):
+            rmae(pred.reshape(2, 2, 6), truth.reshape(2, 2, 6))
+
 
 class TestSplitSegments:
     def test_exact_multiple(self):
@@ -106,15 +126,16 @@ class TestSplitSegments:
 class TestNaiveSeasonal:
     def test_single_segment(self):
         seg = np.arange(4.0)
-        np.testing.assert_array_equal(naive_seasonal([seg]), seg)
+        np.testing.assert_array_equal(naive_seasonal([seg], 1), [seg])
 
     def test_returns_last(self):
         segs = [np.zeros(4), np.ones(4), np.full(4, 2.0)]
-        np.testing.assert_array_equal(naive_seasonal(segs), segs[-1])
+        np.testing.assert_array_equal(naive_seasonal(segs, 3), [segs[-1]])
+        np.testing.assert_array_equal(naive_seasonal(segs, 1), segs)
 
     def test_empty_history(self):
         with pytest.raises(InsufficientHistoryError):
-            naive_seasonal([])
+            naive_seasonal([], 1)
 
 
 class TestRollingEval:
@@ -138,27 +159,35 @@ class TestRollingEval:
         scores = rolling_eval(series, 8, naive_seasonal)
         assert np.all(scores == 0.0)
 
-    def test_no_future_leakage(self):
+    @pytest.mark.parametrize("min_history", [2, 5])
+    def test_method_is_called_once_with_every_segment(self, min_history):
+        # causality is the method's own: forecasting origin t from
+        # segments[:t] alone, which the per-origin tests pin for both
+        # library methods
         series = gen_synthetic("seasonal_ar", 10, 8, 0.2, seed=2)
         segs = split_segments(series, 8)
-        seen = []
+        calls = []
 
-        def probe(history):
-            seen.append(len(history))
-            # identify exactly which segments were exposed
-            for idx, h in enumerate(history):
-                np.testing.assert_array_equal(h, segs[idx])
-            return naive_seasonal(history)
+        def probe(segments, start):
+            calls.append((segments.copy(), start))
+            return naive_seasonal(segments, start)
 
-        scores = rolling_eval(series, 8, probe)
-        # cut i sees exactly the first i segments and is scored on segment i+1
-        assert seen == list(range(2, 10))
-        assert scores.shape == (len(seen),)
+        scores = rolling_eval(series, 8, probe, min_history)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][0], segs)
+        assert calls[0][1] == min_history
+        # origin t is scored on segment t, for t = min_history..n-1
+        assert scores.tolist() == rmae(segs[min_history - 1:-1], segs[min_history:]).tolist()
 
     def test_summarize(self):
         series = np.full(32, 2.0)
         agg = summarize(rolling_eval(series, 8, naive_seasonal))
         assert agg == {"count": 2, "mean_rmae": 0.0, "median_rmae": 0.0}
+
+    @pytest.mark.parametrize("scores", [[0.1, np.inf], [np.nan]])
+    def test_summarize_rejects_scores_that_are_not_finite(self, scores):
+        with pytest.raises(InvalidInputError, match="scores must be finite"):
+            summarize(scores)
 
     def test_insufficient_data(self):
         with pytest.raises(ConfigError):
@@ -168,37 +197,38 @@ class TestRollingEval:
         series = gen_synthetic("seasonal_ar", 40, 12, 0.3, seed=4)
         segs = split_segments(series, 12)
         # the per-origin loop before prefix views: a fresh list per origin
-        want = [rmae(naive_seasonal([segs[m] for m in range(i)]), segs[i])
+        want = [rmae(naive_seasonal([segs[m] for m in range(i)], i)[-1], segs[i])
                 for i in range(2, 40)]
         got = rolling_eval(series, 12, naive_seasonal)
         assert got.tolist() == want
         # the same scores from the segments themselves
         assert rolling_eval(segs, 12, naive_seasonal).tolist() == want
 
+    # every origin's forecast is this, not P = 8 values
     @pytest.mark.parametrize("forecast", [np.ones(7), np.ones(9), 1.0, np.ones((1, 8))])
     def test_forecast_of_wrong_shape_rejected(self, forecast):
-        series = np.arange(1.0, 33.0)
-        with pytest.raises(ConfigError, match=r"segment 2 has shape"):
-            rolling_eval(series, 8, lambda history: forecast)
+        def method(segments, start):
+            return np.stack([forecast] * (len(segments) - start + 1))
+
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            rolling_eval(np.arange(1.0, 33.0), 8, method)
 
     def test_batch_of_wrong_shape_rejected(self):
-        def method(history):
-            raise AssertionError("the batch is used")
+        def method(segments, start):
+            return segments[start:, :-1]
 
-        method.batch = lambda segments, start: segments[start:, :-1]
         with pytest.raises(ConfigError, match="shape mismatch"):
             rolling_eval(np.arange(1.0, 33.0), 8, method)
 
     def test_naive_empty_array_history(self):
         with pytest.raises(InsufficientHistoryError):
-            naive_seasonal(np.empty((0, 4)))
+            naive_seasonal(np.empty((0, 4)), 1)
 
     @pytest.mark.parametrize("min_history", [2.5, True, 0, -1, "2", None])
     def test_min_history_must_be_positive_int(self, min_history):
-        def method(history):
+        def method(segments, start):
             raise AssertionError("no forecast is made")
 
-        method.batch = method
         with pytest.raises(ConfigError, match="min_history"):
             rolling_eval(np.arange(1.0, 41.0), 8, method, min_history=min_history)
 
@@ -207,16 +237,15 @@ class TestRollingEval:
     def test_naive_batch_equals_list_based_loop(self, n, P, min_history):
         series = gen_synthetic("seasonal_ar", n, P, 0.3, seed=n + P)
         segs = split_segments(series, P)
-        want = [rmae(naive_seasonal([segs[m] for m in range(i)]), segs[i])
-                for i in range(min_history, n)]
-        # a plain callable is called once per origin, naive_seasonal is not
-        loop = rolling_eval(series, P, lambda history: naive_seasonal(list(history)),
-                            min_history)
+        # one call per origin, each on a fresh list of its prefix alone
+        loop = per_origin(lambda prefix: naive_seasonal(list(prefix), len(prefix))[-1],
+                          segs, min_history)
+        want = [rmae(f, segs[i]) for i, f in enumerate(loop[:-1], start=min_history)]
         got = rolling_eval(series, P, naive_seasonal, min_history)
-        assert got.tolist() == loop.tolist() == want
+        assert got.tolist() == want
         # origins min_history..n: its last row forecasts the block after segs
-        np.testing.assert_array_equal(naive_seasonal.batch(segs, min_history),
-                                      segs[min_history - 1:])
+        np.testing.assert_array_equal(naive_seasonal(segs, min_history), loop)
+        np.testing.assert_array_equal(loop, segs[min_history - 1:])
 
 
 class TestGenSynthetic:

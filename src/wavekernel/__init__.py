@@ -1,4 +1,8 @@
-"""Functional wavelet-kernel one-step-ahead forecasting of segmented series."""
+"""Functional wavelet-kernel one-step-ahead forecasting of segmented series.
+
+The per-pyramid object API is the tests' oracle, not exported here: it
+stays in ``wavekernel.wavelet`` and ``wavekernel.similarity``.
+"""
 
 from .errors import (
     ConfigError,
@@ -26,15 +30,7 @@ from .predictor import (
     kernel_eval,
     predict_one_ahead,
 )
-from .similarity import combined_distance, scale_distance
-from .wavelet import (
-    DEFAULT_FILTER,
-    FILTERS,
-    Segment,
-    WaveletPyramid,
-    forward_dwt,
-    pad_to_pow2,
-)
+from .wavelet import DEFAULT_FILTER, FILTERS
 
 __version__ = "0.1.0"
 
@@ -62,12 +58,6 @@ __all__ = [
     "kernel_eval",
     "predict_one_ahead",
     "ScaleRange",
-    "combined_distance",
-    "scale_distance",
     "DEFAULT_FILTER",
     "FILTERS",
-    "Segment",
-    "WaveletPyramid",
-    "forward_dwt",
-    "pad_to_pow2",
 ]

@@ -370,8 +370,13 @@ def _run_eval(cfg: RunConfig) -> None:
     history = predictor.History(segments[:-1], cfg.pipeline())
     h, cv = _bandwidth(cfg, history)
     preds = evaluation.wk_method(KernelSpec(cfg.kernel, h))(history, start)
-    scores = evaluation.rmae(preds, scored)
-    naive = evaluation.rolling_eval(segments, cfg.p, evaluation.naive_seasonal, start)
+    try:  # an overflowing score is named by its input segment too
+        scores = evaluation.rmae(preds, scored)
+        naive = evaluation.rolling_eval(segments, cfg.p, evaluation.naive_seasonal, start)
+    except InvalidInputError as exc:
+        (i,) = exc.block
+        raise InvalidInputError(f"relative error of input segment {start + i + 1} "
+                                "overflows a double") from None
     pred, truth = preds[-1], segments[-1]
     holdout = rolling = None
     if cfg.rolling:

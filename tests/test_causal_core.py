@@ -19,14 +19,10 @@ from wavekernel import (
     KernelSpec,
     PipelineConfig,
     ScaleRange,
-    Segment,
-    combined_distance,
     cv_bandwidth,
     default_bandwidth_grid,
-    forward_dwt,
     gen_synthetic,
     kernel_eval,
-    pad_to_pow2,
     predictor,
     rmae,
     rolling_eval,
@@ -40,7 +36,7 @@ from wavekernel.predictor import (
 )
 from wavekernel.wavelet import FILTERS
 
-from oracle import per_origin, quantile_grid
+from oracle import Segment, combined_distance, forward_dwt, pad_to_pow2, per_origin, quantile_grid
 
 
 def query_distances(X, config, q):

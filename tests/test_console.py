@@ -22,18 +22,14 @@ import wavekernel
 from wavekernel import (
     History,
     KernelSpec,
-    Segment,
-    combined_distance,
     default_bandwidth_grid,
-    forward_dwt,
     gen_synthetic,
     kernel_eval,
-    pad_to_pow2,
 )
 from wavekernel.cli import load_series, main, write_series
 from wavekernel.predictor import normalized_weights
 
-from oracle import quantile_grid
+from oracle import Segment, combined_distance, forward_dwt, pad_to_pow2, quantile_grid
 
 
 def read_column(path, name):
@@ -171,6 +167,15 @@ EXITS = [
     (1, "eval --input tiny.csv --p 4 --h 1.0 --output-dir tiny"),
     (1, "eval --rolling --input tiny.csv --p 4 --h 1.0 --output-dir tiny-rolling"),
 ]
+# what the error line names, by output directory
+NAMED = {"tiny": "input segment 20", "tiny-rolling": "input segment 20"}
+
+
+def src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(wavekernel.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.mark.parametrize("code, args", EXITS, ids=[a.split()[-1] for _, a in EXITS])
@@ -183,14 +188,25 @@ def test_exit_code_and_one_error_line(smoke_file, code, args):
     tiny = gen_synthetic("seasonal_ar", 20, 4, 0.3, seed=1)
     tiny[-1] = 5e-324
     write_series(cwd / "tiny.csv", tiny)
-    src = str(Path(wavekernel.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "wavekernel.cli", *args.split()],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=src_env(), capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr  # numpy's own, not one of ours
     assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
     out = cwd / args.split()[-1]
     assert out == smoke_file or not out.exists()
+    assert NAMED.get(out.name, "") in proc.stderr
+
+
+def test_object_api_is_not_loaded_or_exported():
+    """The per-pyramid object API is the tests' oracle: the package neither
+    exports it nor loads its distance module, in a fresh interpreter."""
+    code = ("import sys, wavekernel, wavekernel.cli; "
+            "print('wavekernel.similarity' in sys.modules, "
+            "sorted({'Segment', 'WaveletPyramid', 'pad_to_pow2', 'forward_dwt', "
+            "'scale_distance', 'combined_distance'} & (set(wavekernel.__all__) "
+            "| set(vars(wavekernel)))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "[]"]

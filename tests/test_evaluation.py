@@ -98,10 +98,20 @@ class TestRmae:
         truth = np.ones((4, 6))
         truth[1, 3] = truth[3, 0] = 1e-310
         pred = np.full((4, 6), 2.0)
-        with pytest.raises(InvalidInputError, match="block 1 overflows"):
+        with pytest.raises(InvalidInputError, match="block 1 overflows") as exc:
             rmae(pred, truth)
-        with pytest.raises(InvalidInputError, match=r"block \(0, 1\) overflows"):
+        assert exc.value.block == (1,)
+        with pytest.raises(InvalidInputError, match=r"block \(0, 1\) overflows") as exc:
             rmae(pred.reshape(2, 2, 6), truth.reshape(2, 2, 6))
+        assert exc.value.block == (0, 1)
+
+    def test_mean_of_an_overflowing_sum(self):
+        # the relative errors' sum passes the largest double, their mean does not;
+        # a block whose plain mean is finite keeps it
+        assert rmae([1e308, 1e308], [1.0, 1.0]) == 1e308
+        pred = np.array([[1e308, 1e308], [2.0, 3.5]])
+        assert rmae(pred, np.ones((2, 2))).tolist() == [1e308, rmae(pred[1], [1.0, 1.0])]
+        assert rmae([1.5e308] * 7, [-1.0] * 7) == 1.5e308
 
 
 class TestSplitSegments:

@@ -12,15 +12,15 @@ from wavekernel import (
     InvalidInputError,
     KernelSpec,
     PipelineConfig,
-    Segment,
     ShapeError,
     cv_bandwidth,
     default_bandwidth_grid,
     gen_synthetic,
-    pad_to_pow2,
     predict_one_ahead,
 )
 from wavekernel.predictor import History, scaling_coefficients
+
+from oracle import Segment, pad_to_pow2
 
 
 class TestScalingCoefficients:

@@ -267,6 +267,17 @@ class TestPredictionInterval:
             prediction_interval(hist, dataclasses.replace(center, weights=[0.5, 0.5]),
                                 make_plan(), method=method)
 
+    # segments and a center that do not fit each other
+    @pytest.mark.parametrize("n, curve, error, match", [
+        (1, np.ones(4), InsufficientHistoryError, "need at least 2 segments"),
+        (4, np.ones(3), ShapeError, "center curve has 3 points, segments have 4"),
+    ], ids=["one-segment", "short-curve"])
+    def test_segments_and_center_mismatch(self, n, curve, error, match):
+        center = predict_one_ahead(np.ones((4, 4)), KernelSpec())
+        with pytest.raises(error, match=match):
+            prediction_interval(np.ones((n, 4)), dataclasses.replace(center, curve=curve),
+                                make_plan())
+
 
 def sorted_draws_quantile(plan, weights, futures, q):
     """The k-th smallest of B drawn pseudo-blocks, by a full sort of the draws."""

@@ -8,17 +8,15 @@ from wavekernel import (
     InsufficientHistoryError,
     KernelSpec,
     PipelineConfig,
-    Segment,
     ShapeError,
-    combined_distance,
     cv_bandwidth,
     default_bandwidth_grid,
-    forward_dwt,
     kernel_eval,
-    pad_to_pow2,
     predict_one_ahead,
 )
 from wavekernel.predictor import normalized_weights, scaling_coefficients
+
+from oracle import Segment, combined_distance, forward_dwt, pad_to_pow2
 
 
 def brute_force_prediction(segments, h, family="gaussian",

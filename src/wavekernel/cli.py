@@ -348,47 +348,54 @@ def _run_interval(cfg: RunConfig) -> None:
 
 def _run_eval(cfg: RunConfig) -> None:
     segments = _segments(cfg)
-    ext = None
+    n = segments.shape[0]
+    need = 3 if cfg.bandwidth is not None else 4  # CV needs a history of 3
+    if n < need:
+        raise InvalidInputError(
+            f"eval needs at least {need} segments (the held-out block and a history "
+            f"of {need - 1}{'' if need == 3 else ' for cross-validation'}), got {n}")
+    forecasts = {}  # each method's forecasts of the scored blocks, by name
     if cfg.external_forecast:  # checked before any forecast work
         ext = load_series(cfg.external_forecast)
         if ext.size != cfg.p:
             raise ConfigError(
                 f"external forecast has {ext.size} values, expected {cfg.p}"
             )
+        forecasts["external"] = ext[None]  # the holdout's, as a one-row stack
     # the held-out block stays out of the one history, so CV never selects
-    # h on it.  Both modes score one causal pass over that history, at
-    # origins 2..n-1 with --rolling and the holdout origin alone without;
-    # its last row is the holdout forecast.  A zero in a scored block is
-    # caught before any forecast work
-    start = 2 if cfg.rolling else max(segments.shape[0] - 1, 2)
+    # h on it.  Every method forecasts the scored blocks from that history,
+    # at origins 2..n-1 with --rolling and the holdout origin alone without,
+    # and all are scored in one place; the last wk row is the holdout
+    # forecast.  A zero in a scored block is caught before any forecast work
+    start = 2 if cfg.rolling else n - 1
     scored = segments[start:]
+
+    def segment(i):  # row i of scored, as the 1-based input segment
+        return f"input segment {start + i + 1}"
+
     zeros = np.argwhere(scored == 0)
     if zeros.size:
-        i, j = zeros[0] + 1
-        raise InvalidInputError(f"input segment {start + i} has a zero at point {j} "
-                                f"of {cfg.p}; its relative error is undefined")
+        i, j = zeros[0]
+        raise InvalidInputError(f"{segment(i)} has a zero at point {j + 1} of {cfg.p}; "
+                                "its relative error is undefined")
     history = predictor.History(segments[:-1], cfg.pipeline())
     h, cv = _bandwidth(cfg, history)
-    preds = evaluation.wk_method(KernelSpec(cfg.kernel, h))(history, start)
-    try:  # an overflowing score is named by its input segment too
-        scores = evaluation.rmae(preds, scored)
-        naive = evaluation.rolling_eval(segments, cfg.p, evaluation.naive_seasonal, start)
+    forecasts.update(wk=evaluation.wk_method(KernelSpec(cfg.kernel, h))(history, start),
+                     naive=evaluation.naive_seasonal(history.segments, start))
+    try:
+        scores = {name: evaluation.rmae(f, scored) for name, f in forecasts.items()}
     except InvalidInputError as exc:
         (i,) = exc.block
-        raise InvalidInputError(f"relative error of input segment {start + i + 1} "
-                                "overflows a double") from None
-    pred, truth = preds[-1], segments[-1]
+        raise InvalidInputError(f"relative error of {segment(i)} overflows a double") from None
+    pred, truth = forecasts["wk"][-1], segments[-1]
     holdout = rolling = None
     if cfg.rolling:
         # with --cv-grid, h was tuned on these same rolling forecasts
-        rolling = {"wk": evaluation.summarize(scores),
-                   "naive": evaluation.summarize(naive),
+        rolling = {**{name: evaluation.summarize(s) for name, s in scores.items()},
                    "h_in_sample": cfg.bandwidth is None}
     else:
-        holdout = {"segment_index": int(segments.shape[0]),
-                   "wk_rmae": float(scores[0]), "naive_rmae": float(naive[0])}
-        if ext is not None:
-            holdout["external_rmae"] = evaluation.rmae(ext, truth)
+        holdout = {"segment_index": n,
+                   **{f"{name}_rmae": float(s[0]) for name, s in scores.items()}}
     _write_run(cfg, segments, {"prediction.csv": _table({"predicted": pred}),
                                "plotdata.csv": _table({"truth": truth, "predicted": pred})},
                h_used=h, holdout=holdout, rolling=rolling, **cv)

@@ -17,7 +17,7 @@ from wavekernel import (
 )
 from wavekernel import cli
 from wavekernel.cli import load_series, main, write_series
-from wavekernel.evaluation import summarize, wk_method
+from wavekernel.evaluation import naive_seasonal, rmae, summarize, wk_method
 
 
 def read_summary(out_dir):
@@ -320,15 +320,24 @@ class TestEvalCommand:
             assert rolling["wk"]["count"] == rolling["naive"]["count"] == count
             assert rolling["h_in_sample"] is False  # --h was not tuned on the blocks
 
-    # two blocks leave a one-block history: no forecast, plain or rolling
-    @pytest.mark.parametrize("flags", [[], ["--rolling"]])
-    def test_two_blocks_are_insufficient_history(self, tmp_path, capsys, flags):
+    # eval needs the held-out block and a history of 2, or of 3 for CV,
+    # plain or rolling; it counts the input's segments, before any History
+    @pytest.mark.parametrize("n, flags, need, cv", [
+        (1, ["--h", "1.0"], 3, ""),
+        (2, ["--h", "1.0"], 3, ""),
+        (2, ["--h", "1.0", "--rolling"], 3, ""),
+        (3, ["--cv-grid", "auto"], 4, " for cross-validation"),
+    ], ids=["n1", "n2", "n2-rolling", "n3-cv"])
+    def test_two_blocks_are_insufficient_history(self, tmp_path, capsys, histories,
+                                                 n, flags, need, cv):
         path = tmp_path / "x.csv"
-        write_series(path, [1.0, 2.0, 3.0, 4.0])
-        rc = main(["eval", "--input", str(path), "--p", "2", "--h", "1.0",
+        write_series(path, np.arange(1.0, 2 * n + 1))
+        rc = main(["eval", "--input", str(path), "--p", "2",
                    "--output-dir", str(tmp_path / "o"), *flags])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: need at least 2 segments, got 1\n"
+        assert (rc, histories) == (1, [])
+        assert capsys.readouterr().err == (
+            f"error: eval needs at least {need} segments (the held-out block and a "
+            f"history of {need - 1}{cv}), got {n}\n")
 
     def test_rolling_summary_marks_cv_selected_h_in_sample(self, series_file, tmp_path):
         out = tmp_path / "out"
@@ -398,6 +407,27 @@ def test_rolling_scores_match_rolling_eval(series_file, tmp_path, bandwidth):
     assert got["count"] == want["count"] == 28
     np.testing.assert_allclose([got["mean_rmae"], got["median_rmae"]],
                                [want["mean_rmae"], want["median_rmae"]], rtol=1e-12)
+
+
+def test_naive_and_external_scores_match_the_library(series_file, tmp_path):
+    # the CLI scores the baseline as rolling_eval and the external forecast
+    # as rmae do, bit for bit
+    series = load_series(series_file)
+    segments = series.reshape(-1, 12)
+    ext = tmp_path / "ext.csv"
+    write_series(ext, 1.01 * segments[-2] + 0.1)
+    summaries = {}
+    for flags in (["--external-forecast", str(ext)], ["--rolling"]):
+        out = tmp_path / flags[0].strip("-")
+        assert main(["eval", "--input", str(series_file), "--p", "12", "--h", "1.0",
+                     "--output-dir", str(out), *flags]) == 0
+        summaries[flags[0]] = read_summary(out)
+    holdout = summaries["--external-forecast"]["holdout"]
+    naive = rolling_eval(series, 12, naive_seasonal, len(segments) - 1)
+    assert holdout["naive_rmae"] == naive[0] and naive.shape == (1,)
+    assert holdout["external_rmae"] == rmae(load_series(ext), segments[-1])
+    assert summaries["--rolling"]["rolling"]["naive"] == summarize(
+        rolling_eval(series, 12, naive_seasonal))
 
 
 LAPLACE_DD6 = ["--filter", "dd6", "--kernel", "laplace"]

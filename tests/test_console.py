@@ -166,9 +166,13 @@ EXITS = [
     # a finite truth value so small that its relative error overflows a double
     (1, "eval --input tiny.csv --p 4 --h 1.0 --output-dir tiny"),
     (1, "eval --rolling --input tiny.csv --p 4 --h 1.0 --output-dir tiny-rolling"),
+    # an external forecast whose relative error overflows a double
+    (1, "eval --input small.csv --p 4 --h 1.0 --external-forecast huge.csv "
+        "--output-dir huge-ext"),
 ]
 # what the error line names, by output directory
-NAMED = {"tiny": "input segment 20", "tiny-rolling": "input segment 20"}
+NAMED = {"tiny": "input segment 20", "tiny-rolling": "input segment 20",
+         "huge-ext": "relative error of input segment 20 overflows a double"}
 
 
 def src_env():
@@ -188,6 +192,9 @@ def test_exit_code_and_one_error_line(smoke_file, code, args):
     tiny = gen_synthetic("seasonal_ar", 20, 4, 0.3, seed=1)
     tiny[-1] = 5e-324
     write_series(cwd / "tiny.csv", tiny)
+    tiny[-1] = 1e-10
+    write_series(cwd / "small.csv", tiny)
+    write_series(cwd / "huge.csv", [1e300] * 4)
     proc = subprocess.run([sys.executable, "-m", "wavekernel.cli", *args.split()],
                           cwd=cwd, env=src_env(), capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr

@@ -284,9 +284,9 @@ def _bandwidth(cfg: RunConfig, history: predictor.History):
 
 def _forecast(cfg: RunConfig, history: predictor.History):
     """Forecast the block after ``history`` with the h of :func:`_bandwidth`;
-    return (result, CV summary fields)."""
+    return (h, result, CV summary fields)."""
     h, cv = _bandwidth(cfg, history)
-    return predictor.predict_one_ahead(history, KernelSpec(cfg.kernel, h)), cv
+    return h, predictor.predict_one_ahead(history, KernelSpec(cfg.kernel, h)), cv
 
 
 def _write_run(cfg: RunConfig, segments: np.ndarray, tables: dict, **run) -> None:
@@ -315,10 +315,10 @@ def _write_run(cfg: RunConfig, segments: np.ndarray, tables: dict, **run) -> Non
 
 def _run_predict(cfg: RunConfig) -> None:
     segments = _segments(cfg)
-    result, cv = _forecast(cfg, predictor.History(segments, cfg.pipeline()))
+    h, result, cv = _forecast(cfg, predictor.History(segments, cfg.pipeline()))
     table = _table({"predicted": result.curve})
     _write_run(cfg, segments, {"prediction.csv": table, "plotdata.csv": table},
-               h_used=result.h_used, effective_sample=result.effective_sample, **cv)
+               h_used=h, effective_sample=result.effective_sample, **cv)
 
 
 def _run_cv(cfg: RunConfig) -> None:
@@ -332,7 +332,7 @@ def _run_cv(cfg: RunConfig) -> None:
 def _run_interval(cfg: RunConfig) -> None:
     segments = _segments(cfg)
     # the history is freed on return, before the draw
-    result, cv = _forecast(cfg, predictor.History(segments, cfg.pipeline()))
+    h, result, cv = _forecast(cfg, predictor.History(segments, cfg.pipeline()))
     plan = intervals.ResamplingPlan(B=cfg.b, alpha=cfg.alpha, seed=cfg.seed)
     # the library's warning (B < 1/alpha) becomes one line, as the CLI's own
     with warnings.catch_warnings(record=True) as caught:
@@ -342,7 +342,7 @@ def _run_interval(cfg: RunConfig) -> None:
         print(f"warning: {w.message}", file=sys.stderr)
     table = _table({"predicted": result.curve, "lower": band.lower, "upper": band.upper})
     _write_run(cfg, segments, {"prediction.csv": table, "plotdata.csv": table},
-               h_used=result.h_used, effective_sample=result.effective_sample,
+               h_used=h, effective_sample=result.effective_sample,
                alpha=cfg.alpha, B=cfg.b, seed=cfg.seed, **cv)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import (_MIN_P, _SEEDS, ConfigError, InsufficientHistoryError,
                      InvalidInputError, _choice, _finite, _floats, _int, _real)
-from .predictor import KernelSpec, _history
+from .predictor import KernelSpec, _finite_forecast, _history, _segment_rows
 
 __all__ = [
     "rmae",
@@ -19,20 +19,18 @@ __all__ = [
 ]
 
 
-def rmae(pred, truth, zero_floor: float | None = None):
+def rmae(pred, truth):
     """Mean over the last axis of |pred - truth| / |truth|.
 
     ``pred`` and ``truth`` are one block of P points, giving a float, or
     a stack of blocks (..., P), giving one score per block.  Truth values
-    of exactly zero make the ratio undefined; by default that is an error
-    naming the offending block and index, or pass ``zero_floor`` to clamp
-    |truth| from below.  A score is returned whenever a double holds it,
-    even if the sum behind it does not; a relative error or a score past
-    the largest double is an error naming the first such block, without a
-    RuntimeWarning, whose ``block`` attribute is that block's index.
+    of exactly zero make the ratio undefined: an error naming the
+    offending block and index.  A score is returned whenever a double
+    holds it, even if the sum behind it does not; a relative error or a
+    score past the largest double is an error naming the first such
+    block, without a RuntimeWarning, whose ``block`` attribute is that
+    block's index.
     """
-    if zero_floor is not None:
-        _real(zero_floor, "zero_floor", 0)
     p = _floats(pred, "pred")
     t = _floats(truth, "truth")
     if p.shape != t.shape:
@@ -41,17 +39,12 @@ def rmae(pred, truth, zero_floor: float | None = None):
         raise ConfigError(f"need blocks of at least one point, got shape {t.shape}")
     _finite("pred and truth", p, t)
     denom = np.abs(t)
-    if zero_floor is not None:
-        denom = np.maximum(denom, zero_floor)
-    elif np.any(denom == 0):
+    if np.any(denom == 0):
         *block, idx = np.argwhere(denom == 0)[0].tolist()
         at = f"index {idx}"
         if block:
             at = f"block {block[0] if len(block) == 1 else tuple(block)}, {at}"
-        raise InvalidInputError(
-            f"truth value is zero at {at}; relative error undefined "
-            "(pass zero_floor to clamp)"
-        )
+        raise InvalidInputError(f"truth value is zero at {at}; relative error undefined")
     with np.errstate(over="ignore"):  # checked below
         rel = np.abs(p - t) / denom
         scores = np.asarray(rel.mean(axis=-1))
@@ -98,14 +91,13 @@ def naive_seasonal(segments, start: int) -> np.ndarray:
     """Forecast each segment by repeating the one before it.
 
     Returns the forecasts at origins start..n, each of the block after
-    the first ``origin`` segments: segments start-1..n-1.  ``segments``
-    is a sequence of past segments (a list, or the rows of an array).
+    the first ``origin`` segments: segments start-1..n-1, of n >= start
+    rows checked as :class:`~wavekernel.predictor.History` checks them.
     """
     _int(start, "start", 1, error=InsufficientHistoryError)
-    segs = _floats(segments, "segments")
-    if segs.ndim != 2 or len(segs) < start:
-        raise InsufficientHistoryError(f"need {start}+ segments, got shape {segs.shape}")
-    _finite("segments", segs)
+    segs = _segment_rows(segments)
+    if len(segs) < start:
+        raise InsufficientHistoryError(f"need {start}+ segments, got {len(segs)}")
     return segs[start - 1:]
 
 
@@ -118,7 +110,8 @@ def wk_method(kernel: KernelSpec):
     last row forecasts the block after the final segment, and is
     ``predict_one_ahead(segments, kernel).curve`` bit for bit.
     ``segments`` is as in :func:`~wavekernel.predictor.predict_one_ahead`:
-    a :class:`~wavekernel.predictor.History` sets the pipeline config.
+    a :class:`~wavekernel.predictor.History` sets the pipeline config.  A
+    forecast past the largest double is an InvalidInputError, as there.
     """
 
     def method(segments, start):
@@ -132,27 +125,29 @@ def wk_method(kernel: KernelSpec):
         for r0, r1, F, _ in history.forecasts(hs, kernel.family, "normalized",
                                               start - 1, n):
             out[r0 + 1 - start:r1 + 1 - start] = F[0]
+        _finite_forecast(out)
         return out
 
     return method
 
 
-def rolling_eval(series, P: int, method, min_history: int = 2) -> np.ndarray:
+def rolling_eval(segments, method, min_history: int = 2) -> np.ndarray:
     """Rolling-origin evaluation: score each segment's forecast from the ones before.
 
-    ``method(segments, start)`` returns the forecasts at origins start..n
-    of the n segments, one row each, and forecasts origin t from
-    ``segments[:t]`` alone, as :func:`wk_method` and
-    :func:`naive_seasonal` do.  It is called once, with start
-    ``min_history``.  Returns the :func:`rmae` of every origin
+    ``segments`` are n > min_history rows, checked as
+    :class:`~wavekernel.predictor.History` checks them.
+    ``method(segments, start)`` returns the forecasts at origins start..n,
+    one row each, and forecasts origin t from ``segments[:t]`` alone, as
+    :func:`wk_method` and :func:`naive_seasonal` do.  It is called once,
+    with start ``min_history``.  Returns the :func:`rmae` of every origin
     min_history..n-1, in order; the last row, the forecast of the block
     after the final segment, has no truth.
     """
     _int(min_history, "min_history", 1)
-    segs = split_segments(series, P)
+    segs = _segment_rows(segments)
     n = segs.shape[0]
     if n < min_history + 1:
-        raise ConfigError(f"need at least {min_history + 1} segments, got {n}")
+        raise InsufficientHistoryError(f"need at least {min_history + 1} segments, got {n}")
     return rmae(method(segs, min_history)[:-1], segs[min_history:])
 
 

@@ -118,11 +118,11 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """The forecast curve, its resampling weights and the kernel mass."""
+    """The forecast curve, its resampling weights over the n-1 observed
+    next blocks, and the kernel mass; the bandwidth is the caller's."""
 
     curve: np.ndarray
     weights: np.ndarray
-    h_used: float
     effective_sample: float
 
 
@@ -353,36 +353,38 @@ class History:
         stack = np.empty((G + 1) * self._step(lo, hi, G) * (hi - 1))  # the largest E
         for r0, r1, D, causal in self.rows(lo, hi, G):
             E = stack[:(G + 1) * D.size].reshape((G + 1,) + D.shape)
-            # an exponent past the largest double is a kernel value of 0
-            with np.errstate(over="ignore"):
+            # an exponent past the largest double is a kernel value of 0, and
+            # futures whose spread passes it give a forecast of inf or nan,
+            # which the callers reject; the state ends before the yield
+            with np.errstate(over="ignore", invalid="ignore"):
                 for run, scale, neg_rates in groups:  # T borrows E[G] before the ones
                     T = np.multiply(D, scale, out=E[G])  # D = inf off the causal set
                     if p == 2:
                         T *= T
                     np.multiply(T, neg_rates, out=E[run])
-            np.exp(E[:G], out=E[:G])
-            E[G] = causal
-            E2 = E.reshape(-1, r1 - 1)
-            last = E[:, -1] if r1 == hi > r0 + 1 else None  # the final cut, alone
-            for k, m0 in enumerate(range(0, r1 - 1, C)):  # all h in one GEMM per piece
-                Z = (pieces[k] if k < len(pieces)
-                     else self._centred_futures(m0, min(m0 + C, n - 1)))
-                if k == len(pieces) and r1 < hi:
-                    pieces.append(Z)
-                part = E2[:, m0:m0 + C] @ Z[:r1 - 1 - m0]
-                R = R + part if k else part
+                np.exp(E[:G], out=E[:G])
+                E[G] = causal
+                E2 = E.reshape(-1, r1 - 1)
+                last = E[:, -1] if r1 == hi > r0 + 1 else None  # the final cut, alone
+                for k, m0 in enumerate(range(0, r1 - 1, C)):  # all h in one GEMM per piece
+                    Z = (pieces[k] if k < len(pieces)
+                         else self._centred_futures(m0, min(m0 + C, n - 1)))
+                    if k == len(pieces) and r1 < hi:
+                        pieces.append(Z)
+                    part = E2[:, m0:m0 + C] @ Z[:r1 - 1 - m0]
+                    R = R + part if k else part
+                    if last is not None:
+                        part = last[:, m0:m0 + C] @ Z[:r1 - 1 - m0]
+                        R_last = R_last + part if k else part
+                R = R.reshape(E.shape[:2] + (P + 1,))
                 if last is not None:
-                    part = last[:, m0:m0 + C] @ Z[:r1 - 1 - m0]
-                    R_last = R_last + part if k else part
-            R = R.reshape(E.shape[:2] + (P + 1,))
-            if last is not None:
-                R[:, -1] = R_last
-            S, i = R[:G, :, P:], slice(r0 - lo, r1 - lo)
-            F = R[:G, :, :P] + (S * fut0 if weight_mode == "raw"
-                                else R[G, :, :P] * share[i])
-            F /= damp[i] + S
-            if weight_mode == "normalized":
-                F += fut0
+                    R[:, -1] = R_last
+                S, i = R[:G, :, P:], slice(r0 - lo, r1 - lo)
+                F = R[:G, :, :P] + (S * fut0 if weight_mode == "raw"
+                                    else R[G, :, :P] * share[i])
+                F /= damp[i] + S
+                if weight_mode == "normalized":
+                    F += fut0
             yield r0, r1, F, E[:G]
 
 
@@ -417,6 +419,13 @@ def _history(segments) -> History:
     return segments if isinstance(segments, History) else History(segments)
 
 
+def _finite_forecast(F: np.ndarray) -> None:
+    """Raise InvalidInputError if a forecast is not finite, as when the
+    spread of the observed next blocks passes the largest double."""
+    if not np.isfinite(F).all():
+        raise InvalidInputError("forecast overflows a double; rescale the series")
+
+
 def predict_one_ahead(segments, kernel: KernelSpec,
                       weight_mode: str = "normalized") -> PredictionResult:
     """Forecast the segment after the last of ``segments``.
@@ -426,7 +435,7 @@ def predict_one_ahead(segments, kernel: KernelSpec,
     :class:`PipelineConfig`, or a :class:`History`, which carries its own.
     ``curve`` is the forecast of the causal pass (:meth:`History.forecasts`),
     whose values under the interpolating convention are its scaling
-    coefficients.
+    coefficients; one past the largest double is an InvalidInputError.
 
     ``weight_mode`` selects the weighting of the observed next-segments:
     "normalized" (the default) uses the resampling weights of
@@ -443,11 +452,11 @@ def predict_one_ahead(segments, kernel: KernelSpec,
         raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
     _, _, F, E = next(history.forecasts(
         np.array([kernel.bandwidth]), kernel.family, weight_mode, n - 1, n))
+    _finite_forecast(F)
     k = E[0, 0] / _KERNELS[kernel.family][2]
     return PredictionResult(
         curve=F[0, 0],
         weights=normalized_weights(k, n),
-        h_used=kernel.bandwidth,
         effective_sample=float(k.sum()),
     )
 

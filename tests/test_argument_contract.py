@@ -86,13 +86,13 @@ ENTRIES = {
                                               plan=PLAN),
                             dict(segments=SEGS, method="exact")),
     "prediction_interval center.weights": (interval_around, dict(weights=CENTER.weights)),
-    "rmae": (wk.rmae, dict(pred=SEGS[1], truth=SEGS[2], zero_floor=0.5)),
+    "rmae": (wk.rmae, dict(pred=SEGS[1], truth=SEGS[2])),
     "split_segments": (split_segments, dict(series=np.arange(1.0, 15.0), P=4,
                                             drop_remainder=True)),
     "rolling_eval naive": (functools.partial(wk.rolling_eval, method=wk.naive_seasonal),
-                           dict(series=SEGS.reshape(-1), P=8, min_history=2)),
+                           dict(segments=SEGS, min_history=2)),
     "rolling_eval wk": (functools.partial(wk.rolling_eval, method=wk_method(KERNEL)),
-                        dict(series=SEGS.reshape(-1), P=8, min_history=2)),
+                        dict(segments=SEGS, min_history=2)),
     "wk_method": (wk_method(KERNEL), dict(segments=SEGS, start=2)),
     "naive_seasonal": (wk.naive_seasonal, dict(segments=SEGS, start=1)),
     "summarize": (summarize, dict(scores=[0.1, 0.2, 0.4])),
@@ -109,7 +109,7 @@ ENTRIES = {
 
 # the scalar settings by kind; every other parameter is array data or a flag
 INTS = {"count", "B", "seed", "P", "min_history", "start", "n", "j0", "j_lo", "j_hi"}
-REALS = {"bandwidth", "alpha", "q", "zero_floor", "noise", "ar_coef", "contraction"}
+REALS = {"bandwidth", "alpha", "q", "noise", "ar_coef", "contraction"}
 NAMES = {"family", "kernel_family", "weight_mode", "method", "filter_id"}
 
 CASES = [(entry, param) for entry, (_, valid) in ENTRIES.items() for param in valid]
@@ -129,8 +129,6 @@ def is_finite(result) -> bool:
 
 def of_its_kind(param, value) -> bool:
     """Whether ``value`` has the kind that scalar setting ``param`` takes."""
-    if param == "zero_floor" and value is None:
-        return True  # its default: no floor
     if param in INTS:
         return isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if param in REALS:
@@ -159,7 +157,6 @@ def check(entry, param, value):
 @example(("ResamplingPlan", "alpha"), "'1'")
 @example(("normalized_weights", "kernel_values"), "'abc'")
 @example(("weighted_quantile", "q"), "'1'")
-@example(("rmae", "zero_floor"), "'1'")
 @example(("cv_bandwidth", "grid"), "'abc'")
 @example(("wk_method", "start"), "2.5")
 @example(("naive_seasonal", "start"), "2.5")

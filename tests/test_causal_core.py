@@ -312,7 +312,7 @@ def test_rolling_eval_uses_batch_with_same_scores():
             lambda prefix: predict_one_ahead(History(prefix, config), kernel).curve,
             segments, 2)[:-1]
 
-    fast = rolling_eval(segments.reshape(-1), 12, method)
+    fast = rolling_eval(segments, method)
     slow = rmae(per_prefix(PipelineConfig()), segments[2:])
     assert fast.shape == slow.shape == (23,)  # origins 2..24
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
@@ -455,7 +455,7 @@ def test_raw_forecast_is_zero_when_every_kernel_value_underflows(case, decades):
 def test_rolling_needs_two_segments_per_cut():
     method = wk_method(KernelSpec("gaussian", 1.0))
     with pytest.raises(InsufficientHistoryError):
-        rolling_eval(np.arange(1.0, 41.0), 8, method, min_history=1)
+        rolling_eval(np.arange(1.0, 41.0).reshape(5, 8), method, min_history=1)
 
 
 @pytest.mark.parametrize("scratch", [1, 100, 1 << 17])

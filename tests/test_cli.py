@@ -402,7 +402,8 @@ def test_rolling_scores_match_rolling_eval(series_file, tmp_path, bandwidth):
                  "--output-dir", str(out), *BANDWIDTHS[bandwidth]]) == 0
     summary = read_summary(out)
     kernel = KernelSpec("gaussian", summary["h_used"])
-    want = summarize(rolling_eval(load_series(series_file), 12, wk_method(kernel)))
+    want = summarize(rolling_eval(load_series(series_file).reshape(-1, 12),
+                                  wk_method(kernel)))
     got = summary["rolling"]["wk"]
     assert got["count"] == want["count"] == 28
     np.testing.assert_allclose([got["mean_rmae"], got["median_rmae"]],
@@ -412,8 +413,7 @@ def test_rolling_scores_match_rolling_eval(series_file, tmp_path, bandwidth):
 def test_naive_and_external_scores_match_the_library(series_file, tmp_path):
     # the CLI scores the baseline as rolling_eval and the external forecast
     # as rmae do, bit for bit
-    series = load_series(series_file)
-    segments = series.reshape(-1, 12)
+    segments = load_series(series_file).reshape(-1, 12)
     ext = tmp_path / "ext.csv"
     write_series(ext, 1.01 * segments[-2] + 0.1)
     summaries = {}
@@ -423,11 +423,11 @@ def test_naive_and_external_scores_match_the_library(series_file, tmp_path):
                      "--output-dir", str(out), *flags]) == 0
         summaries[flags[0]] = read_summary(out)
     holdout = summaries["--external-forecast"]["holdout"]
-    naive = rolling_eval(series, 12, naive_seasonal, len(segments) - 1)
+    naive = rolling_eval(segments, naive_seasonal, len(segments) - 1)
     assert holdout["naive_rmae"] == naive[0] and naive.shape == (1,)
     assert holdout["external_rmae"] == rmae(load_series(ext), segments[-1])
     assert summaries["--rolling"]["rolling"]["naive"] == summarize(
-        rolling_eval(series, 12, naive_seasonal))
+        rolling_eval(segments, naive_seasonal))
 
 
 LAPLACE_DD6 = ["--filter", "dd6", "--kernel", "laplace"]

@@ -169,10 +169,18 @@ EXITS = [
     # an external forecast whose relative error overflows a double
     (1, "eval --input small.csv --p 4 --h 1.0 --external-forecast huge.csv "
         "--output-dir huge-ext"),
+    # blocks constant at +-1e308: no wavelet detail, but their spread, and so
+    # the forecast, passes the largest double
+    (1, "predict --input spread.csv --p 4 --h 1.0 --output-dir spread-predict"),
+    (1, "interval --input spread.csv --p 4 --h 1.0 --output-dir spread-interval"),
+    (1, "eval --input spread.csv --p 4 --h 1.0 --output-dir spread-eval"),
+    (1, "eval --rolling --input spread.csv --p 4 --h 1.0 --output-dir spread-rolling"),
 ]
 # what the error line names, by output directory
 NAMED = {"tiny": "input segment 20", "tiny-rolling": "input segment 20",
-         "huge-ext": "relative error of input segment 20 overflows a double"}
+         "huge-ext": "relative error of input segment 20 overflows a double",
+         **{f"spread-{name}": "forecast overflows a double; rescale the series"
+            for name in ("predict", "interval", "eval", "rolling")}}
 
 
 def src_env():
@@ -195,6 +203,8 @@ def test_exit_code_and_one_error_line(smoke_file, code, args):
     tiny[-1] = 1e-10
     write_series(cwd / "small.csv", tiny)
     write_series(cwd / "huge.csv", [1e300] * 4)
+    write_series(cwd / "spread.csv",
+                 np.repeat([-1e308, 1e308, -1e308, 1e308, 1e308, -1e308], 4))
     proc = subprocess.run([sys.executable, "-m", "wavekernel.cli", *args.split()],
                           cwd=cwd, env=src_env(), capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr

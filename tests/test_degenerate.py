@@ -113,9 +113,8 @@ def test_entry_points_finite_or_typed_error(case):
             if band is not None:
                 assert_finite(band.lower, band.upper)
 
-        series = segments.reshape(-1)
         for method in (wk_method(kernel), naive_seasonal):
-            scores = finite_or_typed(rolling_eval, series, case["P"], method)
+            scores = finite_or_typed(rolling_eval, segments, method)
             if scores is not None:
                 assert_finite(scores)
         # the case's config through the batch on its History, as the CLI scores

@@ -46,15 +46,6 @@ class TestRmae:
         with pytest.raises(InvalidInputError, match="index 1"):
             rmae([1.0, 1.0], [1.0, 0.0])
 
-    def test_zero_floor_opt_in(self):
-        assert np.isfinite(rmae([1.0, 1.0], [1.0, 0.0], zero_floor=0.5))
-
-    # a floor of 0 or NaN divides by the zero truth value; inf scores 0
-    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
-    def test_zero_floor_must_be_positive_and_finite(self, floor):
-        with pytest.raises(ConfigError, match="zero_floor"):
-            rmae([1.0, 1.0], [1.0, 0.0], zero_floor=floor)
-
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             rmae([1.0], [1.0, 2.0])
@@ -147,11 +138,17 @@ class TestNaiveSeasonal:
         with pytest.raises(InsufficientHistoryError):
             naive_seasonal([], 1)
 
+    # the rows History takes: a flat series or blocks of one point are no segments
+    @pytest.mark.parametrize("segments", [np.arange(8.0), np.ones((4, 1))])
+    def test_segments_are_rows_of_two_or_more_points(self, segments):
+        with pytest.raises(InvalidInputError, match="at least 2 samples"):
+            naive_seasonal(segments, 1)
+
 
 class TestRollingEval:
     def test_constant_series_zero_rmae(self):
         series = np.full(40, 3.0)
-        scores = rolling_eval(series, 8, naive_seasonal)
+        scores = rolling_eval(series.reshape(-1, 8), naive_seasonal)
         assert scores.shape == (3,)
         assert np.all(scores == 0.0)
 
@@ -159,14 +156,14 @@ class TestRollingEval:
         seg = 5 + np.sin(np.linspace(0, 2 * np.pi, 8, endpoint=False))
         series = np.tile(seg, 6)
         method = wk_method(KernelSpec("gaussian", 1.0))
-        scores = rolling_eval(series, 8, method)
+        scores = rolling_eval(series.reshape(-1, 8), method)
         assert scores.shape == (4,)
         assert np.all(scores <= 1e-8)
 
     def test_periodic_series_naive_zero(self):
         seg = 5 + np.cos(np.linspace(0, 2 * np.pi, 8, endpoint=False))
         series = np.tile(seg, 5)
-        scores = rolling_eval(series, 8, naive_seasonal)
+        scores = rolling_eval(series.reshape(-1, 8), naive_seasonal)
         assert np.all(scores == 0.0)
 
     @pytest.mark.parametrize("min_history", [2, 5])
@@ -182,7 +179,7 @@ class TestRollingEval:
             calls.append((segments.copy(), start))
             return naive_seasonal(segments, start)
 
-        scores = rolling_eval(series, 8, probe, min_history)
+        scores = rolling_eval(segs, probe, min_history)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0][0], segs)
         assert calls[0][1] == min_history
@@ -191,7 +188,7 @@ class TestRollingEval:
 
     def test_summarize(self):
         series = np.full(32, 2.0)
-        agg = summarize(rolling_eval(series, 8, naive_seasonal))
+        agg = summarize(rolling_eval(series.reshape(-1, 8), naive_seasonal))
         assert agg == {"count": 2, "mean_rmae": 0.0, "median_rmae": 0.0}
 
     @pytest.mark.parametrize("scores", [[0.1, np.inf], [np.nan]])
@@ -200,8 +197,14 @@ class TestRollingEval:
             summarize(scores)
 
     def test_insufficient_data(self):
-        with pytest.raises(ConfigError):
-            rolling_eval(np.arange(16.0), 8, naive_seasonal)
+        with pytest.raises(InsufficientHistoryError, match="need at least 3 segments, got 2"):
+            rolling_eval(np.arange(16.0).reshape(2, 8), naive_seasonal)
+
+    # segments are checked as History checks them, not split from a series
+    @pytest.mark.parametrize("segments", [np.arange(16.0), np.ones((16, 1))])
+    def test_segments_are_rows_of_two_or_more_points(self, segments):
+        with pytest.raises(InvalidInputError, match="at least 2 samples"):
+            rolling_eval(segments, naive_seasonal, 1)
 
     def test_naive_reports_equal_list_based_loop(self):
         series = gen_synthetic("seasonal_ar", 40, 12, 0.3, seed=4)
@@ -209,10 +212,7 @@ class TestRollingEval:
         # the per-origin loop before prefix views: a fresh list per origin
         want = [rmae(naive_seasonal([segs[m] for m in range(i)], i)[-1], segs[i])
                 for i in range(2, 40)]
-        got = rolling_eval(series, 12, naive_seasonal)
-        assert got.tolist() == want
-        # the same scores from the segments themselves
-        assert rolling_eval(segs, 12, naive_seasonal).tolist() == want
+        assert rolling_eval(segs, naive_seasonal).tolist() == want
 
     # every origin's forecast is this, not P = 8 values
     @pytest.mark.parametrize("forecast", [np.ones(7), np.ones(9), 1.0, np.ones((1, 8))])
@@ -221,14 +221,14 @@ class TestRollingEval:
             return np.stack([forecast] * (len(segments) - start + 1))
 
         with pytest.raises(ConfigError, match="shape mismatch"):
-            rolling_eval(np.arange(1.0, 33.0), 8, method)
+            rolling_eval(np.arange(1.0, 33.0).reshape(4, 8), method)
 
     def test_batch_of_wrong_shape_rejected(self):
         def method(segments, start):
             return segments[start:, :-1]
 
         with pytest.raises(ConfigError, match="shape mismatch"):
-            rolling_eval(np.arange(1.0, 33.0), 8, method)
+            rolling_eval(np.arange(1.0, 33.0).reshape(4, 8), method)
 
     def test_naive_empty_array_history(self):
         with pytest.raises(InsufficientHistoryError):
@@ -240,7 +240,7 @@ class TestRollingEval:
             raise AssertionError("no forecast is made")
 
         with pytest.raises(ConfigError, match="min_history"):
-            rolling_eval(np.arange(1.0, 41.0), 8, method, min_history=min_history)
+            rolling_eval(np.arange(1.0, 41.0).reshape(5, 8), method, min_history=min_history)
 
     @pytest.mark.parametrize("n, P, min_history", [(3, 2, 2), (12, 5, 1), (40, 12, 2),
                                                    (40, 12, 7), (25, 24, 24)])
@@ -251,7 +251,7 @@ class TestRollingEval:
         loop = per_origin(lambda prefix: naive_seasonal(list(prefix), len(prefix))[-1],
                           segs, min_history)
         want = [rmae(f, segs[i]) for i, f in enumerate(loop[:-1], start=min_history)]
-        got = rolling_eval(series, P, naive_seasonal, min_history)
+        got = rolling_eval(segs, naive_seasonal, min_history)
         assert got.tolist() == want
         # origins min_history..n: its last row forecasts the block after segs
         np.testing.assert_array_equal(naive_seasonal(segs, min_history), loop)

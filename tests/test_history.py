@@ -18,6 +18,7 @@ from wavekernel import (
     gen_synthetic,
     predict_one_ahead,
 )
+from wavekernel.evaluation import wk_method
 from wavekernel.predictor import History, scaling_coefficients
 
 from oracle import Segment, pad_to_pow2
@@ -143,3 +144,20 @@ def test_subnormal_history_forecasts_finitely(tiny):
 def test_coefficients_past_the_largest_double_are_rejected(rows):
     with pytest.raises(InvalidInputError, match="too large"):
         predict_one_ahead(rows, KernelSpec("gaussian", 1.0))
+
+
+# blocks constant at +-1e308 have no wavelet detail, so History takes them,
+# but the spread of their futures, and so each forecast, passes the largest
+# double: an error, not a RuntimeWarning and a forecast of nan
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight_mode", ["normalized", "raw"])
+def test_forecasts_past_the_largest_double_are_rejected(weight_mode):
+    rows = np.repeat([-1e308, 1e308, -1e308, 1e308, 1e308, -1e308], 4).reshape(6, 4)
+    history = History(rows)
+    with pytest.raises(InvalidInputError, match="rescale the series"):
+        predict_one_ahead(history, KernelSpec("gaussian", 1.0), weight_mode)
+    with pytest.raises(InvalidInputError, match="rescale"):
+        cv_bandwidth(history, [0.5, 1.0], weight_mode=weight_mode)
+    if weight_mode == "normalized":  # the rolling method's one mode
+        with pytest.raises(InvalidInputError, match="rescale the series"):
+            wk_method(KernelSpec("gaussian", 1.0))(history, 2)

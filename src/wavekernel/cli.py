@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, intervals, predictor
-from .errors import (_ALPHAS, _MIN_B, _MIN_P, _SEEDS, ConfigError, InvalidInputError,
-                     LevelError, WavekernelError, _choice, _int, _real)
+from .errors import (_ALPHAS, _MAX_SIZE, _MIN_B, _MIN_P, _SEEDS, ConfigError,
+                     InvalidInputError, LevelError, WavekernelError, _choice, _int, _real)
 from .predictor import KernelSpec, PipelineConfig, ScaleRange, _scale_range
 from .wavelet import FILTERS, DEFAULT_FILTER
 
@@ -85,7 +85,7 @@ class RunConfig:
         _choice(self.filter_id, "--filter", FILTERS)
         _choice(self.kernel, "--kernel", predictor._KERNELS)
         _real(self.alpha, "--alpha", *_ALPHAS)
-        _int(self.b, "--b", _MIN_B)
+        _int(self.b, "--b", _MIN_B, _MAX_SIZE)
         _int(self.seed, "--seed", *_SEEDS)
         if self.command == "cv" and self.bandwidth is not None:
             raise ConfigError("cv takes --cv-grid (or its auto default), not --h")
@@ -128,7 +128,7 @@ class RunConfig:
             raise ConfigError(
                 f"--cv-grid must be lo:hi:count or 'auto', got {self.cv_grid!r}"
             ) from exc
-        if not (0 < lo <= hi < np.inf and count >= 1):
+        if not (0 < lo <= hi < np.inf and 1 <= count < _MAX_SIZE):
             raise ConfigError(f"invalid --cv-grid bounds {self.cv_grid!r}")
         return lo, hi, count
 
@@ -474,7 +474,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except WavekernelError as exc:
+    except (WavekernelError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

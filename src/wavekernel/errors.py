@@ -37,13 +37,18 @@ _SEEDS = (0, 1 << 128)
 _ALPHAS = (0.0, 0.5)
 _MIN_B = 1
 _MIN_P = 2
+# every int that sizes an array of doubles lies below 2**59: numpy refuses an
+# array past 2**63 bytes (2**60 doubles) with a ValueError, and linspace
+# rounds a count just below 2**60 up to it
+_MAX_SIZE = 1 << 59
 
 
 def _int(value, name, lo, hi=None, *, error=ConfigError):
     """Raise ``error`` unless ``value`` is an int (no bool) in [lo, hi), or >= lo."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and lo <= int(value) and (hi is None or int(value) < hi)):
-        big = hi is not None and hi > 1 << 64 and not hi & (hi - 1)  # 2**128, not 39 digits
+        # a power-of-two bound from 2**59 up reads as 2**k, not in 18 or more digits
+        big = hi is not None and hi >= _MAX_SIZE and not hi & (hi - 1)
         top = f"2**{hi.bit_length() - 1}" if big else hi
         span = f">= {lo}" if hi is None else f"in [{lo}, {top})"
         raise error(f"{name} must be an int {span}, got {value!r}")

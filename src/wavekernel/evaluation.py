@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (_MIN_P, _SEEDS, ConfigError, InsufficientHistoryError,
+from .errors import (_MAX_SIZE, _MIN_P, _SEEDS, ConfigError, InsufficientHistoryError,
                      InvalidInputError, _choice, _finite, _floats, _int, _real)
 from .predictor import KernelSpec, _finite_forecast, _history, _segment_rows
 
@@ -188,6 +188,7 @@ def gen_synthetic(kind: str, n: int, P: int, noise: float, seed: int,
     _choice(kind, "generator kind", {"seasonal_ar", "markov_functional"})
     _int(n, "n", 1)
     _int(P, "P", _MIN_P)
+    _int(int(n) * int(P), "series length n * P", _MIN_P, _MAX_SIZE)
     _real(noise, "noise", 0, closed=True)
     _int(seed, "seed", *_SEEDS)
     _real(ar_coef, "ar_coef of a stationary series", -1, 1)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (_ALPHAS, _MIN_B, _SEEDS, ConfigError, InsufficientHistoryError,
-                     ShapeError, _choice, _finite, _floats, _int, _real)
+from .errors import (_ALPHAS, _MAX_SIZE, _MIN_B, _SEEDS, ConfigError,
+                     InsufficientHistoryError, ShapeError, _choice, _finite, _floats, _int,
+                     _real)
 from .predictor import _SCRATCH, PredictionResult, _segment_rows
 
 __all__ = [
@@ -53,7 +54,7 @@ class ResamplingPlan:
     seed: int
 
     def __post_init__(self):
-        _int(self.B, "B", _MIN_B)  # rng.choice takes an int size
+        _int(self.B, "B", _MIN_B, _MAX_SIZE)  # rng.choice takes an int size
         _real(self.alpha, "alpha", *_ALPHAS)
         _int(self.seed, "seed", *_SEEDS)
 

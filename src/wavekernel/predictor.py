@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, InsufficientHistoryError, InvalidInputError, LevelError,
-                     ShapeError, _choice, _finite, _floats, _int, _real)
+from .errors import (_MAX_SIZE, ConfigError, InsufficientHistoryError, InvalidInputError,
+                     LevelError, ShapeError, _choice, _finite, _floats, _int, _real)
 from .wavelet import DEFAULT_FILTER, FILTERS, forward_array
 
 __all__ = [
@@ -546,7 +546,7 @@ def default_bandwidth_grid(segments, count: int = 32) -> np.ndarray:
     ``segments`` is as in :func:`predict_one_ahead`; a :class:`History`
     keeps the distances for CV.
     """
-    _int(count, "grid count", 1)
+    _int(count, "grid count", 1, _MAX_SIZE)
     history = _history(segments)
     if history.tri is None:
         n = len(history)

@@ -47,7 +47,7 @@ JUNK = {
     "None": None, "'1'": "1", "'abc'": "abc", "True": True, "2.5": 2.5, "-1": -1,
     "0": 0, "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
     "1e308": 1e308, "[]": [], "2-D": np.arange(1.0, 13.0).reshape(3, 4),
-    "object": object(),
+    "object": object(), "10**20": 10**20,
 }
 
 SEGS = 10.0 + np.random.default_rng(0).normal(size=(5, 8))
@@ -124,7 +124,8 @@ def is_finite(result) -> bool:
         return all(is_finite(v) for v in result.values())
     if isinstance(result, (tuple, list)):
         return all(is_finite(v) for v in result)
-    return isinstance(result, str) or bool(np.all(np.isfinite(result)))
+    # an int is finite, also one past numpy's int64, such as a seed of 10**20
+    return isinstance(result, (str, numbers.Integral)) or bool(np.all(np.isfinite(result)))
 
 
 def of_its_kind(param, value) -> bool:
@@ -167,6 +168,10 @@ def check(entry, param, value):
 @example(("ScaleRange", "j_lo"), "'abc'")
 @example(("ScaleRange", "j_lo"), "2.5")
 @example(("PipelineConfig", "j0"), "'abc'")
+@example(("gen_synthetic seasonal_ar", "n"), "10**20")
+@example(("gen_synthetic markov_functional", "P"), "10**20")
+@example(("default_bandwidth_grid", "count"), "10**20")
+@example(("ResamplingPlan", "B"), "10**20")
 def test_junk_argument_gives_finite_values_or_typed_error(case, junk):
     check(*case, JUNK[junk])
 
@@ -256,8 +261,11 @@ def assert_exit_contract(rc, err):
     assert sum("error:" in line for line in err.splitlines()) == (rc != 0), err
 
 
+# sizes that no memory holds: 7 PiB of doubles, a count past numpy's index
+# range, and a --cv-grid of 7 PiB
 CLI_JUNK = ["None", "1", "abc", "True", "2.5", "-1", "0", "nan", "inf", "-inf",
-            "1e308", "[]", ""]
+            "1e308", "[]", "", "1000000000000000", "100000000000000000000",
+            "1:2:1000000000000000"]
 
 
 @pytest.mark.parametrize("flag", ["--p", "--h", "--alpha", "--b", "--seed", "--j0",

@@ -1,8 +1,9 @@
 """Differential tests pinning the row-blocked causal core to per-cut loops.
 
-The oracles below are the straightforward loops the core replaces: one
-kernel evaluation, weight vector and forecast per cut point, with the
-distances ``predict`` uses (one query row at a time).
+The references, in ``oracle``, are the straightforward loops the core
+replaces: one kernel evaluation, weight vector and forecast per cut point,
+with the distances ``predict`` uses (one query row at a time), and the
+distances of one pyramid per row or of numpy's reduce.
 """
 
 import tracemalloc
@@ -22,54 +23,16 @@ from wavekernel import (
     cv_bandwidth,
     default_bandwidth_grid,
     gen_synthetic,
-    kernel_eval,
     predictor,
     rmae,
     rolling_eval,
 )
 from wavekernel.evaluation import wk_method
-from wavekernel.predictor import (
-    History,
-    normalized_weights,
-    predict_one_ahead,
-    scaling_coefficients,
-)
+from wavekernel.predictor import History, predict_one_ahead, scaling_coefficients
 from wavekernel.wavelet import FILTERS
 
-from oracle import Segment, combined_distance, forward_dwt, pad_to_pow2, per_origin, quantile_grid
-
-
-def query_distances(X, config, q):
-    """Distances from rows 0..q-1 to row q, as predict computes them."""
-    return next(History(X[:q + 1], config).rows(q, q + 1))[2][0]
-
-
-def loop_forecast(X, q, h, family, config, weight_mode, origin=0.0):
-    """Forecast of row q+1 from rows 0..q, less ``origin``, with its kernel
-    values.  Each row is less ``origin`` before it is weighted, so with the
-    truth as origin the error is no difference of two values rounded at
-    the series' level."""
-    with np.errstate(over="ignore"):  # d / h past the largest double: k = 0
-        k = kernel_eval(KernelSpec(family, h), query_distances(X, config, q) / h)
-    rows = X[1:q + 1] - origin
-    if weight_mode == "raw":
-        # (k.X) / d - origin, with d = 1/(q+1) + sum(k)
-        return (k @ rows - origin / (q + 1)) / (1.0 / (q + 1) + float(k.sum())), k
-    return normalized_weights(k, q + 1) @ rows, k
-
-
-def loop_cv(segments, grid, family, config, weight_mode):
-    """Per-cut leave-one-out CV: cut q predicts row q+1 from rows 0..q."""
-    X, P = scaling_coefficients(segments)
-    n = X.shape[0]
-    cv = np.empty(len(grid))
-    for gi, h in enumerate(grid):
-        errs = []
-        for q in range(1, n - 1):
-            diff = loop_forecast(X, q, h, family, config, weight_mode, X[q + 1])[0][:P]
-            errs.append(float(np.mean(diff * diff)))
-        cv[gi] = float(np.mean(errs))
-    return cv
+from oracle import (distances, loop_cv, loop_forecast, per_origin, quantile_grid,
+                    query_distances, reduce_rows)
 
 
 def offset_draws():
@@ -324,21 +287,12 @@ def test_rolling_eval_uses_batch_with_same_scores():
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
 
-def oracle_distances(segments, config):
-    """D[q][m] = combined_distance of rows m < q, one pyramid per row."""
-    pyramids = [forward_dwt(pad_to_pow2(Segment(row)), config.j0, config.filter_id)
-                for row in segments]
-    return [[combined_distance(pyramids[m], pyramids[q], config.scale_range)
-             for m in range(q)]
-            for q in range(len(pyramids))]
-
-
 @settings(max_examples=100, deadline=None)
 @given(cases(), st.integers(-500, 500))
 def test_distances_match_pyramid_oracle_at_any_magnitude(case, k):
     segments, config, _, opts = case
     scaled = np.ldexp(segments, k)
-    want = oracle_distances(scaled, config)
+    want = distances(scaled, config)
     history = History(scaled, config)
     n = len(history)
     with budgets(*opts["scratch"]):
@@ -351,20 +305,6 @@ def test_distances_match_pyramid_oracle_at_any_magnitude(case, k):
             for q in range(r0, r1):
                 assert np.all(D[q - r0, q:] == np.inf)
                 np.testing.assert_allclose(D[q - r0, :q], want[q], rtol=1e-12, atol=0)
-
-
-def reduce_rows(history, r0, r1):
-    """D[r0:r1, :r1-1] by a scale-major reduce: each scale's squared
-    differences, a (width, rows, cols) array, summed over its leading axis."""
-    cols = r1 - 1
-    # at least two columns: numpy reduces a 1x1 plane in pairwise order
-    total = np.zeros((r1 - r0, max(cols, 2)))
-    for weight, block in history.blocks:
-        diff = block[:, None, :total.shape[1]] - block[:, r0:r1, None]
-        total += weight * np.sqrt(np.add.reduce(diff * diff, axis=0))
-    D = np.ascontiguousarray(total[:, :cols])
-    D[np.arange(cols) >= np.arange(r0, r1)[:, None]] = np.inf
-    return D
 
 
 @settings(max_examples=100, deadline=None)

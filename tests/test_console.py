@@ -1,9 +1,9 @@
 """End-to-end checks of the CLI that no narrower test holds.
 
 The files each command writes, the auto grid on tied distances, a wide
-input that the History builds in chunks against the object API and
-plain ufuncs, interval bounds, a BOM and CRLF file under a compressed
-name, and the exit-code contract.
+input that the History builds in chunks against the object API's
+forecast and the plain-ufunc triangle, interval bounds, a BOM and CRLF
+file under a compressed name, and the exit-code contract.
 Each test runs ``cli.main`` in process, but for the exit codes, which
 are about the process: its code, one ``error:`` line on stderr and no
 traceback, from ``python -m wavekernel.cli``.
@@ -19,17 +19,10 @@ import numpy as np
 import pytest
 
 import wavekernel
-from wavekernel import (
-    History,
-    KernelSpec,
-    default_bandwidth_grid,
-    gen_synthetic,
-    kernel_eval,
-)
+from wavekernel import History, KernelSpec, default_bandwidth_grid, gen_synthetic
 from wavekernel.cli import load_series, main, write_series
-from wavekernel.predictor import normalized_weights
 
-from oracle import Segment, combined_distance, forward_dwt, pad_to_pow2, quantile_grid
+from oracle import forecast, quantile_grid, ufunc_triangle
 
 
 def read_column(path, name):
@@ -76,11 +69,7 @@ def test_wide_forecast_matches_the_object_api(wide_file, tmp_path):
     out = tmp_path / "out"
     assert main(["predict", "--input", str(wide_file), "--p", "96", "--h", "0.5",
                  "--output-dir", str(out)]) == 0
-    x = load_series(wide_file).reshape(-1, 96)
-    n = len(x)
-    pyramids = [forward_dwt(pad_to_pow2(Segment(row))) for row in x]
-    d = np.array([combined_distance(pyramids[m], pyramids[-1]) for m in range(n - 1)])
-    want = normalized_weights(kernel_eval(KernelSpec("gaussian", 0.5), d / 0.5), n) @ x[1:]
+    want = forecast(load_series(wide_file).reshape(-1, 96), KernelSpec("gaussian", 0.5))
     np.testing.assert_allclose(read_column(out / "prediction.csv", "predicted"), want,
                                rtol=1e-9)
 
@@ -111,19 +100,7 @@ def test_wide_grid_triangle_matches_plain_ufuncs(wide_file):
     # and weight
     history = History(load_series(wide_file).reshape(-1, 96))
     default_bandwidth_grid(history)
-    want = []
-    for q in range(1, len(history)):
-        D = None
-        for weight, block in history.blocks:
-            diff = block[:, :q] - block[:, q, None]
-            sq = diff * diff
-            acc = sq[0]
-            for k in range(1, len(sq)):
-                acc = acc + sq[k]
-            part = np.sqrt(acc) * weight
-            D = part if D is None else D + part
-        want.append(D)
-    want = np.concatenate(want)
+    want = ufunc_triangle(history)
     assert history.tri.shape == want.shape == (1100 * 1099 // 2,)
     np.testing.assert_array_equal(history.tri.view(np.int64), want.view(np.int64))
 

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -13,7 +12,6 @@ from wavekernel import (
     ConfigError,
     InsufficientHistoryError,
     KernelSpec,
-    PredictionInterval,
     ResamplingPlan,
     ShapeError,
     prediction_interval,
@@ -21,9 +19,8 @@ from wavekernel import (
     weighted_quantile,
 )
 from wavekernel import gen_synthetic, intervals, predictor
-from wavekernel.predictor import kernel_eval, normalized_weights
 
-from oracle import draw_pseudo_blocks
+from oracle import argsort_weighted_quantile, draw_pseudo_blocks, sorted_draws_quantile
 
 
 def make_plan(B=500, alpha=0.025, seed=0):
@@ -277,23 +274,6 @@ class TestPredictionInterval:
         with pytest.raises(error, match=match):
             prediction_interval(np.ones((n, 4)), dataclasses.replace(center, curve=curve),
                                 make_plan())
-
-
-def sorted_draws_quantile(plan, weights, futures, q):
-    """The k-th smallest of B drawn pseudo-blocks, by a full sort of the draws."""
-    blocks = np.sort(draw_pseudo_blocks(plan, weights, futures), axis=0)
-    k = min(max(math.ceil(q * plan.B), 1), plan.B)
-    return blocks[k - 1]
-
-
-def argsort_weighted_quantile(atoms, weights, q):
-    """One argsort per quantile: the smallest atom whose cumulative weight reaches q."""
-    order = np.argsort(atoms, axis=0, kind="stable")
-    cumw = np.cumsum(weights[order], axis=0)
-    # a threshold past a column's total weight, which rounding can leave an
-    # ulp short, reads as that total, as in the library
-    first = np.argmax(cumw >= np.minimum(q - 1e-12, cumw[-1]), axis=0)
-    return np.take_along_axis(atoms, order, axis=0)[first, np.arange(atoms.shape[1])]
 
 
 # B = 30, alpha = 0.1: 0.1 * 30 is exactly 3.0, rank 3.  B = 100, alpha = 0.07:

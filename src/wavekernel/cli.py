@@ -30,7 +30,8 @@ import numpy as np
 
 from . import evaluation, intervals, predictor
 from .errors import (_ALPHAS, _MAX_SIZE, _MIN_B, _MIN_P, _SEEDS, ConfigError,
-                     InvalidInputError, LevelError, WavekernelError, _choice, _int, _real)
+                     InvalidInputError, LevelError, WavekernelError, _choice, _finite,
+                     _floats, _int, _real)
 from .predictor import KernelSpec, PipelineConfig, ScaleRange, _scale_range
 from .wavelet import FILTERS, DEFAULT_FILTER
 
@@ -232,10 +233,14 @@ def _parse_rows(fh, p: Path) -> np.ndarray:
 
 
 def write_series(path, values) -> None:
+    """Write ``values``, read in order as a series, one per row under a
+    ``value`` header, in the format :func:`load_series` reads back."""
+    x = _floats(values, "series").reshape(-1)
+    _finite("series", x)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["value"])
-        for v in np.asarray(values, dtype=float):
+        for v in x:
             writer.writerow([_fmt(v)])
 
 

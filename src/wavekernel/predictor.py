@@ -12,6 +12,7 @@ regime the raw-form prediction tends to zero).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -541,7 +542,9 @@ def _quantiles(tri: np.ndarray, qs) -> list[float]:
 
 
 def default_bandwidth_grid(segments, count: int = 32) -> np.ndarray:
-    """Log-spaced grid spanning the 1%..99% quantiles of pairwise distances.
+    """Log-spaced grid spanning the 1%..99% quantiles of pairwise distances,
+    at least a decade, and ending at the largest double where that span
+    would pass it.
 
     ``segments`` is as in :func:`predict_one_ahead`; a :class:`History`
     keeps the distances for CV.
@@ -560,5 +563,12 @@ def default_bandwidth_grid(segments, count: int = 32) -> np.ndarray:
         return np.logspace(-3, 0, count)
     q_lo, q_hi = quantiles
     lo = max(q_lo, 1e-12 * q_hi)
-    hi = max(q_hi, lo * 10)
-    return np.logspace(math.log10(lo), math.log10(hi), count)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        hi = max(q_hi, lo * 10)
+        grid = np.logspace(math.log10(lo), math.log10(hi), count)
+    if np.isfinite(grid).all():
+        return grid
+    # near the largest double, lo * 10 or 10**log10(hi) may pass it: the same
+    # span as fractions of hi, which end at hi itself, at most the largest double
+    hi = min(hi, sys.float_info.max)
+    return hi * np.logspace(math.log10(lo / hi), 0, count)

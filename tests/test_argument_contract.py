@@ -1,21 +1,23 @@
 """The argument contract: junk in one argument gives finite values or a typed error.
 
-The library property starts from valid arguments of an entry point and
-replaces one of them, a scalar setting or an array of data, by a value
-from a fixed junk set.  Under warnings as errors the call must return
-finite values or raise a WavekernelError subclass.  A scalar setting takes
-only its own kind: an int is a Python or numpy integer and no bool, a real
-is an int or float and no bool or str, and a name is one of a fixed set.
-Junk of another kind there must raise, even where it would compute.  The
-second property keeps every argument valid but sets one element of an
-array argument to NaN, +inf or -inf, under the same rule.
+Each public callable has an ``ENTRIES`` row, its call with the object-typed
+arguments bound and valid values of the others, or an ``EXEMPT`` reason.
+Every argument of every row in turn, a scalar setting or an array of data,
+takes every value of a fixed junk set; under warnings as errors the call
+must return finite values or raise a WavekernelError subclass.  A scalar
+setting takes only its own kind: an int is a Python or numpy integer and no
+bool, a real is an int or float and no bool or str, and a name is one of a
+fixed set.  Junk of another kind there must raise, even where it would
+compute.  Then each element of each array argument in turn is NaN, +inf
+and -inf, under the same rule.  Nothing is sampled, and a failing test
+names every failing case.
 
 Object-typed parameters are outside the contract and keep Python's own
 TypeError or AttributeError: a ``KernelSpec``, a ``PipelineConfig``, a
 ``ScaleRange``, the ``center`` of an interval, a resampling ``plan``, a
-rolling ``method`` and a pyramid.  They stay fixed here, but for the
-center's weights: the interval resamples with them, so they are data,
-and take the junk through a copy of the center.
+rolling ``method``, a ``Segment``, a pyramid and a path.  They stay fixed
+here, but for the center's weights: the interval resamples with them, so
+they are data, and take the junk through a copy of the center.
 
 The CLI twin passes junk strings to the flags that take values, and
 wrong-typed values through a ``--config`` file: each run exits 0, 1 or 2,
@@ -24,24 +26,28 @@ a failing one with exactly one ``error:`` line, and none raises.
 
 import dataclasses
 import functools
+import importlib
+import itertools
 import json
 import math
 import numbers
+import pkgutil
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import wavekernel as wk
 from wavekernel import ConfigError, WavekernelError
-from wavekernel.cli import main
+from wavekernel.cli import main, write_series
 from wavekernel.evaluation import split_segments, summarize, wk_method
-from wavekernel.predictor import History, normalized_weights
+from wavekernel.predictor import History, normalized_weights, scaling_coefficients
 from wavekernel.wavelet import forward_array
 
-from oracle import Segment, scale_distance
+from oracle import Segment, forward_dwt, scale_distance
 
 JUNK = {
     "None": None, "'1'": "1", "'abc'": "abc", "True": True, "2.5": 2.5, "-1": -1,
@@ -61,6 +67,14 @@ def interval_around(weights):
     """The exact interval of SEGS around CENTER with ``weights`` in its place."""
     return wk.prediction_interval(SEGS, dataclasses.replace(CENTER, weights=weights),
                                   PLAN, "exact")
+
+
+def written(values):
+    """The file ``write_series`` makes of ``values``, read as plain floats."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "series.csv")
+        write_series(path, values)
+        return [float(v) for v in path.read_text().split()[1:]]
 
 
 def synthetic(kind):
@@ -98,13 +112,29 @@ ENTRIES = {
     "summarize": (summarize, dict(scores=[0.1, 0.2, 0.4])),
     "gen_synthetic seasonal_ar": synthetic("seasonal_ar"),
     "gen_synthetic markov_functional": synthetic("markov_functional"),
+    "scaling_coefficients": (scaling_coefficients, dict(segments=SEGS)),
     "forward_array": (forward_array, dict(x=np.arange(8.0), j0=1, filter_id="dd6")),
+    "forward_dwt": (functools.partial(forward_dwt, Segment(np.arange(8.0))),
+                    dict(j0=1, filter_id="dd6")),
     "scale_distance": (scale_distance, dict(a=np.arange(4.0), b=np.ones(4))),
     "Segment": (Segment, dict(values=[1.0, 2.0, 3.0])),
     "ScaleRange": (wk.ScaleRange, dict(j_lo=0, j_hi=3)),
     "PipelineConfig": (functools.partial(wk.PipelineConfig,
                                          scale_range=wk.ScaleRange(1, 2)),
                        dict(filter_id="dd6", j0=1)),
+    "write_series": (written, dict(values=[1.0, 2.0, 3.0])),
+}
+
+# the public callables with no row, and why
+EXEMPT = {
+    **dict.fromkeys(["WavekernelError", "ConfigError", "InvalidInputError", "LevelError",
+                     "ShapeError", "InsufficientHistoryError"], "an exception class"),
+    "pad_to_pow2": "takes only a Segment",
+    "combined_distance": "takes only pyramids and a ScaleRange",
+    **dict.fromkeys(["main", "RunConfig"], "the CLI tables below"),
+    "load_series": "takes only a path; tests/test_load_series.py",
+    **dict.fromkeys(["PredictionResult", "PredictionInterval", "WaveletPyramid"],
+                    "a record the library builds"),
 }
 
 # the scalar settings by kind; every other parameter is array data or a flag
@@ -137,66 +167,58 @@ def of_its_kind(param, value) -> bool:
     return param not in NAMES  # no junk value is a name
 
 
-def check(entry, param, value):
+def fault(entry, param, value):
+    """How ``entry`` broke the contract with ``param`` set to ``value``, or None."""
     call, valid = ENTRIES[entry]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = call(**{**valid, param: value})
-        except WavekernelError:
-            return
-    assert of_its_kind(param, value), f"{entry}: {param}={value!r} accepted"
-    assert is_finite(result), f"{entry}: {param}={value!r} gave {result!r}"
+    except WavekernelError:
+        return None
+    except Exception as exc:
+        outcome = f"raised {exc!r}"
+    else:
+        if of_its_kind(param, value) and is_finite(result):
+            return None
+        outcome = "accepted" if is_finite(result) else f"gave {result!r}"
+    return f"{entry}: {param}={value!r} {outcome}"
 
 
-@settings(max_examples=1000, deadline=None)
-@given(st.sampled_from(CASES), st.sampled_from(sorted(JUNK)))
-@example(("KernelSpec", "bandwidth"), "'1'")
-@example(("KernelSpec", "bandwidth"), "True")
-@example(("gen_synthetic seasonal_ar", "noise"), "'1'")
-@example(("gen_synthetic markov_functional", "ar_coef"), "'1'")
-@example(("ResamplingPlan", "alpha"), "'1'")
-@example(("normalized_weights", "kernel_values"), "'abc'")
-@example(("weighted_quantile", "q"), "'1'")
-@example(("cv_bandwidth", "grid"), "'abc'")
-@example(("wk_method", "start"), "2.5")
-@example(("naive_seasonal", "start"), "2.5")
-@example(("summarize", "scores"), "[]")
-@example(("summarize", "scores"), "None")
-@example(("gen_synthetic seasonal_ar", "noise"), "1e308")
-@example(("gen_synthetic markov_functional", "noise"), "1e308")
-@example(("ScaleRange", "j_lo"), "'abc'")
-@example(("ScaleRange", "j_lo"), "2.5")
-@example(("PipelineConfig", "j0"), "'abc'")
-@example(("gen_synthetic seasonal_ar", "n"), "10**20")
-@example(("gen_synthetic markov_functional", "P"), "10**20")
-@example(("default_bandwidth_grid", "count"), "10**20")
-@example(("ResamplingPlan", "B"), "10**20")
-def test_junk_argument_gives_finite_values_or_typed_error(case, junk):
-    check(*case, JUNK[junk])
+def assert_kept(cases):
+    """Check every (entry, param, value) case and name all that fail."""
+    faults = [f for f in itertools.starmap(fault, cases) if f]
+    assert not faults, f"{len(faults)} of {len(cases)} cases:\n" + "\n".join(faults)
 
 
-ARRAY_CASES = [(entry, param) for entry, (_, valid) in ENTRIES.items()
-               for param, value in valid.items() if isinstance(value, (list, np.ndarray))]
+def test_junk_argument_gives_finite_values_or_typed_error():
+    assert_kept([(*case, junk) for case in CASES for junk in JUNK.values()])
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.sampled_from(ARRAY_CASES), st.sampled_from(["nan", "inf", "-inf"]),
-       st.integers(0, 255))
-@example(("weighted_quantile", "atoms"), "nan", 0)
-@example(("normalized_weights", "kernel_values"), "nan", 0)
-@example(("normalized_weights", "kernel_values"), "inf", 0)
-@example(("rmae", "pred"), "inf", 0)
-@example(("rmae", "truth"), "nan", 0)
-@example(("split_segments", "series"), "nan", 0)
-@example(("naive_seasonal", "segments"), "-inf", 0)
-@example(("scale_distance", "a"), "nan", 0)
-@example(("forward_array", "x"), "inf", 0)
-def test_non_finite_element_gives_finite_values_or_typed_error(case, bad, index):
-    entry, param = case
-    value = np.array(ENTRIES[entry][1][param], dtype=float)
-    value.flat[index % value.size] = JUNK[bad]
-    check(entry, param, value)
+def with_element(array, index, bad):
+    """A float copy of ``array`` with element ``index`` set to ``bad``."""
+    value = np.array(array, dtype=float)
+    value.flat[index] = bad
+    return value
+
+
+def test_non_finite_element_gives_finite_values_or_typed_error():
+    assert_kept([(entry, param, with_element(array, index, bad))
+                 for entry, (_, valid) in ENTRIES.items()
+                 for param, array in valid.items() if isinstance(array, (list, np.ndarray))
+                 for index in range(np.size(array))
+                 for bad in (math.nan, math.inf, -math.inf)])
+
+
+def test_every_public_callable_has_a_row_or_an_exemption():
+    modules = [wk] + [importlib.import_module(f"wavekernel.{m.name}")
+                      for m in pkgutil.iter_modules(wk.__path__)]
+    public = {name for module in modules for name in getattr(module, "__all__", ())
+              if callable(getattr(module, name))}
+    rows = {entry.split()[0] for entry in ENTRIES}
+    missing, stale = public - rows - EXEMPT.keys(), EXEMPT.keys() - (public - rows)
+    assert not missing, f"public callables with no row or exemption: {sorted(missing)}"
+    assert not stale, f"exempt, but not public or with a row: {sorted(stale)}"
 
 
 def weighable(kernel_values, n) -> bool:
@@ -207,34 +229,38 @@ def weighable(kernel_values, n) -> bool:
             and all(math.isfinite(v) and v >= 0 for v in kernel_values))
 
 
-# what the property above cannot reach: a negative kernel value, a value of
-# None where the n = 2 shortcut skipped every check, and an n of the wrong
-# kind, which is a ConfigError naming n, not a kernel-value count of 2.5
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.lists(st.sampled_from([0.0, 0.5, 1.0, -5.0, math.nan, math.inf]),
-                          max_size=3),
-                 st.sampled_from(sorted(JUNK)).map(JUNK.get)),
-       st.one_of(st.integers(-1, 4), st.sampled_from([2.5, 3.5, True, None, "3"])))
-@example([math.nan, 1.0], 3)
-@example([math.inf, 1.0], 3)
-@example("abc", 2)
-@example([-5.0, 1.0], 3)
-@example([1.0, 1.0], 3.5)
-@example(None, 2)
-@example([1e308, 1e308], 3)  # a sum past the largest double
-def test_normalized_weights_weighs_only_what_it_can(kernel_values, n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        if not of_its_kind("n", n):
-            with pytest.raises(ConfigError, match="n must be an int"):
-                normalized_weights(kernel_values, n)
-        elif not weighable(kernel_values, n):
-            with pytest.raises(WavekernelError):
-                normalized_weights(kernel_values, n)
-        else:
+def weighing_fault(kernel_values, n):
+    """How ``normalized_weights`` broke its rule on these, or None.  An n of
+    the wrong kind is a ConfigError naming n, not a kernel-value count of
+    2.5; other input it cannot weigh is a typed error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             w = normalized_weights(kernel_values, n)
-            assert w.shape == (n - 1,) and np.all((w >= 0) & (w <= 1))
-            assert abs(w.sum() - 1.0) <= 1e-12
+    except Exception as exc:
+        if of_its_kind("n", n):
+            kept = isinstance(exc, WavekernelError) and not weighable(kernel_values, n)
+        else:
+            kept = isinstance(exc, ConfigError) and "n must be an int" in str(exc)
+        return None if kept else f"raised {exc!r}"
+    kept = (weighable(kernel_values, n) and w.shape == (n - 1,)
+            and np.all((w >= 0) & (w <= 1)) and abs(w.sum() - 1.0) <= 1e-12)
+    return None if kept else f"gave {w!r}"
+
+
+# lists of up to three kernel values, a negative one among them, and every junk
+# value; n of each kind, around the n = 2 shortcut that once skipped every check
+VALUES = [0.0, 0.5, 1.0, -5.0, math.nan, math.inf]
+KERNEL_VALUES = [list(values) for size in range(4)
+                 for values in itertools.product(VALUES, repeat=size)] + list(JUNK.values())
+NS = [*range(-1, 5), 2.5, 3.5, True, None, "3"]
+
+
+def test_normalized_weights_weighs_only_what_it_can():
+    faults = [f"normalized_weights({values!r}, {n!r}) {f}"
+              for values, n in itertools.product(KERNEL_VALUES, NS)
+              if (f := weighing_fault(values, n))]
+    assert not faults, "\n".join(faults)
 
 
 def test_normalized_weights_of_an_overflowing_sum_are_its_shares():
@@ -300,6 +326,9 @@ def test_config_of_wrong_type_exits_2_with_one_error_line(series_file, tmp_path,
     rc, err = run(["interval", "--config", str(cfg)], capsys)
     assert_exit_contract(rc, err)
     assert rc == 2
+    if isinstance(content, dict):  # the error line names the key
+        line = next(line for line in err.splitlines() if "error:" in line)
+        assert re.search(rf"\b{next(iter(content))}\b", line), line
 
 
 # None: the config path names a directory

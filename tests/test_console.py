@@ -152,10 +152,14 @@ EXITS = [
     (1, "interval --input spread.csv --p 4 --h 1.0 --output-dir spread-interval"),
     (1, "eval --input spread.csv --p 4 --h 1.0 --output-dir spread-eval"),
     (1, "eval --rolling --input spread.csv --p 4 --h 1.0 --output-dir spread-rolling"),
+    # every distance 0 or 2.83e307: the auto grid ends at the largest double,
+    # and the CV scores overflow
+    (1, "predict --cv-grid auto --input far.csv --p 4 --output-dir far-grid"),
 ]
 # what the error line names, by output directory
 NAMED = {"tiny": "input segment 20", "tiny-rolling": "input segment 20",
          "huge-ext": "relative error of input segment 20 overflows a double",
+         "far-grid": "cross-validation scores overflow",
          **{f"spread-{name}": "forecast overflows a double; rescale the series"
             for name in ("predict", "interval", "eval", "rolling")}}
 
@@ -180,6 +184,8 @@ def test_exit_code_and_one_error_line(smoke_file, code, args):
     tiny[-1] = 1e-10
     write_series(cwd / "small.csv", tiny)
     write_series(cwd / "huge.csv", [1e300] * 4)
+    write_series(cwd / "far.csv",
+                 np.outer([1, -1, 1, -1, 1], [1, -1, 1, -1]).ravel() * 1e307)
     write_series(cwd / "spread.csv",
                  np.repeat([-1e308, 1e308, -1e308, 1e308, 1e308, -1e308], 4))
     proc = subprocess.run([sys.executable, "-m", "wavekernel.cli", *args.split()],

@@ -134,6 +134,10 @@ def test_subnormal_history_forecasts_finitely(tiny):
     np.testing.assert_array_equal(res.weights, [0.5, 0.5])
     np.testing.assert_allclose(res.curve, [0.5 * tiny, tiny], rtol=1e-12)
     assert np.all(default_bandwidth_grid(rows) > 0)
+    # at the large end every positive distance is 2.83e307, and the grid's
+    # decade above that would pass the largest double
+    grid = default_bandwidth_grid(np.outer([1, -1, 1, -1, 1], [1, -1, 1, -1]) * 1e307)
+    assert np.all(np.isfinite(grid) & (grid > 0))
 
 
 @pytest.mark.filterwarnings("error")

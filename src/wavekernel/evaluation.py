@@ -19,6 +19,21 @@ __all__ = [
 ]
 
 
+def _mean(x: np.ndarray) -> np.ndarray:
+    """The mean over the last axis, finite wherever a double holds it, even
+    where the sum behind it is not."""
+    with np.errstate(over="ignore"):  # an overflowing sum is taken again below
+        mean = np.asarray(x.mean(axis=-1))
+        over = ~np.isfinite(mean)
+        if over.any():
+            # a sum past the largest double: the mean of the values scaled by
+            # 2**-e, e the exponent of the largest magnitude, times 2**e
+            big = x[over]
+            e = np.frexp(np.abs(big).max(axis=-1))[1]
+            mean[over] = np.ldexp(np.ldexp(big, -e[:, None]).mean(axis=-1), e)
+    return mean
+
+
 def rmae(pred, truth):
     """Mean over the last axis of |pred - truth| / |truth|.
 
@@ -46,15 +61,7 @@ def rmae(pred, truth):
             at = f"block {block[0] if len(block) == 1 else tuple(block)}, {at}"
         raise InvalidInputError(f"truth value is zero at {at}; relative error undefined")
     with np.errstate(over="ignore"):  # checked below
-        rel = np.abs(p - t) / denom
-        scores = np.asarray(rel.mean(axis=-1))
-        over = ~np.isfinite(scores)
-        if over.any():
-            # a sum past the largest double: the mean of errors scaled by
-            # 2**-e, e the exponent of the largest, times 2**e
-            big = rel[over]
-            e = np.frexp(big.max(axis=-1))[1]
-            scores[over] = np.ldexp(np.ldexp(big, -e[:, None]).mean(axis=-1), e)
+        scores = _mean(np.abs(p - t) / denom)
     if not np.isfinite(scores).all():
         block = np.argwhere(~np.isfinite(scores))[0].tolist()
         at = f" of block {block[0] if len(block) == 1 else tuple(block)}" if block else ""
@@ -152,15 +159,22 @@ def rolling_eval(segments, method, min_history: int = 2) -> np.ndarray:
 
 
 def summarize(scores) -> dict:
-    """Count, mean and median of a nonempty 1-d array of finite scores."""
+    """Count, mean and median of a nonempty 1-d array of finite scores.
+
+    The median is the middle score, or the mean of the two middle scores,
+    taken as ``np.median`` takes it (a partition, then the mean of the
+    middle slice) and equal to it bit for bit, without the NaN check that
+    imports ``numpy.ma``.  A summary of finite scores is finite.
+    """
     vals = _floats(scores, "scores")
     if vals.ndim != 1 or vals.size == 0:
         raise InvalidInputError(f"need a nonempty 1-d array of scores, got shape {vals.shape}")
     _finite("scores", vals)
+    lo, hi = (vals.size - 1) // 2, vals.size // 2  # the one or two middle scores
     return {
         "count": int(vals.size),
-        "mean_rmae": float(vals.mean()),
-        "median_rmae": float(np.median(vals)),
+        "mean_rmae": float(_mean(vals)),
+        "median_rmae": float(_mean(np.partition(vals, [lo, hi])[lo:hi + 1])),
     }
 
 

@@ -135,14 +135,19 @@ class WaveletPyramid:
     filter_id: str = DEFAULT_FILTER
 
     def __post_init__(self):
+        _int(self.J, "J", 0, error=LevelError)
         _int(self.j0, "j0", 0, self.J, error=LevelError)
         _choice(self.filter_id, "filter_id", FILTERS, error=ShapeError)
-        coarse = np.asarray(self.coarse, dtype=float)
+        coarse = _floats(self.coarse, "coarse")
         if coarse.shape != (2**self.j0,):
             raise ShapeError(
                 f"coarse must have 2**j0 = {2 ** self.j0} entries, got {coarse.shape}"
             )
-        details = tuple(np.asarray(d, dtype=float) for d in self.details)
+        try:
+            details = tuple(_floats(d, "details") for d in self.details)
+        except TypeError:  # not iterable
+            raise ShapeError(f"details must be a sequence of arrays, got "
+                             f"{type(self.details).__name__}") from None
         if len(details) != self.J - self.j0:
             raise ShapeError(
                 f"expected {self.J - self.j0} detail scales, got {len(details)}"
@@ -153,6 +158,7 @@ class WaveletPyramid:
                     f"detail scale {self.j0 + i} must have {2 ** (self.j0 + i)} "
                     f"entries, got {d.shape}"
                 )
+        _finite("pyramid coefficients", coarse, *details)
         object.__setattr__(self, "coarse", coarse)
         object.__setattr__(self, "details", details)
 

@@ -47,7 +47,7 @@ from wavekernel.evaluation import split_segments, summarize, wk_method
 from wavekernel.predictor import History, normalized_weights, scaling_coefficients
 from wavekernel.wavelet import forward_array
 
-from oracle import Segment, forward_dwt, scale_distance
+from oracle import Segment, WaveletPyramid, forward_dwt, scale_distance
 
 JUNK = {
     "None": None, "'1'": "1", "'abc'": "abc", "True": True, "2.5": 2.5, "-1": -1,
@@ -118,6 +118,8 @@ ENTRIES = {
                     dict(j0=1, filter_id="dd6")),
     "scale_distance": (scale_distance, dict(a=np.arange(4.0), b=np.ones(4))),
     "Segment": (Segment, dict(values=[1.0, 2.0, 3.0])),
+    "WaveletPyramid": (WaveletPyramid, dict(j0=1, J=2, coarse=[1.0, 2.0],
+                                            details=[[0.5, -0.5]], filter_id="dd6")),
     "ScaleRange": (wk.ScaleRange, dict(j_lo=0, j_hi=3)),
     "PipelineConfig": (functools.partial(wk.PipelineConfig,
                                          scale_range=wk.ScaleRange(1, 2)),
@@ -133,12 +135,13 @@ EXEMPT = {
     "combined_distance": "takes only pyramids and a ScaleRange",
     **dict.fromkeys(["main", "RunConfig"], "the CLI tables below"),
     "load_series": "takes only a path; tests/test_load_series.py",
-    **dict.fromkeys(["PredictionResult", "PredictionInterval", "WaveletPyramid"],
+    **dict.fromkeys(["PredictionResult", "PredictionInterval"],
                     "a record the library builds"),
 }
 
 # the scalar settings by kind; every other parameter is array data or a flag
-INTS = {"count", "B", "seed", "P", "min_history", "start", "n", "j0", "j_lo", "j_hi"}
+INTS = {"count", "B", "seed", "P", "min_history", "start", "n", "j0", "J", "j_lo",
+        "j_hi"}
 REALS = {"bandwidth", "alpha", "q", "noise", "ar_coef", "contraction"}
 NAMES = {"family", "kernel_family", "weight_mode", "method", "filter_id"}
 

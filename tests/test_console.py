@@ -3,13 +3,16 @@
 The files each command writes, the auto grid on tied distances, a wide
 input that the History builds in chunks against the object API's
 forecast and the plain-ufunc triangle, interval bounds, a BOM and CRLF
-file under a compressed name, and the exit-code contract.
-Each test runs ``cli.main`` in process, but for the exit codes, which
-are about the process: its code, one ``error:`` line on stderr and no
-traceback, from ``python -m wavekernel.cli``.
+file under a compressed name, a rolling summary of scores whose sum
+overflows, the exit-code contract and the modules a command loads.
+Each test runs ``cli.main`` in process, but for the exit codes and the
+modules, which are about the process: its code, one ``error:`` line on
+stderr and no traceback, from ``python -m wavekernel.cli``, and no
+``numpy.ma`` in a fresh interpreter.
 """
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -197,6 +200,36 @@ def test_exit_code_and_one_error_line(smoke_file, code, args):
     out = cwd / args.split()[-1]
     assert out == smoke_file or not out.exists()
     assert NAMED.get(out.name, "") in proc.stderr
+
+
+def test_rolling_summary_of_finite_scores_is_finite_json(tmp_path):
+    # blocks alternating between 1e8 and 1e-300: naive scores of 1 and 1e308,
+    # whose sum passes the largest double
+    path, out = tmp_path / "alt.csv", tmp_path / "out"
+    write_series(path, np.repeat(np.tile([1e8, 1e-300], 4), 4))
+    assert main(["eval", "--rolling", "--input", str(path), "--p", "4", "--h", "1.0",
+                 "--output-dir", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} in summary.json")
+
+    rolling = json.loads((out / "summary.json").read_text(), parse_constant=reject)["rolling"]
+    assert rolling["naive"]["count"] == 6
+    assert rolling["naive"]["mean_rmae"] == pytest.approx(5e307, rel=1e-15)
+    assert rolling["naive"]["median_rmae"] == pytest.approx(5e307, rel=1e-15)
+
+
+@pytest.mark.parametrize("command", ["predict --cv-grid auto", "cv", "interval --h 1.0",
+                                     "eval --h 1.0", "eval --rolling --h 1.0"])
+def test_command_does_not_load_numpy_ma(smoke_file, command):
+    """No command imports numpy.ma, which np.median's NaN check loads, in a
+    fresh interpreter."""
+    argv = [*command.split(), "--input", "smoke.csv", "--p", "12", "--output-dir", "ma"]
+    code = ("import sys; from wavekernel.cli import main; "
+            f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=smoke_file.parent,
+                          env=src_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 def test_object_api_is_not_loaded_or_exported():

@@ -191,6 +191,29 @@ class TestRollingEval:
         agg = summarize(rolling_eval(series.reshape(-1, 8), naive_seasonal))
         assert agg == {"count": 2, "mean_rmae": 0.0, "median_rmae": 0.0}
 
+    @pytest.mark.parametrize("draw", ["ties", "decades"])
+    def test_summarize_is_np_mean_and_median_bit_for_bit(self, draw):
+        rng = np.random.default_rng(33)
+        for n in [*range(1, 65), 398, 399]:
+            if draw == "ties":  # a few distinct scores, most of them tied
+                v = rng.integers(0, 4, n) * 0.25
+            else:  # scores from 1e-300 to 1e300
+                v = 10.0 ** rng.uniform(-300, 300, n)
+            agg = summarize(v)
+            assert agg["median_rmae"] == float(np.median(v)), (n, v)
+            assert agg["mean_rmae"] == float(v.mean()), (n, v)
+
+    def test_summary_of_an_overflowing_sum_is_finite(self):
+        # the sum, or the sum of the two middle scores, passes the largest double
+        assert summarize([1e308, 1.7e308]) == {"count": 2, "mean_rmae": 1.35e308,
+                                                "median_rmae": 1.35e308}
+        agg = summarize([1e308, 1.0] * 3)
+        assert agg["mean_rmae"] == pytest.approx(5e307, rel=1e-15)
+        assert agg["median_rmae"] == pytest.approx(5e307, rel=1e-15)
+        top = np.finfo(float).max
+        assert summarize([top] * 399)["mean_rmae"] == top
+        assert summarize([-top, -top])["median_rmae"] == -top
+
     @pytest.mark.parametrize("scores", [[0.1, np.inf], [np.nan]])
     def test_summarize_rejects_scores_that_are_not_finite(self, scores):
         with pytest.raises(InvalidInputError, match="scores must be finite"):

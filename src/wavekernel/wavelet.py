@@ -135,7 +135,8 @@ class WaveletPyramid:
     filter_id: str = DEFAULT_FILTER
 
     def __post_init__(self):
-        _int(self.J, "J", 0, error=LevelError)
+        # 2**J coefficients, a count of doubles below 2**59
+        _int(self.J, "J", 0, 59, error=LevelError)
         _int(self.j0, "j0", 0, self.J, error=LevelError)
         _choice(self.filter_id, "filter_id", FILTERS, error=ShapeError)
         coarse = _floats(self.coarse, "coarse")

@@ -138,6 +138,11 @@ class TestInverse:
         with pytest.raises(ShapeError, match="expected 3 detail scales, got 2"):
             WaveletPyramid(j0=0, J=3, coarse=np.zeros(1), details=(np.zeros(1), np.zeros(2)))
 
+    def test_level_past_an_array_of_doubles_rejected(self):
+        # 2**J coefficients could not be held: a LevelError before any 2**j0
+        with pytest.raises(LevelError, match=r"J must be an int in \[0, 59\)"):
+            WaveletPyramid(j0=10**12, J=10**12 + 1, coarse=[1.0], details=())
+
     def test_forward_of_inverse_is_identity(self):
         rng = np.random.default_rng(11)
         p = WaveletPyramid(

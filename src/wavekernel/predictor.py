@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (_MAX_SIZE, ConfigError, InsufficientHistoryError, InvalidInputError,
                      LevelError, ShapeError, _choice, _finite, _floats, _int, _real)
-from .wavelet import DEFAULT_FILTER, FILTERS, forward_array
+# forward_array stays bound here for benchmarks/selfcheck.py, which traces it
+from .wavelet import DEFAULT_FILTER, FILTERS, _lift_in_place, forward_array  # noqa: F401
 
 __all__ = [
     "KernelSpec",
@@ -177,10 +178,9 @@ def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
     Returns ``(X, P)`` with X of shape (n, 2**J): each row is its segment
     extended periodically on the right to the next power of two, which
     under the interpolating convention are its scaling coefficients.
-    X is gathered column by column into column-major memory, the
-    scale-major layout :func:`~wavekernel.wavelet.forward_array` lifts in,
-    so it makes no transposed copy.  :class:`History` calls it once per
-    chunk of segments.
+    X is gathered column by column into column-major memory, so X.T is the
+    C-ordered, scale-major (2**J, n) buffer that :class:`History` lifts in
+    place; :func:`~wavekernel.wavelet.forward_array` lifts a copy of it.
     """
     X = _segment_rows(segments)
     P = X.shape[1]
@@ -194,45 +194,42 @@ class History:
     keeps the distances of all pairs m < q, row by row, once
     :func:`default_bandwidth_grid` built them.
 
-    The blocks are built chunk by chunk: each chunk of segments, padded
-    rows of about _SCRATCH doubles, goes through
-    :func:`scaling_coefficients` and :func:`~wavekernel.wavelet.forward_array`
-    once, and its details are copied straight into preallocated
-    scale-major (width, n) blocks.  The blocks are then scaled in place by
-    2**-e, e the exponent of their largest magnitude, and each scale
-    weight 2**-j takes 2**e back.  Both are exact powers of two, so
-    distances are bit-identical to unscaled arithmetic wherever that is
-    finite, and squares no longer overflow near 1e160; one ``np.ldexp``
-    also lifts all-subnormal blocks past 2**1023.  A coefficient that
-    overflowed in the transform, or a weight past the largest double (a
-    coefficient of 2**1023 or more at scale 0), raises InvalidInputError.
-    So beside its input a History holds only the blocks, and its build
-    one chunk's working set.
+    All rows are padded by one :func:`scaling_coefficients` call into one
+    scale-major (width, n) buffer, which is lifted in place in column
+    chunks of _SCRATCH / (2 width) segments.  The build's scratch beside
+    the buffer, one chunk's finest-level prediction, tap product and
+    periodic extension, is (0.75 + reach / (2 width)) _SCRATCH, the reach
+    being the filter's offset span: 0.79 at width 128 with sym6-interp's
+    11.  Each block, (2**j, n), is a row view of the buffer, scaled in
+    place by 2**-e, e the exponent of the blocks' largest magnitude, and
+    each scale weight 2**-j takes 2**e back.  Both are exact powers of
+    two, so distances are bit-identical to unscaled arithmetic wherever
+    that is finite, and squares no longer overflow near 1e160; one
+    ``np.ldexp`` also lifts all-subnormal blocks past 2**1023.  A
+    coefficient that overflowed in the transform, or a weight past the
+    largest double (a coefficient of 2**1023 or more at scale 0), raises
+    InvalidInputError; scales outside ``scale_range`` are not read.  So
+    beside its input a History holds the one buffer, whatever its scales.
     """
 
     def __init__(self, segments, config: PipelineConfig = PipelineConfig()):
         self.segments = _segment_rows(segments)
-        n, self.P = self.segments.shape
+        self.P = self.segments.shape[1]
         self.config = config
         width = 1 << (self.P - 1).bit_length()  # of the padded rows
         rng = _scale_range(config.j0, config.scale_range, width.bit_length() - 1)
-        blocks = {j: np.empty((1 << j, n)) for j in range(rng.j_lo, rng.j_hi + 1)}
-        top, step = 0.0, max(1, _SCRATCH // width)
-        for c0 in range(0, n, step):
-            chunk = scaling_coefficients(self.segments[c0:c0 + step])[0]
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                details = forward_array(chunk, config.j0, config.filter_id)[1]
-            for j, block in blocks.items():
-                block[:, c0:c0 + step] = details[j].T  # scale-major as made
-                top = max(top, float(np.abs(details[j]).max()))
-            del chunk, details  # freed before the next chunk is made
+        lifted = scaling_coefficients(self.segments)[0].T
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            details = _lift_in_place(lifted, config.j0, config.filter_id,
+                                     max(1, _SCRATCH // (2 * width)))[1]
+        blocks = [(j, details[j]) for j in range(rng.j_lo, rng.j_hi + 1)]
+        top = max(max(float(b.max()), -float(b.min())) for _, b in blocks)
         e = math.frexp(top)[1]
         if not math.isfinite(top) or e - rng.j_lo > 1023:
             raise InvalidInputError(
                 f"wavelet coefficients of magnitude {top:.3g} are too large for doubles; "
                 "rescale the series")
-        self.blocks = [(math.ldexp(1.0, e - j), np.ldexp(b, -e, out=b))
-                       for j, b in blocks.items()]
+        self.blocks = [(math.ldexp(1.0, e - j), np.ldexp(b, -e, out=b)) for j, b in blocks]
         self.tri = None
 
     def __len__(self) -> int:

@@ -191,16 +191,39 @@ def _predict_odds(s: np.ndarray, filter_id: str) -> np.ndarray:
     return out
 
 
+def _lift_in_place(s: np.ndarray, j0: int, filter_id: str, cols: int):
+    """Lift scale-major samples s, (2**J, vectors), in place, ``cols``
+    vectors at a time; return ``(coarse, details)`` as row views of s.
+
+    There is no update step, so level j (finest first) reads only the rows
+    at stride 2**(J-j), which the finer levels left as samples, and
+    overwrites only its odd rows, at stride 2**(J-j) from 2**(J-j-1),
+    which no coarser level reads, with its details odd - prediction.
+    The coarse values are the rows at stride 2**(J-j0) from 0.  The
+    scratch is one chunk's finest-level prediction, its tap product and
+    the periodic extension it reads: (1.5 x 2**J + reach) x cols doubles,
+    the reach being the filter's offset span (11 for sym6-interp).
+    """
+    J = s.shape[0].bit_length() - 1
+    for c0 in range(0, s.shape[1], cols):
+        chunk = s[:, c0:c0 + cols]
+        for j in range(J - 1, j0 - 1, -1):
+            step = 1 << (J - j)
+            odd = chunk[step >> 1::step]
+            np.subtract(odd, _predict_odds(chunk[::step], filter_id), out=odd)
+    return s[::1 << (J - j0)], {j: s[1 << (J - j - 1)::1 << (J - j)]
+                                for j in range(J - 1, j0 - 1, -1)}
+
+
 def forward_array(x: np.ndarray, j0: int = 0, filter_id: str = DEFAULT_FILTER):
     """Lifting decomposition of finite sample vectors (batched over leading axes).
 
     Returns ``(coarse, details)`` where ``details`` maps scale j to the
-    detail array for j = j0 .. J-1.  Operates along the last axis.  The
-    lifting runs scale-major, on the samples laid out (length, vectors),
-    so every step is one contiguous pass over all the vectors; that layout
-    is a transposed copy of x, or a view of column-major x such as
-    :func:`~wavekernel.predictor.scaling_coefficients` makes.  Each returned
-    array is a transposed view of a scale-major (width, vectors) one.
+    detail array for j = j0 .. J-1.  Operates along the last axis, and
+    leaves x unchanged.  The lifting runs in place on a scale-major copy
+    of the samples, laid out (length, vectors), so every step is one
+    contiguous pass over all the vectors.  Each returned array is a
+    transposed view of rows of that one (length, vectors) buffer.
     """
     x = _floats(x, "x")
     if x.ndim == 0 or not _is_pow2(x.shape[-1]):
@@ -210,14 +233,10 @@ def forward_array(x: np.ndarray, j0: int = 0, filter_id: str = DEFAULT_FILTER):
     J = x.shape[-1].bit_length() - 1
     _int(j0, "j0", 0, J, error=LevelError)
     lead = x.shape[:-1]
-    details: dict[int, np.ndarray] = {}
-    s = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
-    for j in range(J - 1, j0 - 1, -1):
-        even = s[0::2]
-        d = _predict_odds(even, filter_id)
-        details[j] = np.subtract(s[1::2], d, out=d).T.reshape(lead + (1 << j,))
-        s = even
-    return s.T.reshape(lead + (1 << j0,)), details
+    s = x.reshape(-1, x.shape[-1]).T.copy()  # a copy even where x is column-major
+    coarse, details = _lift_in_place(s, j0, filter_id, max(1, s.shape[1]))
+    return coarse.T.reshape(lead + (1 << j0,)), {
+        j: d.T.reshape(lead + (1 << j,)) for j, d in details.items()}
 
 
 def pad_to_pow2(segment: Segment) -> Segment:

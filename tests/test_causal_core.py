@@ -29,6 +29,7 @@ from wavekernel import (
 )
 from wavekernel.evaluation import wk_method
 from wavekernel.predictor import History, predict_one_ahead, scaling_coefficients
+from wavekernel import wavelet
 from wavekernel.wavelet import FILTERS
 
 from oracle import (distances, loop_cv, loop_forecast, per_origin, quantile_grid,
@@ -219,27 +220,26 @@ def test_predict_curve_is_the_causal_pass_forecast(case):
             assert curve.tobytes() == wk_method(kernel)(history, start)[-1].tobytes()
 
 
-# n = 40 blocks padded to 32: chunks of 6 blocks at _SCRATCH = 200, the last of 4
+# n = 40 blocks padded to 32: chunks of 3 segments at _SCRATCH = 200, the last of 1
 @settings(max_examples=100, deadline=None)
 @given(cases())
 @example((np.random.default_rng(1).normal(size=(40, 20)), PipelineConfig(), [1.0],
           {"family": "gaussian", "weight_mode": "raw", "scratch": (200, 200)}))
 def test_chunked_blocks_equal_a_one_chunk_build(case):
-    # each chunk of blocks is padded and transformed on its own, one traced
-    # call each, and lands in the same bits as a build of all blocks at once
+    # the padded rows are lifted in place chunk by chunk, one prediction per
+    # chunk and level, and land in the same bits as one lift of all rows
     segments, config, _, opts = case
     scratch = opts["scratch"][0]
     with mock.patch.object(predictor, "_SCRATCH", 1 << 40):
         whole = History(segments, config)
     width = 1 << (segments.shape[1] - 1).bit_length()
-    chunks = -(-len(segments) // max(1, scratch // width))
+    chunks = -(-len(segments) // max(1, scratch // (2 * width)))
+    levels = width.bit_length() - 1 - config.j0
     with mock.patch.object(predictor, "_SCRATCH", scratch), \
-            mock.patch.object(predictor, "scaling_coefficients",
-                              wraps=scaling_coefficients) as pad, \
-            mock.patch.object(predictor, "forward_array",
-                              wraps=predictor.forward_array) as lift:
+            mock.patch.object(wavelet, "_predict_odds",
+                              wraps=wavelet._predict_odds) as predict:
         chunked = History(segments, config)
-    assert pad.call_count == lift.call_count == chunks
+    assert predict.call_count == chunks * levels
     assert [w for w, _ in chunked.blocks] == [w for w, _ in whole.blocks]
     for (_, got), (_, want) in zip(chunked.blocks, whole.blocks):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -247,12 +247,13 @@ def test_chunked_blocks_equal_a_one_chunk_build(case):
 
 
 def test_history_build_holds_the_blocks_and_one_chunk():
-    # n = 2000 blocks of P = 96, padded to 128: 1.94 MiB of blocks.  Beside
-    # them the build holds one chunk's padded rows (_SCRATCH doubles) and the
-    # finest level's periodic extension, prediction and tap product, about
-    # 2.6 chunks (3.23 MiB in all on numpy 2.4); the bound allows four.  A
-    # padded copy of every block, full-size transform temporaries and a
-    # transposed copy of each scale read 5.83 MiB
+    # n = 2000 blocks of P = 96, padded to 128: 1.94 MiB of blocks, row
+    # views of one 2 MiB buffer.  Beside them the build holds the buffer's
+    # coarse row and one chunk's scratch, the finest level's periodic
+    # extension, prediction and tap product for _SCRATCH / 256 segments:
+    # about 0.83 chunks (2.35 MiB in all on numpy 2.4); the bound allows
+    # one.  A padded copy and new details per chunk, copied into separate
+    # per-scale blocks, read 2.59 chunks (3.23 MiB)
     segments = np.random.default_rng(4).normal(size=(2000, 96))
     tracemalloc.start()
     try:
@@ -262,7 +263,7 @@ def test_history_build_holds_the_blocks_and_one_chunk():
         tracemalloc.stop()
     blocks = sum(b.nbytes for _, b in history.blocks)
     assert blocks == 127 * 2000 * 8
-    assert peak < blocks + 4 * predictor._SCRATCH * 8
+    assert peak < blocks + predictor._SCRATCH * 8
 
 
 def test_rolling_eval_uses_batch_with_same_scores():

@@ -1,6 +1,7 @@
 """Segments enter the pipeline once: padding, History views, extreme scales."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from wavekernel import (
     InvalidInputError,
     KernelSpec,
     PipelineConfig,
+    ScaleRange,
     ShapeError,
     cv_bandwidth,
     default_bandwidth_grid,
     gen_synthetic,
     predict_one_ahead,
+    predictor,
 )
 from wavekernel.evaluation import wk_method
 from wavekernel.predictor import History, scaling_coefficients
@@ -148,6 +151,24 @@ def test_subnormal_history_forecasts_finitely(tiny):
 def test_coefficients_past_the_largest_double_are_rejected(rows):
     with pytest.raises(InvalidInputError, match="too large"):
         predict_one_ahead(rows, KernelSpec("gaussian", 1.0))
+
+
+# P = 4 padded to 4, two segments per lifting chunk at _SCRATCH = 16: the
+# last of 7 segments, alone in its chunk, has a scale-1 detail of -2e308
+# under dd2 (at scale 0 its detail is 0), which only an in-range scale reads
+@pytest.mark.filterwarnings("error")
+def test_overflow_in_the_last_chunk_is_rejected_only_in_range():
+    rows = np.vstack([np.random.default_rng(7).normal(size=(6, 4)),
+                      [1e308, -1e308, 1e308, -1e308]])
+    with mock.patch.object(predictor, "_SCRATCH", 16):
+        with pytest.raises(InvalidInputError, match="too large"):
+            History(rows, PipelineConfig(filter_id="dd2"))
+        coarse = PipelineConfig(filter_id="dd2", scale_range=ScaleRange(0, 0))
+        chunked = History(rows, coarse)
+    (weight, block), = chunked.blocks
+    assert block.shape == (1, 7) and np.isfinite(block).all()
+    (want_weight, want), = History(rows, coarse).blocks  # in one chunk
+    assert weight == want_weight and block.tobytes() == want.tobytes()
 
 
 # blocks constant at +-1e308 have no wavelet detail, so History takes them,

@@ -9,6 +9,7 @@ from wavekernel import (
     LevelError,
     ShapeError,
 )
+from wavekernel.predictor import scaling_coefficients
 from wavekernel.wavelet import forward_array
 
 from oracle import (Segment, WaveletPyramid, forward_dwt, inverse_array, inverse_dwt,
@@ -213,3 +214,17 @@ def test_lifting_is_bit_identical_to_roll_reference(case):
     assert sorted(details) == sorted(want_details)
     for j, d in want_details.items():
         assert details[j].tobytes() == d.tobytes()
+
+
+# the lifting runs in place, on a copy also where the scale-major transpose
+# of x is a view, as it is of the column-major rows scaling_coefficients makes
+@pytest.mark.parametrize("filter_id", sorted(FILTERS))
+def test_forward_array_leaves_its_input_unchanged(filter_id):
+    rows = np.random.default_rng(6).normal(size=(5, 12))
+    padded = scaling_coefficients(rows)[0]
+    assert padded.T.flags.c_contiguous
+    for x in (np.ascontiguousarray(padded), padded):
+        before = x.tobytes()
+        coarse, details = forward_array(x, filter_id=filter_id)
+        assert x.tobytes() == before
+        assert not any(np.shares_memory(a, x) for a in (coarse, *details.values()))

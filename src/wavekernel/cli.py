@@ -234,14 +234,18 @@ def _parse_rows(fh, p: Path) -> np.ndarray:
 
 def write_series(path, values) -> None:
     """Write ``values``, read in order as a series, one per row under a
-    ``value`` header, in the format :func:`load_series` reads back."""
+    ``value`` header, in the format :func:`load_series` reads back.  An
+    OSError (a missing directory, say) is a WavekernelError naming the path."""
     x = _floats(values, "series").reshape(-1)
     _finite("series", x)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value"])
-        for v in x:
-            writer.writerow([_fmt(v)])
+    try:
+        with Path(path).open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["value"])
+            for v in x:
+                writer.writerow([_fmt(v)])
+    except OSError as exc:
+        raise WavekernelError(f"cannot write series to {path}: {exc.strerror}") from None
 
 
 def _table(columns: dict) -> list[list]:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import (_MAX_SIZE, ConfigError, InsufficientHistoryError, InvalidInputError,
                      LevelError, ShapeError, _choice, _finite, _floats, _int, _real)
-# forward_array stays bound here for benchmarks/selfcheck.py, which traces it
-from .wavelet import DEFAULT_FILTER, FILTERS, _lift_in_place, forward_array  # noqa: F401
+from .wavelet import DEFAULT_FILTER, FILTERS, _lift_in_place
 
 __all__ = [
     "KernelSpec",
@@ -179,8 +178,7 @@ def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
     extended periodically on the right to the next power of two, which
     under the interpolating convention are its scaling coefficients.
     X is gathered column by column into column-major memory, so X.T is the
-    C-ordered, scale-major (2**J, n) buffer that :class:`History` lifts in
-    place; :func:`~wavekernel.wavelet.forward_array` lifts a copy of it.
+    C-ordered, scale-major (2**J, n) buffer a :class:`History` lifts in place.
     """
     X = _segment_rows(segments)
     P = X.shape[1]

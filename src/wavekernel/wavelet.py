@@ -40,7 +40,6 @@ __all__ = [
     "DEFAULT_FILTER",
     "pad_to_pow2",
     "forward_dwt",
-    "forward_array",
 ]
 
 
@@ -194,6 +193,8 @@ def _predict_odds(s: np.ndarray, filter_id: str) -> np.ndarray:
 def _lift_in_place(s: np.ndarray, j0: int, filter_id: str, cols: int):
     """Lift scale-major samples s, (2**J, vectors), in place, ``cols``
     vectors at a time; return ``(coarse, details)`` as row views of s.
+    The package's one lifting routine: a History lifts its padded rows
+    with it, in column chunks, and :func:`forward_dwt` a one-column copy.
 
     There is no update step, so level j (finest first) reads only the rows
     at stride 2**(J-j), which the finer levels left as samples, and
@@ -215,30 +216,6 @@ def _lift_in_place(s: np.ndarray, j0: int, filter_id: str, cols: int):
                                 for j in range(J - 1, j0 - 1, -1)}
 
 
-def forward_array(x: np.ndarray, j0: int = 0, filter_id: str = DEFAULT_FILTER):
-    """Lifting decomposition of finite sample vectors (batched over leading axes).
-
-    Returns ``(coarse, details)`` where ``details`` maps scale j to the
-    detail array for j = j0 .. J-1.  Operates along the last axis, and
-    leaves x unchanged.  The lifting runs in place on a scale-major copy
-    of the samples, laid out (length, vectors), so every step is one
-    contiguous pass over all the vectors.  Each returned array is a
-    transposed view of rows of that one (length, vectors) buffer.
-    """
-    x = _floats(x, "x")
-    if x.ndim == 0 or not _is_pow2(x.shape[-1]):
-        raise ShapeError(f"need a power-of-two length on the last axis, got {x.shape}")
-    _finite("x", x)
-    _choice(filter_id, "filter_id", FILTERS, error=ShapeError)
-    J = x.shape[-1].bit_length() - 1
-    _int(j0, "j0", 0, J, error=LevelError)
-    lead = x.shape[:-1]
-    s = x.reshape(-1, x.shape[-1]).T.copy()  # a copy even where x is column-major
-    coarse, details = _lift_in_place(s, j0, filter_id, max(1, s.shape[1]))
-    return coarse.T.reshape(lead + (1 << j0,)), {
-        j: d.T.reshape(lead + (1 << j,)) for j, d in details.items()}
-
-
 def pad_to_pow2(segment: Segment) -> Segment:
     """Extend a segment periodically on the right to the next power of two."""
     v = segment.values
@@ -254,9 +231,15 @@ def pad_to_pow2(segment: Segment) -> Segment:
 
 def forward_dwt(segment: Segment, j0: int = 0,
                 filter_id: str = DEFAULT_FILTER) -> WaveletPyramid:
-    """Pyramid decomposition of a power-of-two-length segment."""
-    coarse, details = forward_array(segment.values, j0=j0, filter_id=filter_id)
-    J = segment.values.size.bit_length() - 1
-    ordered = tuple(details[j] for j in sorted(details))
-    return WaveletPyramid(j0=j0, J=J, coarse=coarse, details=ordered,
+    """Pyramid decomposition of a power-of-two-length segment, lifted as a
+    (2**J, 1) copy by :func:`_lift_in_place`, as a History lifts its rows."""
+    n = segment.values.size
+    if not _is_pow2(n):
+        raise ShapeError(f"need a power-of-two segment length, got {n}")
+    _choice(filter_id, "filter_id", FILTERS, error=ShapeError)
+    J = n.bit_length() - 1
+    _int(j0, "j0", 0, J, error=LevelError)
+    coarse, details = _lift_in_place(segment.values.reshape(n, 1).copy(), j0, filter_id, 1)
+    return WaveletPyramid(j0=j0, J=J, coarse=coarse[:, 0],
+                          details=tuple(details[j][:, 0] for j in range(j0, J)),
                           filter_id=filter_id)

@@ -18,8 +18,9 @@ By the library computation it pins:
   forecast stack of ``wk_method``, one prefix at a time.
 - Bandwidth grid: ``quantile_grid`` is ``default_bandwidth_grid`` read off
   ``np.quantile``.
-- Lifting: ``naive_lifting_forward`` is ``forward_array`` as a scalar loop,
-  and ``roll_forward`` is it with one ``np.roll`` copy per tap
+- Lifting: ``naive_lifting_forward`` and ``roll_forward`` pin
+  ``wavelet._lift_in_place``, through the History and ``forward_dwt``:
+  the first as a scalar loop, the second with one ``np.roll`` copy per tap
   (``roll_predict_odds``).  ``inverse_array`` and ``inverse_dwt`` invert it
   on the same roll prediction, for perfect reconstruction.
 - Interval: ``draw_pseudo_blocks`` builds the B x P pseudo-block matrix that
@@ -201,7 +202,8 @@ def roll_forward(x, j0, filter_id):
 
 
 def inverse_array(coarse, details, filter_id=DEFAULT_FILTER):
-    """Inverse of :func:`wavekernel.wavelet.forward_array`."""
+    """Inverse of the lifting transform of ``wavelet._lift_in_place``, on
+    coarse values and a dict of details, each laid out along the last axis."""
     s = np.asarray(coarse, dtype=float)
     for j in sorted(details):
         out = np.empty(s.shape[:-1] + (2 * s.shape[-1],))

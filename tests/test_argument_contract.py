@@ -45,7 +45,6 @@ from wavekernel import ConfigError, WavekernelError
 from wavekernel.cli import main, write_series
 from wavekernel.evaluation import split_segments, summarize, wk_method
 from wavekernel.predictor import History, normalized_weights, scaling_coefficients
-from wavekernel.wavelet import forward_array
 
 from oracle import Segment, WaveletPyramid, forward_dwt, scale_distance
 
@@ -113,7 +112,6 @@ ENTRIES = {
     "gen_synthetic seasonal_ar": synthetic("seasonal_ar"),
     "gen_synthetic markov_functional": synthetic("markov_functional"),
     "scaling_coefficients": (scaling_coefficients, dict(segments=SEGS)),
-    "forward_array": (forward_array, dict(x=np.arange(8.0), j0=1, filter_id="dd6")),
     "forward_dwt": (functools.partial(forward_dwt, Segment(np.arange(8.0))),
                     dict(j0=1, filter_id="dd6")),
     "scale_distance": (scale_distance, dict(a=np.arange(4.0), b=np.ones(4))),

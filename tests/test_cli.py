@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -9,6 +10,7 @@ from wavekernel import (
     ConfigError,
     InvalidInputError,
     KernelSpec,
+    WavekernelError,
     cv_bandwidth,
     default_bandwidth_grid,
     gen_synthetic,
@@ -68,6 +70,13 @@ class TestLoadSeries:
         path.write_text("1.0\nnan\n")
         with pytest.raises(InvalidInputError, match="row 2"):
             load_series(path)
+
+    # as load_series and the CLI's outputs do, an OSError names the path
+    @pytest.mark.parametrize("name", ["missing/x.csv", "."])
+    def test_unwritable_path_named(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(WavekernelError, match=re.escape(f"cannot write series to {path}:")):
+            write_series(path, [1.0, 2.0])
 
 
 class TestPredictCommand:

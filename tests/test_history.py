@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavekernel import (
+    FILTERS,
     InsufficientHistoryError,
     InvalidInputError,
     KernelSpec,
@@ -186,3 +187,17 @@ def test_forecasts_past_the_largest_double_are_rejected(weight_mode):
     if weight_mode == "normalized":  # the rolling method's one mode
         with pytest.raises(InvalidInputError, match="rescale the series"):
             wk_method(KernelSpec("gaussian", 1.0))(history, 2)
+
+
+# the lifting runs in place on a padded copy, also where the rows are
+# column-major, as scaling_coefficients makes them, and P is a power of two
+@pytest.mark.parametrize("filter_id", sorted(FILTERS))
+def test_history_leaves_its_input_unchanged(filter_id):
+    rows = np.random.default_rng(6).normal(size=(5, 12))
+    padded = scaling_coefficients(rows)[0]
+    assert padded.T.flags.c_contiguous
+    for x in (rows, np.asfortranarray(rows), np.ascontiguousarray(padded), padded):
+        before = x.tobytes()
+        hist = History(x, PipelineConfig(filter_id=filter_id))
+        assert x.tobytes() == before
+        assert not any(np.shares_memory(block, x) for _, block in hist.blocks)

@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +10,13 @@ from wavekernel import (
     FILTERS,
     InvalidInputError,
     LevelError,
+    PipelineConfig,
     ShapeError,
+    predictor,
 )
-from wavekernel.predictor import scaling_coefficients
-from wavekernel.wavelet import forward_array
+from wavekernel.predictor import History
 
-from oracle import (Segment, WaveletPyramid, forward_dwt, inverse_array, inverse_dwt,
+from oracle import (Segment, WaveletPyramid, forward_dwt, inverse_dwt,
                     naive_lifting_forward, pad_to_pow2, roll_forward)
 
 POW2_LENGTHS = [4, 8, 16, 32, 64]
@@ -95,10 +99,10 @@ class TestForward:
         x = np.random.default_rng(length).normal(size=length)
         offsets, weights = FILTERS[filter_id]
         ref_coarse, ref_details = naive_lifting_forward(x, 0, offsets, weights)
-        coarse, details = forward_array(x, j0=0, filter_id=filter_id)
-        np.testing.assert_allclose(coarse, ref_coarse, atol=1e-12)
+        p = forward_dwt(Segment(x), j0=0, filter_id=filter_id)
+        np.testing.assert_allclose(p.coarse, ref_coarse, atol=1e-12)
         for j, d in ref_details.items():
-            np.testing.assert_allclose(details[j], d, atol=1e-12)
+            np.testing.assert_allclose(p.detail(j), d, atol=1e-12)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ShapeError):
@@ -165,8 +169,7 @@ class TestInverse:
 )
 def test_round_trip_property(seed, exponent, filter_id):
     x = np.random.default_rng(seed).normal(size=2**exponent) * 10
-    coarse, details = forward_array(x, filter_id=filter_id)
-    back = inverse_array(coarse, details, filter_id=filter_id)
+    back = inverse_dwt(forward_dwt(Segment(x), filter_id=filter_id)).values
     assert np.max(np.abs(back - x)) <= 1e-10 * (1 + np.max(np.abs(x)))
 
 
@@ -181,13 +184,11 @@ def test_linearity_property(seed, alpha, beta, filter_id):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=16)
     y = rng.normal(size=16)
-    cx, dx = forward_array(x, filter_id=filter_id)
-    cy, dy = forward_array(y, filter_id=filter_id)
-    cz, dz = forward_array(alpha * x + beta * y, filter_id=filter_id)
-    np.testing.assert_allclose(cz, alpha * cx + beta * cy, atol=1e-12 * 100)
-    for j in dz:
-        np.testing.assert_allclose(dz[j], alpha * dx[j] + beta * dy[j],
-                                   atol=1e-12 * 100)
+    px, py, pz = (forward_dwt(Segment(v), filter_id=filter_id)
+                  for v in (x, y, alpha * x + beta * y))
+    for a, b, c in zip((pz.coarse, *pz.details), (px.coarse, *px.details),
+                       (py.coarse, *py.details)):
+        np.testing.assert_allclose(a, alpha * b + beta * c, atol=1e-12 * 100)
 
 
 @st.composite
@@ -203,28 +204,21 @@ def lifting_inputs(draw):
     return x, draw(st.integers(0, J - 1)), draw(st.sampled_from(sorted(FILTERS)))
 
 
-# levels narrower than a filter's reach (12 taps for sym6) wrap more than once
+# levels narrower than a filter's reach (12 taps for sym6) wrap more than once;
+# a History lifts in chunks of _SCRATCH / (2 width) segments, here 1, 2 or 3,
+# so a batch of 3 rows lifts in 3 chunks, in 2 with a short last one, or in 1
 @settings(max_examples=300, deadline=None)
-@given(lifting_inputs())
-def test_lifting_is_bit_identical_to_roll_reference(case):
+@given(lifting_inputs(), st.integers(1, 3))
+def test_lifting_is_bit_identical_to_roll_reference(case, chunk):
     x, j0, filter_id = case
-    coarse, details = forward_array(x, j0=j0, filter_id=filter_id)
-    want_coarse, want_details = roll_forward(x, j0, filter_id)
-    assert coarse.tobytes() == want_coarse.tobytes()
-    assert sorted(details) == sorted(want_details)
-    for j, d in want_details.items():
-        assert details[j].tobytes() == d.tobytes()
-
-
-# the lifting runs in place, on a copy also where the scale-major transpose
-# of x is a view, as it is of the column-major rows scaling_coefficients makes
-@pytest.mark.parametrize("filter_id", sorted(FILTERS))
-def test_forward_array_leaves_its_input_unchanged(filter_id):
-    rows = np.random.default_rng(6).normal(size=(5, 12))
-    padded = scaling_coefficients(rows)[0]
-    assert padded.T.flags.c_contiguous
-    for x in (np.ascontiguousarray(padded), padded):
-        before = x.tobytes()
-        coarse, details = forward_array(x, filter_id=filter_id)
-        assert x.tobytes() == before
-        assert not any(np.shares_memory(a, x) for a in (coarse, *details.values()))
+    rows = x.reshape(-1, x.shape[-1])
+    with mock.patch.object(predictor, "_SCRATCH", 2 * rows.shape[1] * chunk):
+        blocks = History(rows, PipelineConfig(j0=j0, filter_id=filter_id)).blocks
+    want_coarse, want_details = roll_forward(rows, j0, filter_id)
+    assert len(blocks) == len(want_details)
+    for j, (weight, block) in enumerate(blocks, start=j0):
+        # the block is scaled by 2**-e and its weight is 2**(e - j)
+        e = math.frexp(weight)[1] - 1 + j
+        assert np.ldexp(block.T, e).tobytes() == want_details[j].tobytes()
+    for row, want in zip(rows, want_coarse):
+        assert forward_dwt(Segment(row), j0, filter_id).coarse.tobytes() == want.tobytes()

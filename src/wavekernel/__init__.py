@@ -24,7 +24,6 @@ from .predictor import (
     KernelSpec,
     PipelineConfig,
     PredictionResult,
-    ScaleRange,
     cv_bandwidth,
     default_bandwidth_grid,
     kernel_eval,
@@ -57,7 +56,6 @@ __all__ = [
     "default_bandwidth_grid",
     "kernel_eval",
     "predict_one_ahead",
-    "ScaleRange",
     "DEFAULT_FILTER",
     "FILTERS",
 ]

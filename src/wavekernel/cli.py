@@ -32,7 +32,7 @@ from . import evaluation, intervals, predictor
 from .errors import (_ALPHAS, _MAX_SIZE, _MIN_B, _MIN_P, _SEEDS, ConfigError,
                      InvalidInputError, LevelError, WavekernelError, _choice, _finite,
                      _floats, _int, _real)
-from .predictor import KernelSpec, PipelineConfig, ScaleRange, _scale_range
+from .predictor import KernelSpec, PipelineConfig, _check_j0
 from .wavelet import FILTERS, DEFAULT_FILTER
 
 __all__ = ["RunConfig", "load_series", "write_series", "main"]
@@ -63,7 +63,6 @@ class RunConfig:
     alpha: float = 0.025
     b: int = 500
     seed: int = 0
-    scales: str | None = None
     drop_remainder: bool = False
     rolling: bool = False
     external_forecast: str | None = None
@@ -97,26 +96,15 @@ class RunConfig:
         if self.rolling and self.external_forecast is not None:
             raise ConfigError("--external-forecast scores the holdout; "
                               "it cannot be combined with --rolling")
-        # check --h, the levels of --j0 and --scales on the pyramid of --p,
-        # and --cv-grid now, before any input is read
+        # check --h, --j0 on the pyramid of --p, and --cv-grid now, before
+        # any input is read
         if self.bandwidth is not None:
             KernelSpec(self.kernel, self.bandwidth)
-        _scale_range(self.j0, self._scales(), (self.p - 1).bit_length())
+        _check_j0(self.j0, (self.p - 1).bit_length())
         self._grid_bounds()
 
-    def _scales(self) -> ScaleRange | None:
-        """The scales of ``--scales lo:hi``; None for all of them."""
-        if not self.scales:
-            return None
-        try:
-            lo, hi = (int(s) for s in self.scales.split(":"))
-        except ValueError as exc:
-            raise ConfigError(f"--scales must be lo:hi, got {self.scales!r}") from exc
-        return ScaleRange(lo, hi)
-
     def pipeline(self) -> PipelineConfig:
-        return PipelineConfig(filter_id=self.filter_id, j0=self.j0,
-                              scale_range=self._scales())
+        return PipelineConfig(filter_id=self.filter_id, j0=self.j0)
 
     def _grid_bounds(self) -> tuple[float, float, int] | None:
         """(lo, hi, count) of a lo:hi:count ``--cv-grid``; None for auto."""
@@ -443,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--b", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--scales", metavar="LO:HI")
     parser.add_argument("--drop-remainder", action="store_true")
     parser.add_argument("--rolling", action="store_true", help="eval only")
     parser.add_argument("--external-forecast", help="eval only")
@@ -463,6 +450,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        if "scales" in loaded and loaded["scales"] is None:
+            del loaded["scales"]  # every summary of the retired --scales holds null
         unknown = set(loaded) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

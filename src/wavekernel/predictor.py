@@ -25,7 +25,6 @@ __all__ = [
     "KernelSpec",
     "PipelineConfig",
     "PredictionResult",
-    "ScaleRange",
     "kernel_eval",
     "normalized_weights",
     "predict_one_ahead",
@@ -76,32 +75,10 @@ def kernel_eval(spec: KernelSpec, u) -> np.ndarray:
     return k if np.ndim(u) else k[0]
 
 
-@dataclass(frozen=True)
-class ScaleRange:
-    """Inclusive bounds on the detail scales entering the combined distance."""
-
-    j_lo: int
-    j_hi: int
-
-    def __post_init__(self):
-        _int(self.j_lo, "j_lo", 0, error=LevelError)
-        _int(self.j_hi, "j_hi", 0, error=LevelError)
-        if self.j_lo > self.j_hi:
-            raise LevelError(f"need j_lo <= j_hi, got [{self.j_lo}, {self.j_hi}]")
-
-
-def _scale_range(j0: int, scale_range: ScaleRange | None, J: int) -> ScaleRange:
-    """The detail scales entering the distance for a pyramid of J levels:
-    those of ``scale_range`` (by default all), each within [j0, J-1]."""
+def _check_j0(j0: int, J: int) -> None:
+    """Raise LevelError unless a pyramid of J levels has detail scales j0..J-1."""
     if not 0 <= j0 < J:
         raise LevelError(f"need 0 <= j0 < J = {J}, got j0={j0}")
-    rng = scale_range or ScaleRange(j0, J - 1)
-    if rng.j_lo < j0 or rng.j_hi > J - 1:
-        raise LevelError(
-            f"scale range [{rng.j_lo}, {rng.j_hi}] outside pyramid "
-            f"scales [{j0}, {J - 1}]"
-        )
-    return rng
 
 
 @dataclass(frozen=True)
@@ -110,7 +87,6 @@ class PipelineConfig:
 
     filter_id: str = DEFAULT_FILTER
     j0: int = 0
-    scale_range: ScaleRange | None = None
 
     def __post_init__(self):
         _choice(self.filter_id, "filter_id", FILTERS, error=ShapeError)
@@ -195,35 +171,34 @@ class History:
     All rows are padded by one :func:`scaling_coefficients` call into one
     scale-major (width, n) buffer, which is lifted in place in column
     chunks of _SCRATCH / (2 width) segments.  The build's scratch beside
-    the buffer, one chunk's finest-level prediction, tap product and
-    periodic extension, is (0.75 + reach / (2 width)) _SCRATCH, the reach
-    being the filter's offset span: 0.79 at width 128 with sym6-interp's
-    11.  Each block, (2**j, n), is a row view of the buffer, scaled in
-    place by 2**-e, e the exponent of the blocks' largest magnitude, and
-    each scale weight 2**-j takes 2**e back.  Both are exact powers of
-    two, so distances are bit-identical to unscaled arithmetic wherever
-    that is finite, and squares no longer overflow near 1e160; one
-    ``np.ldexp`` also lifts all-subnormal blocks past 2**1023.  A
-    coefficient that overflowed in the transform, or a weight past the
-    largest double (a coefficient of 2**1023 or more at scale 0), raises
-    InvalidInputError; scales outside ``scale_range`` are not read.  So
-    beside its input a History holds the one buffer, whatever its scales.
+    the buffer, one chunk's finest-level even rows, their prediction and
+    its tap product, is 0.75 _SCRATCH at any width and filter.  Each
+    block, the (2**j, n) details at one scale j in j0..J-1, is a row view
+    of the buffer, scaled in place by 2**-e, e the exponent of the blocks'
+    largest magnitude, and each scale weight 2**-j takes 2**e back.  Both
+    are exact powers of two, so distances are bit-identical to unscaled
+    arithmetic wherever that is finite, and squares no longer overflow
+    near 1e160; one ``np.ldexp`` also lifts all-subnormal blocks past
+    2**1023.  A coefficient that overflowed in the transform, or a weight
+    past the largest double (a coefficient of 2**1023 or more at scale 0),
+    raises InvalidInputError.  So beside its input a History holds the one
+    buffer.
     """
 
     def __init__(self, segments, config: PipelineConfig = PipelineConfig()):
         self.segments = _segment_rows(segments)
         self.P = self.segments.shape[1]
         self.config = config
-        width = 1 << (self.P - 1).bit_length()  # of the padded rows
-        rng = _scale_range(config.j0, config.scale_range, width.bit_length() - 1)
+        J = (self.P - 1).bit_length()  # levels of the padded rows, 2**J wide
+        _check_j0(config.j0, J)
         lifted = scaling_coefficients(self.segments)[0].T
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             details = _lift_in_place(lifted, config.j0, config.filter_id,
-                                     max(1, _SCRATCH // (2 * width)))[1]
-        blocks = [(j, details[j]) for j in range(rng.j_lo, rng.j_hi + 1)]
+                                     max(1, _SCRATCH // (2 << J)))[1]
+        blocks = [(j, details[j]) for j in range(config.j0, J)]
         top = max(max(float(b.max()), -float(b.min())) for _, b in blocks)
         e = math.frexp(top)[1]
-        if not math.isfinite(top) or e - rng.j_lo > 1023:
+        if not math.isfinite(top) or e - config.j0 > 1023:
             raise InvalidInputError(
                 f"wavelet coefficients of magnitude {top:.3g} are too large for doubles; "
                 "rescale the series")

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .errors import ShapeError, _finite, _floats
-from .predictor import ScaleRange, _scale_range
 from .wavelet import WaveletPyramid
 
 __all__ = ["scale_distance", "combined_distance"]
@@ -37,20 +36,15 @@ def scale_distance(a: np.ndarray, b: np.ndarray) -> float:
     return math.ldexp(float(np.linalg.norm(np.ldexp(d, -e))), e)
 
 
-def combined_distance(p1: WaveletPyramid, p2: WaveletPyramid,
-                      scale_range: ScaleRange | None = None) -> float:
-    """Weighted sum over scales of the per-scale discrepancies.
-
-    ``scale_range`` defaults to all detail scales [j0, J-1].
-    """
+def combined_distance(p1: WaveletPyramid, p2: WaveletPyramid) -> float:
+    """Weighted sum of the per-scale discrepancies over the detail scales j0..J-1."""
     if (p1.j0, p1.J) != (p2.j0, p2.J) or p1.filter_id != p2.filter_id:
         raise ShapeError(
             "pyramids are not comparable: "
             f"(j0={p1.j0}, J={p1.J}, {p1.filter_id}) vs "
             f"(j0={p2.j0}, J={p2.J}, {p2.filter_id})"
         )
-    rng = _scale_range(p1.j0, scale_range, p1.J)
     total = 0.0
-    for j in range(rng.j_lo, rng.j_hi + 1):
+    for j in range(p1.j0, p1.J):
         total += math.ldexp(scale_distance(p1.detail(j), p2.detail(j)), -j)
     return total

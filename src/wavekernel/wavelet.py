@@ -175,18 +175,20 @@ def _is_pow2(n: int) -> bool:
 def _predict_odds(s: np.ndarray, filter_id: str) -> np.ndarray:
     """Interpolate the odd positions from coarse samples, periodically along axis 0.
 
-    Tap ``off`` reads s[k + off mod m] at position k: a slice of one
-    periodic extension of s, which also covers m below the filter's reach.
-    The taps are summed in filter order from zero, one product at a time.
+    Tap ``off`` reads s[k + off mod m] at position k: s rotated by
+    off mod m, two slices of one contiguous copy of s, whatever the
+    filter's reach.  The taps are summed in filter order from zero, one
+    product at a time.
     """
     offsets, weights = FILTERS[filter_id]
+    s = np.ascontiguousarray(s)
     m = s.shape[0]
-    lo, hi = int(offsets.min()), int(offsets.max())
-    ext = s[np.arange(lo, m + hi) % m]
     out, tap = np.zeros(s.shape), np.empty(s.shape)
     for off, w in zip(offsets, weights):
-        a = int(off) - lo
-        out += np.multiply(ext[a:a + m], w, out=tap)
+        r = int(off) % m
+        np.multiply(s[r:], w, out=tap[:m - r])
+        np.multiply(s[:r], w, out=tap[m - r:])
+        out += tap
     return out
 
 
@@ -201,9 +203,9 @@ def _lift_in_place(s: np.ndarray, j0: int, filter_id: str, cols: int):
     overwrites only its odd rows, at stride 2**(J-j) from 2**(J-j-1),
     which no coarser level reads, with its details odd - prediction.
     The coarse values are the rows at stride 2**(J-j0) from 0.  The
-    scratch is one chunk's finest-level prediction, its tap product and
-    the periodic extension it reads: (1.5 x 2**J + reach) x cols doubles,
-    the reach being the filter's offset span (11 for sym6-interp).
+    scratch is one chunk's finest-level even rows, copied contiguous, their
+    prediction and its tap product: 1.5 x 2**J x cols doubles, whatever
+    the filter.
     """
     J = s.shape[0].bit_length() - 1
     for c0 in range(0, s.shape[1], cols):

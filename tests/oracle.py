@@ -56,7 +56,7 @@ def distances(segments, config=PipelineConfig(), rows=None):
     every row q or for the rows given."""
     pyramids = [forward_dwt(pad_to_pow2(Segment(row)), config.j0, config.filter_id)
                 for row in segments]
-    return [[combined_distance(pyramids[m], pyramids[q], config.scale_range)
+    return [[combined_distance(pyramids[m], pyramids[q])
              for m in range(q)]
             for q in (range(len(pyramids)) if rows is None else rows)]
 

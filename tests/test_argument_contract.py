@@ -13,9 +13,9 @@ and -inf, under the same rule.  Nothing is sampled, and a failing test
 names every failing case.
 
 Object-typed parameters are outside the contract and keep Python's own
-TypeError or AttributeError: a ``KernelSpec``, a ``PipelineConfig``, a
-``ScaleRange``, the ``center`` of an interval, a resampling ``plan``, a
-rolling ``method``, a ``Segment``, a pyramid and a path.  They stay fixed
+TypeError or AttributeError: a ``KernelSpec``, a ``PipelineConfig``, the
+``center`` of an interval, a resampling ``plan``, a rolling ``method``, a
+``Segment``, a pyramid and a path.  They stay fixed
 here, but for the center's weights: the interval resamples with them, so
 they are data, and take the junk through a copy of the center.
 
@@ -118,10 +118,7 @@ ENTRIES = {
     "Segment": (Segment, dict(values=[1.0, 2.0, 3.0])),
     "WaveletPyramid": (WaveletPyramid, dict(j0=1, J=2, coarse=[1.0, 2.0],
                                             details=[[0.5, -0.5]], filter_id="dd6")),
-    "ScaleRange": (wk.ScaleRange, dict(j_lo=0, j_hi=3)),
-    "PipelineConfig": (functools.partial(wk.PipelineConfig,
-                                         scale_range=wk.ScaleRange(1, 2)),
-                       dict(filter_id="dd6", j0=1)),
+    "PipelineConfig": (wk.PipelineConfig, dict(filter_id="dd6", j0=1)),
     "write_series": (written, dict(values=[1.0, 2.0, 3.0])),
 }
 
@@ -130,7 +127,7 @@ EXEMPT = {
     **dict.fromkeys(["WavekernelError", "ConfigError", "InvalidInputError", "LevelError",
                      "ShapeError", "InsufficientHistoryError"], "an exception class"),
     "pad_to_pow2": "takes only a Segment",
-    "combined_distance": "takes only pyramids and a ScaleRange",
+    "combined_distance": "takes only pyramids",
     **dict.fromkeys(["main", "RunConfig"], "the CLI tables below"),
     "load_series": "takes only a path; tests/test_load_series.py",
     **dict.fromkeys(["PredictionResult", "PredictionInterval"],
@@ -138,8 +135,7 @@ EXEMPT = {
 }
 
 # the scalar settings by kind; every other parameter is array data or a flag
-INTS = {"count", "B", "seed", "P", "min_history", "start", "n", "j0", "J", "j_lo",
-        "j_hi"}
+INTS = {"count", "B", "seed", "P", "min_history", "start", "n", "j0", "J"}
 REALS = {"bandwidth", "alpha", "q", "noise", "ar_coef", "contraction"}
 NAMES = {"family", "kernel_family", "weight_mode", "method", "filter_id"}
 
@@ -295,6 +291,7 @@ CLI_JUNK = ["None", "1", "abc", "True", "2.5", "-1", "0", "nan", "inf", "-inf",
             "1:2:1000000000000000"]
 
 
+# --scales is retired: argparse rejects it and its value, with one error line
 @pytest.mark.parametrize("flag", ["--p", "--h", "--alpha", "--b", "--seed", "--j0",
                                   "--cv-grid", "--scales"])
 @pytest.mark.parametrize("junk", CLI_JUNK)

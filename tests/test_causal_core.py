@@ -19,7 +19,6 @@ from wavekernel import (
     InsufficientHistoryError,
     KernelSpec,
     PipelineConfig,
-    ScaleRange,
     cv_bandwidth,
     default_bandwidth_grid,
     gen_synthetic,
@@ -63,13 +62,8 @@ def cases(draw):
     n = draw(st.integers(3, 40))
     P = draw(st.integers(2, 20))
     J = (1 << (P - 1).bit_length()).bit_length() - 1  # levels after padding
-    j0 = draw(st.integers(0, J - 1))
-    scale_range = None
-    if draw(st.booleans()):
-        lo = draw(st.integers(j0, J - 1))
-        scale_range = ScaleRange(lo, draw(st.integers(lo, J - 1)))
     config = PipelineConfig(filter_id=draw(st.sampled_from(sorted(FILTERS))),
-                            j0=j0, scale_range=scale_range)
+                            j0=draw(st.integers(0, J - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
     segments = rng.normal(size=(n, P)) * scale + draw(st.sampled_from([0.0, 5.0]))
@@ -246,24 +240,30 @@ def test_chunked_blocks_equal_a_one_chunk_build(case):
     assert np.shares_memory(chunked.segments, segments)  # the rows, not a copy
 
 
-def test_history_build_holds_the_blocks_and_one_chunk():
-    # n = 2000 blocks of P = 96, padded to 128: 1.94 MiB of blocks, row
-    # views of one 2 MiB buffer.  Beside them the build holds the buffer's
-    # coarse row and one chunk's scratch, the finest level's periodic
-    # extension, prediction and tap product for _SCRATCH / 256 segments:
-    # about 0.83 chunks (2.35 MiB in all on numpy 2.4); the bound allows
-    # one.  A padded copy and new details per chunk, copied into separate
-    # per-scale blocks, read 2.59 chunks (3.23 MiB)
-    segments = np.random.default_rng(4).normal(size=(2000, 96))
+# n blocks of P, padded to width, in 2.4 to 7.8 lifting chunks of
+# _SCRATCH / (2 width) segments
+@pytest.mark.parametrize("P, n", [(2, 40000), (4, 20000), (8, 10000), (16, 5000),
+                                  (96, 2000)])
+def test_history_build_holds_the_blocks_and_one_chunk(P, n):
+    # The blocks are row views of one (width, n) buffer; at P = 96, 1.94 MiB
+    # of blocks in 2 MiB.  Beside the buffer the build holds one chunk's
+    # scratch under sym6-interp, whose taps reach 11 rows: the finest
+    # level's even rows, their prediction and its tap product, 0.75 chunks
+    # (2.33 MiB in all at P = 96 on numpy 2.4); the bound allows one.  A
+    # padded copy and new details per chunk, copied into separate per-scale
+    # blocks, read 2.59 chunks at P = 96; a periodic extension of the even
+    # rows, as wide as the taps' reach, read 3.51 at P = 2
+    segments = np.random.default_rng(4).normal(size=(n, P))
     tracemalloc.start()
     try:
-        history = History(segments)
+        history = History(segments, PipelineConfig(filter_id="sym6-interp"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    width = 1 << (P - 1).bit_length()
     blocks = sum(b.nbytes for _, b in history.blocks)
-    assert blocks == 127 * 2000 * 8
-    assert peak < blocks + predictor._SCRATCH * 8
+    assert blocks == (width - 1) * n * 8
+    assert peak < width * n * 8 + predictor._SCRATCH * 8
 
 
 def test_rolling_eval_uses_batch_with_same_scores():

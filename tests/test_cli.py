@@ -167,8 +167,8 @@ class TestPredictCommand:
 class TestScaleFlags:
     @pytest.mark.parametrize("flags", [
         ["--j0", "5"],          # P=12 pads to 16: levels 0..3 only
-        ["--scales", "0:9"],    # beyond the finest scale
-        ["--scales", "3:1"],    # empty range
+        ["--j0", "4"],          # no detail scale left
+        ["--j0", "-1"],
     ])
     def test_out_of_pyramid_is_config_error(self, series_file, tmp_path, flags):
         rc = main(["predict", "--input", str(series_file), "--p", "12",
@@ -557,6 +557,27 @@ class TestConfigFile:
             cli.RunConfig(command="predict", **values)
         assert str(excinfo.value) == message
 
+    # every summary written while --scales existed holds "scales": null
+    def test_summary_with_the_retired_null_scales_replays(self, series_file, tmp_path):
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["predict", "--input", str(series_file), "--p", "12", "--h", "1.0",
+                     "--output-dir", str(out1)]) == 0
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps({**read_summary(out1)["config"], "scales": None}))
+        assert main(["predict", "--config", str(cfg_path), "--output-dir", str(out2)]) == 0
+        assert (out1 / "prediction.csv").read_bytes() == \
+            (out2 / "prediction.csv").read_bytes()
+
+    def test_retired_scales_with_a_value_is_config_error(self, series_file, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"input": str(series_file), "p": 12, "bandwidth": 1.0,
+                                   "scales": "1:2"}))
+        rc = main(["predict", "--config", str(cfg), "--output-dir", str(tmp_path / "o")])
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert rc == 2
+        assert len(errors) == 1 and "scales" in errors[0]
+
     def test_unknown_config_keys_rejected(self, series_file, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"input": str(series_file), "p": 12,
@@ -579,13 +600,14 @@ class TestConfigFile:
     (["predict", "--cv-grid", "0:2:3"], "--cv-grid"),
     (["predict", "--cv-grid", "1:inf:3"], "--cv-grid"),
     (["predict", "--cv-grid", "1:2:0"], "--cv-grid"),
-    (["predict", "--cv-grid", "1:2:3", "--scales", "x"], "--scales"),
-    (["interval", "--h", "1", "--scales", "3:1"], "j_lo <= j_hi"),
+    (["predict", "--h", "1", "--cv-grid", "1:2:3"], "not both"),
+    (["interval", "--h", "1", "--external-forecast", "x.csv"],
+     "--external-forecast applies to eval only"),
     (["predict", "--h", "-1"], "bandwidth must be positive"),
     (["predict", "--h", "nan"], "bandwidth must be positive"),
     (["predict", "--h", "1", "--j0", "5"], "got j0=5"),  # P=12 pads to 16: J = 4
     (["predict", "--h", "1", "--j0", "-1"], "got j0=-1"),
-    (["predict", "--h", "1", "--scales", "0:9"], "outside pyramid scales [0, 3]"),
+    (["predict", "--h", "1", "--j0", "4"], "got j0=4"),  # the finest scale is 3
     (["predict", "--h", "1", "--filter", "db4"], "unknown --filter 'db4'"),
     (["cv", "--kernel", "cosine"], "unknown --kernel 'cosine'"),
     (["interval", "--h", "1", "--rolling"], "--rolling applies to eval only"),
@@ -599,10 +621,10 @@ def test_bad_flags_are_config_errors(tmp_path, capsys, flags, message):
 
 @pytest.mark.parametrize("flags", [
     ["cv", "--cv-grid", "bogus"],
-    ["predict", "--cv-grid", "1:2:3", "--scales", "x"],
+    ["predict", "--h", "1", "--cv-grid", "1:2:3"],
     ["predict", "--h", "nan"],
     ["predict", "--h", "1", "--j0", "5"],
-    ["predict", "--h", "1", "--scales", "0:9"],
+    ["predict", "--h", "1", "--j0", "4"],
     ["predict", "--h", "1", "--filter", "db4"],
     ["cv", "--kernel", "cosine"],
     ["interval", "--h", "1", "--external-forecast", "x.csv"],
@@ -642,7 +664,6 @@ SHARED_FLAGS = [
     ("--alpha", "0.1", "alpha", 0.1),
     ("--b", "7", "b", 7),
     ("--seed", "3", "seed", 3),
-    ("--scales", "1:2", "scales", "1:2"),
     ("--drop-remainder", None, "drop_remainder", True),
 ]
 BANDWIDTH_FLAGS = [("--h", "0.5", "bandwidth", 0.5),

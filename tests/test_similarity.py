@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from wavekernel import (
-    LevelError,
-    ScaleRange,
-    ShapeError,
-)
+from wavekernel import ShapeError
 
 from oracle import Segment, WaveletPyramid, combined_distance, forward_dwt, scale_distance
 
@@ -101,14 +97,6 @@ class TestCombinedDistance:
                                forward_dwt(Segment(y + 42.0)))
         assert d1 == pytest.approx(d0, abs=1e-9)
 
-    def test_scale_range_restriction(self):
-        p1 = random_pyramid(8)
-        p2 = random_pyramid(9)
-        full = combined_distance(p1, p2)
-        fine_only = combined_distance(p1, p2, scale_range=ScaleRange(2, 3))
-        coarse_only = combined_distance(p1, p2, scale_range=ScaleRange(0, 1))
-        assert full == pytest.approx(fine_only + coarse_only, rel=1e-12)
-
     def test_mismatched_pyramids_rejected(self):
         p_dd2 = random_pyramid(10, filter_id="dd2")
         p_dd6 = random_pyramid(10, filter_id="dd6")
@@ -117,11 +105,3 @@ class TestCombinedDistance:
         p_small = random_pyramid(10, J=3)
         with pytest.raises(ShapeError):
             combined_distance(p_dd2, p_small)
-
-    def test_bad_scale_range(self):
-        with pytest.raises(LevelError):
-            ScaleRange(2, 1)
-        p1 = random_pyramid(11)
-        p2 = random_pyramid(12)
-        with pytest.raises(LevelError):
-            combined_distance(p1, p2, scale_range=ScaleRange(0, 5))

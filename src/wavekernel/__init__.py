@@ -17,7 +17,6 @@ from .intervals import (
     PredictionInterval,
     ResamplingPlan,
     prediction_interval,
-    weighted_quantile,
 )
 from .predictor import (
     History,
@@ -47,7 +46,6 @@ __all__ = [
     "PredictionInterval",
     "ResamplingPlan",
     "prediction_interval",
-    "weighted_quantile",
     "History",
     "KernelSpec",
     "PipelineConfig",

@@ -468,6 +468,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(parser.parse_args(argv))
         _RUNNERS[cfg.command](cfg)
         return 0
+    except SystemExit as exc:  # argparse printed its usage error (2) or the help (0)
+        return exc.code
     except (ConfigError, LevelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

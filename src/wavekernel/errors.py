@@ -54,15 +54,15 @@ def _int(value, name, lo, hi=None, *, error=ConfigError):
         raise error(f"{name} must be an int {span}, got {value!r}")
 
 
-def _real(value, name, lo, hi=math.inf, *, closed=False, error=ConfigError):
-    """Raise ``error`` unless ``value`` is a finite real (no bool) in (lo, hi), or
-    [lo, hi] if ``closed``."""
+def _real(value, name, lo, hi=math.inf, *, closed=False):
+    """Raise ConfigError unless ``value`` is a finite real (no bool) in (lo, hi),
+    or [lo, hi] if ``closed``."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and -math.inf < value < math.inf
             and (lo <= value <= hi if closed else lo < value < hi)):
         span = ("positive and finite" if (lo, hi, closed) == (0, math.inf, False)
                 else f"a finite real in {'(['[closed]}{lo}, {hi}{')]'[closed]}")
-        raise error(f"{name} must be {span}, got {value!r}")
+        raise ConfigError(f"{name} must be {span}, got {value!r}")
 
 
 def _choice(value, name, choices, *, error=ConfigError):

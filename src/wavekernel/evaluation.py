@@ -198,6 +198,11 @@ def gen_synthetic(kind: str, n: int, P: int, noise: float, seed: int,
     ``ar_coef`` and ``contraction`` lie in (-1, 1), where the series is
     stationary, and the seed keys a Philox generator.  A noise level whose
     series overflows a double is a ConfigError, without a RuntimeWarning.
+    At one seed, the series minus its ``noise=0`` profile scales with
+    ``noise``, as do the block distances, the auto bandwidth grid and the h
+    CV picks from it.  So a noise sweep at one seed only rescales every
+    error and cannot change which candidate wins: vary the seed or the
+    generator instead.
     """
     _choice(kind, "generator kind", {"seasonal_ar", "markov_functional"})
     _int(n, "n", 1)

@@ -28,21 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (_ALPHAS, _MAX_SIZE, _MIN_B, _SEEDS, ConfigError,
-                     InsufficientHistoryError, ShapeError, _choice, _finite, _floats, _int,
-                     _real)
+                     InsufficientHistoryError, ShapeError, _choice, _floats, _int, _real)
 from .predictor import _SCRATCH, PredictionResult, _segment_rows
 
 __all__ = [
     "ResamplingPlan",
     "PredictionInterval",
     "prediction_interval",
-    "weighted_quantile",
 ]
-
-
-def _check_weights(w: np.ndarray) -> None:
-    if np.any(w < 0) or np.any(w > 1) or not abs(w.sum() - 1.0) <= 1e-12:
-        raise ConfigError("weights must lie in [0,1] and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,9 @@ def _type1_quantiles(atoms, mass, thresholds, kind="stable", rows=slice(None)) -
     """Per column, the smallest atom whose cumulative mass reaches each threshold.
 
     A threshold past a column's total mass (weights may sum to 1 - 1e-12)
-    reads as that total: the largest atom that carries mass.
+    reads as that total: the largest atom that carries mass.  One at or
+    below zero reads as the least positive double: the smallest atom that
+    carries mass, never one of weight zero.
 
     The support points are the rows ``atoms[rows]``, one ``mass`` entry
     each.  Equal atoms differ only in the sign of a tied zero, which a
@@ -92,27 +87,9 @@ def _chunk_quantiles(atoms, mass, thresholds, kind) -> list:
     cum = mass[order]
     np.cumsum(cum, axis=0, out=cum)
     cols = np.arange(atoms.shape[1])
-    return [atoms[order[np.argmax(cum >= np.minimum(t, cum[-1]), axis=0), cols], cols]
+    return [atoms[order[np.argmax(cum >= np.minimum(max(t, math.ulp(0.0)), cum[-1]),
+                                  axis=0), cols], cols]
             for t in thresholds]
-
-
-def weighted_quantile(atoms: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
-    """Exact type-1 quantile of a discrete column-wise distribution.
-
-    ``atoms`` has one row per support point (columns are time points) and
-    ``weights`` one entry per row, in [0, 1] and summing to 1; returns,
-    per column, the smallest atom whose cumulative weight reaches q.
-    """
-    atoms = _floats(atoms, "atoms")
-    w = _floats(weights, "weights")
-    if atoms.ndim != 2 or w.ndim != 1 or not 0 < w.size == atoms.shape[0]:
-        raise ShapeError(
-            f"need one weight per atom row, got weights {w.shape} for atoms {atoms.shape}"
-        )
-    _check_weights(w)
-    _real(q, "q", 0, 1, closed=True)
-    _finite("atoms", atoms)
-    return _type1_quantiles(atoms, w, [q - 1e-12])[0]
 
 
 def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan,
@@ -131,7 +108,8 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     w = _floats(center.weights, "center weights")
     if w.shape != (m,):
         raise ShapeError(f"center has {w.size} weights for {m} candidates")
-    _check_weights(w)
+    if np.any(w < 0) or np.any(w > 1) or not abs(w.sum() - 1.0) <= 1e-12:
+        raise ConfigError("weights must lie in [0,1] and sum to 1")
     if np.size(center.curve) != P:
         raise ShapeError(
             f"center curve has {np.size(center.curve)} points, segments have {P}")

@@ -242,8 +242,9 @@ def argsort_weighted_quantile(atoms, weights, q):
     order = np.argsort(atoms, axis=0, kind="stable")
     cumw = np.cumsum(weights[order], axis=0)
     # a threshold past a column's total weight, which rounding can leave an
-    # ulp short, reads as that total, as in the library
-    first = np.argmax(cumw >= np.minimum(q - 1e-12, cumw[-1]), axis=0)
+    # ulp short, reads as that total, and one at or below zero as the least
+    # positive double, so a bound always carries weight, as in the library
+    first = np.argmax(cumw >= np.clip(q - 1e-12, math.ulp(0.0), cumw[-1]), axis=0)
     return np.take_along_axis(atoms, order, axis=0)[first, np.arange(atoms.shape[1])]
 
 

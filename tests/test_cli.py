@@ -640,6 +640,23 @@ def test_bad_flags_rejected_before_input_is_read(series_file, tmp_path, monkeypa
     assert rc == 2
 
 
+# argparse's own exits come back as main's return code: 2 after the usage
+# and one error line, 0 after the help
+@pytest.mark.parametrize("flags, code", [
+    (["--scales", "1:2"], 2), (["--p", "abc"], 2), (["--help"], 0),
+], ids=["unknown-flag", "bad-int", "help"])
+def test_argparse_exit_is_returned(tmp_path, capsys, flags, code):
+    rc = main(["predict", "--input", str(tmp_path / "nope.csv"), "--h", "1", *flags])
+    out, err = capsys.readouterr()
+    assert rc == code
+    if code:
+        assert err.startswith("usage: wavekernel")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            err.splitlines()[-1]]
+    else:
+        assert "--j0" in out and err == ""
+
+
 @pytest.mark.parametrize("key, value", [
     ("p", "12"), ("p", 12.0), ("b", 1.5), ("alpha", "0.1"), ("b", True),
 ])

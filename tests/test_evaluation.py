@@ -296,6 +296,17 @@ class TestGenSynthetic:
         d = gen_synthetic("markov_functional", 5, 8, 0.4, seed=42)
         np.testing.assert_array_equal(c, d)
 
+    # at one seed the noise is a pure scale, so a noise sweep only rescales;
+    # the deviations carry the rounding of the profile, about 10, so they are
+    # compared relative to the largest one (about 8e-16 apart)
+    @pytest.mark.parametrize("kind", ["seasonal_ar", "markov_functional"])
+    def test_noise_only_rescales_at_one_seed(self, kind):
+        profile, low, high = (gen_synthetic(kind, 50, 12, noise, seed=4)
+                              for noise in (0.0, 0.3, 1.2))
+        scale = np.max(np.abs(high - profile))
+        np.testing.assert_allclose(high - profile, 4 * (low - profile), rtol=0,
+                                   atol=1e-12 * scale)
+
     def test_markov_segment_mean_autocorrelation_decay(self):
         # segment means follow an AR(1) with the contraction coefficient
         n = 4000

@@ -16,7 +16,6 @@ from wavekernel import (
     ShapeError,
     prediction_interval,
     predict_one_ahead,
-    weighted_quantile,
 )
 from wavekernel import gen_synthetic, intervals, predictor
 
@@ -25,6 +24,13 @@ from oracle import argsort_weighted_quantile, draw_pseudo_blocks, sorted_draws_q
 
 def make_plan(B=500, alpha=0.025, seed=0):
     return ResamplingPlan(B=B, alpha=alpha, seed=seed)
+
+
+def band_of(futures, weights, alpha, method="exact", B=500):
+    """The interval over the blocks ``futures``, weighted by ``weights``."""
+    hist = np.vstack([np.zeros(np.shape(futures)[1]), futures])
+    center = dataclasses.replace(predict_one_ahead(hist, KernelSpec()), weights=weights)
+    return prediction_interval(hist, center, make_plan(B=B, alpha=alpha), method)
 
 
 class TestResampleWeights:
@@ -132,50 +138,6 @@ class TestDrawPseudoBlocks:
             draw_pseudo_blocks(make_plan(), [0.5, 0.5], np.ones((3, 4)))
 
 
-class TestWeightedQuantile:
-    def test_matches_numpy_on_uniform_weights(self):
-        rng = np.random.default_rng(3)
-        atoms = rng.normal(size=(7, 5))
-        w = np.full(7, 1 / 7)
-        for q in (0.025, 0.5, 0.975):
-            got = weighted_quantile(atoms, w, q)
-            expect = np.quantile(atoms, q, axis=0, method="inverted_cdf")
-            np.testing.assert_allclose(got, expect)
-
-    def test_point_mass_weight(self):
-        atoms = np.array([[1.0], [2.0], [3.0]])
-        w = np.array([0.0, 1.0, 0.0])
-        assert weighted_quantile(atoms, w, 0.025)[0] == 2.0
-        assert weighted_quantile(atoms, w, 0.975)[0] == 2.0
-
-    def test_threshold_past_the_total_weight_reads_the_largest_atom(self):
-        # the weights sum to 1 - 9.9987e-13, inside the 1e-12 tolerance, so the
-        # sorted cumulative sum ends short of q - 1e-12 at q = 1; a zero-weight
-        # atom above the others carries no mass and is never the bound
-        w = np.array([0.307547174334848, 0.4400633375291528, 0.25238948813499923])
-        atoms = np.array([[1.0], [2.0], [0.0]])
-        assert weighted_quantile(atoms, w, 1.0).tolist() == [2.0]
-        atoms = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [3.0, -1.0]])
-        assert weighted_quantile(atoms, np.append(w, 0.0), 1.0).tolist() == [2.0, 2.0]
-
-    @pytest.mark.parametrize("q", [-0.1, 1.5, float("nan")])
-    def test_rejects_q_outside_unit_interval(self, q):
-        with pytest.raises(ConfigError):
-            weighted_quantile(np.arange(6.0).reshape(3, 2), np.full(3, 1 / 3), q)
-
-    # at least one entry is negative, NaN, or the weights do not sum to 1
-    @pytest.mark.parametrize("w", [[0.2, 0.2, 0.2], [0.5, 0.7, -0.2],
-                                   [0.5, 0.5, float("nan")]])
-    def test_rejects_weights_off_the_simplex(self, w):
-        with pytest.raises(ConfigError):
-            weighted_quantile(np.arange(6.0).reshape(3, 2), np.array(w), 0.9)
-
-    @pytest.mark.parametrize("size", [2, 4])
-    def test_rejects_weight_count_mismatch(self, size):
-        with pytest.raises(ShapeError):
-            weighted_quantile(np.arange(6.0).reshape(3, 2), np.full(size, 1 / size), 0.5)
-
-
 class TestPredictionInterval:
     def _setup(self, seed=4, n=20, P=12, h=1.0):
         rng = np.random.default_rng(seed)
@@ -263,6 +225,51 @@ class TestPredictionInterval:
             center = predict_one_ahead(hist, KernelSpec())
             prediction_interval(hist, dataclasses.replace(center, weights=[0.5, 0.5]),
                                 make_plan(), method=method)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_rejects_weight_count_mismatch(self, size):
+        with pytest.raises(ShapeError, match=f"{size} weights for 3 candidates"):
+            band_of(np.arange(6.0).reshape(3, 2), np.full(size, 1 / size), 0.1)
+
+    # at least one entry is negative, NaN, or the weights do not sum to 1
+    @pytest.mark.parametrize("w", [[0.2, 0.2, 0.2], [0.5, 0.7, -0.2],
+                                   [0.5, 0.5, float("nan")]])
+    def test_rejects_weights_off_the_simplex(self, w):
+        with pytest.raises(ConfigError, match="weights must lie in"):
+            band_of(np.arange(6.0).reshape(3, 2), w, 0.1)
+
+    def test_exact_matches_numpy_on_uniform_weights(self):
+        futures = np.random.default_rng(3).normal(size=(7, 5))
+        band = band_of(futures, np.full(7, 1 / 7), 0.025)
+        for got, q in ((band.lower, 0.025), (band.upper, 0.975)):
+            np.testing.assert_array_equal(
+                got, np.quantile(futures, q, axis=0, method="inverted_cdf"))
+
+    def test_exact_point_mass_weight(self):
+        band = band_of([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [0.0, 1.0, 0.0], 0.025)
+        assert band.lower.tolist() == band.upper.tolist() == [2.0, 2.0]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_exact_upper_bound_carries_weight(self):
+        # the weights sum to 1 - 9.9987e-13, inside the 1e-12 tolerance, so the
+        # sorted cumulative sum ends short of 1 - alpha - 1e-12 at alpha = 5e-324;
+        # a zero-weight block above the others carries no mass and is never the bound
+        w = [0.307547174334848, 0.4400633375291528, 0.25238948813499923]
+        futures = [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [3.0, -1.0]]
+        assert band_of(futures[:3], w, 5e-324).upper.tolist() == [2.0, 2.0]
+        assert band_of(futures, w + [0.0], 5e-324).upper.tolist() == [2.0, 2.0]
+
+    # at alpha <= 1e-12 the lower threshold alpha - 1e-12 is <= 0; it reads as
+    # the least positive double, so the bound is the smallest block that carries
+    # weight, as Monte Carlo, which returns only blocks it drew, reads it
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-13, 1e-12, 2e-12])
+    def test_exact_lower_bound_carries_weight(self, alpha):
+        futures = [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [3.0, -1.0]]
+        w = [0.3, 0.45, 0.25, 0.0]
+        for method in ("exact", "monte-carlo"):
+            band = band_of(futures, w, alpha, method, B=200_000)
+            assert band.lower.tolist() == [0.0, 0.0], method
 
     # segments and a center that do not fit each other
     @pytest.mark.parametrize("n, curve, error, match", [

@@ -25,7 +25,6 @@ from .predictor import (
     PredictionResult,
     cv_bandwidth,
     default_bandwidth_grid,
-    kernel_eval,
     predict_one_ahead,
 )
 from .wavelet import DEFAULT_FILTER, FILTERS
@@ -52,7 +51,6 @@ __all__ = [
     "PredictionResult",
     "cv_bandwidth",
     "default_bandwidth_grid",
-    "kernel_eval",
     "predict_one_ahead",
     "DEFAULT_FILTER",
     "FILTERS",

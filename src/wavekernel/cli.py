@@ -32,7 +32,7 @@ from . import evaluation, intervals, predictor
 from .errors import (_ALPHAS, _MAX_SIZE, _MIN_B, _MIN_P, _SEEDS, ConfigError,
                      InvalidInputError, LevelError, WavekernelError, _choice, _finite,
                      _floats, _int, _real)
-from .predictor import KernelSpec, PipelineConfig, _check_j0
+from .predictor import KernelSpec, PipelineConfig
 from .wavelet import FILTERS, DEFAULT_FILTER
 
 __all__ = ["RunConfig", "load_series", "write_series", "main"]
@@ -96,11 +96,10 @@ class RunConfig:
         if self.rolling and self.external_forecast is not None:
             raise ConfigError("--external-forecast scores the holdout; "
                               "it cannot be combined with --rolling")
-        # check --h, --j0 on the pyramid of --p, and --cv-grid now, before
-        # any input is read
+        # --h, --j0 on the pyramid of --p and --cv-grid, before any input is read
         if self.bandwidth is not None:
             KernelSpec(self.kernel, self.bandwidth)
-        _check_j0(self.j0, (self.p - 1).bit_length())
+        _int(self.j0, "--j0", 0, (self.p - 1).bit_length(), error=LevelError)
         self._grid_bounds()
 
     def pipeline(self) -> PipelineConfig:

@@ -56,12 +56,13 @@ def _int(value, name, lo, hi=None, *, error=ConfigError):
 
 def _real(value, name, lo, hi=math.inf, *, closed=False):
     """Raise ConfigError unless ``value`` is a finite real (no bool) in (lo, hi),
-    or [lo, hi] if ``closed``."""
+    or >= lo if ``closed``."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and -math.inf < value < math.inf
-            and (lo <= value <= hi if closed else lo < value < hi)):
-        span = ("positive and finite" if (lo, hi, closed) == (0, math.inf, False)
-                else f"a finite real in {'(['[closed]}{lo}, {hi}{')]'[closed]}")
+            and (lo <= value if closed else lo < value < hi)):
+        span = (f"a finite real >= {lo}" if closed
+                else "positive and finite" if (lo, hi) == (0, math.inf)
+                else f"a finite real in ({lo}, {hi})")
         raise ConfigError(f"{name} must be {span}, got {value!r}")
 
 

@@ -122,12 +122,12 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     if method == "exact":
         lower, upper = _type1_quantiles(futures, w, [q - 1e-12 for q in qs])
     else:
-        # the k-th smallest of the B draws, off the counts of the drawn rows;
-        # unstable like a sort of the draws, so a tied zero's sign is open
+        # the k-th smallest of the B draws, k = ceil(qB) in [1, B], off the drawn
+        # rows' counts; unstable like a sort of the draws: a tied zero's sign is open
         rng = np.random.Generator(np.random.Philox(key=plan.seed))
         counts = np.bincount(rng.choice(m, size=plan.B, p=w))
         drawn = np.flatnonzero(counts)
-        ranks = [min(max(math.ceil(q * plan.B), 1), plan.B) for q in qs]
+        ranks = [math.ceil(q * plan.B) for q in qs]
         lower, upper = _type1_quantiles(futures, counts[drawn], ranks, kind=None,
                                         rows=drawn)
     return PredictionInterval(lower=lower, upper=upper)

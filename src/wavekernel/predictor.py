@@ -75,12 +75,6 @@ def kernel_eval(spec: KernelSpec, u) -> np.ndarray:
     return k if np.ndim(u) else k[0]
 
 
-def _check_j0(j0: int, J: int) -> None:
-    """Raise LevelError unless a pyramid of J levels has detail scales j0..J-1."""
-    if not 0 <= j0 < J:
-        raise LevelError(f"need 0 <= j0 < J = {J}, got j0={j0}")
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Wavelet and similarity settings of a :class:`History`, set nowhere else."""
@@ -190,7 +184,7 @@ class History:
         self.P = self.segments.shape[1]
         self.config = config
         J = (self.P - 1).bit_length()  # levels of the padded rows, 2**J wide
-        _check_j0(config.j0, J)
+        _int(config.j0, "j0", 0, J, error=LevelError)
         lifted = scaling_coefficients(self.segments)[0].T
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             details = _lift_in_place(lifted, config.j0, config.filter_id,

@@ -26,13 +26,16 @@ By the library computation it pins:
 - Interval: ``draw_pseudo_blocks`` builds the B x P pseudo-block matrix that
   ``prediction_interval`` never forms, from its own seeded draw;
   ``sorted_draws_quantile`` takes the Monte Carlo bounds off a full sort of
-  it, and ``argsort_weighted_quantile`` the exact bounds off one argsort.
+  it, and ``argsort_weighted_quantile`` the exact bounds off one argsort, by
+  the library's float rule.  ``fraction_quantile`` takes them in exact
+  arithmetic, on Fraction weights, and shares no threshold with the library.
 - Reader: ``reference_load_series`` is ``cli.load_series`` as the row-by-row
   reader it replaced, for values and errors.
 """
 
 import csv
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +51,7 @@ __all__ = ["Segment", "WaveletPyramid", "pad_to_pow2", "forward_dwt", "scale_dis
            "query_distances", "loop_forecast", "loop_cv", "per_origin", "quantile_grid",
            "naive_lifting_forward", "roll_predict_odds", "roll_forward", "inverse_array",
            "inverse_dwt", "draw_pseudo_blocks", "sorted_draws_quantile",
-           "argsort_weighted_quantile", "reference_load_series"]
+           "argsort_weighted_quantile", "fraction_quantile", "reference_load_series"]
 
 
 def distances(segments, config=PipelineConfig(), rows=None):
@@ -233,12 +236,15 @@ def draw_pseudo_blocks(plan, weights, future_segments) -> np.ndarray:
 def sorted_draws_quantile(plan, weights, futures, q):
     """The k-th smallest of B drawn pseudo-blocks, by a full sort of the draws."""
     blocks = np.sort(draw_pseudo_blocks(plan, weights, futures), axis=0)
-    k = min(max(math.ceil(q * plan.B), 1), plan.B)
-    return blocks[k - 1]
+    return blocks[math.ceil(q * plan.B) - 1]  # no clamp: 0 < q < 1 puts k in [1, B]
 
 
 def argsort_weighted_quantile(atoms, weights, q):
-    """One argsort per quantile: the smallest atom whose cumulative weight reaches q."""
+    """One argsort per quantile: the smallest atom whose cumulative weight reaches q.
+
+    It repeats the library's float rule, its 1e-12 tolerance and both clamps,
+    so it pins that rule on any weights but cannot find a fault the rule
+    shares; :func:`fraction_quantile` pins what the rule means."""
     order = np.argsort(atoms, axis=0, kind="stable")
     cumw = np.cumsum(weights[order], axis=0)
     # a threshold past a column's total weight, which rounding can leave an
@@ -246,6 +252,24 @@ def argsort_weighted_quantile(atoms, weights, q):
     # positive double, so a bound always carries weight, as in the library
     first = np.argmax(cumw >= np.clip(q - 1e-12, math.ulp(0.0), cumw[-1]), axis=0)
     return np.take_along_axis(atoms, order, axis=0)[first, np.arange(atoms.shape[1])]
+
+
+def fraction_quantile(atoms, weights, q):
+    """Per column, in exact arithmetic: the first atom of a stable sort by
+    value whose cumulative weight reaches ``q`` > 0.
+
+    ``weights`` and ``q`` are Fractions, so nothing rounds and no threshold
+    needs a tolerance or a clamp.  A cumulative weight first reaches q > 0
+    at an atom that carries weight."""
+    bounds = []
+    for column in np.asarray(atoms, dtype=float).T:
+        cum = Fraction(0)
+        for i in sorted(range(column.size), key=column.__getitem__):
+            cum += weights[i]
+            if cum >= q:
+                bounds.append(column[i])
+                break
+    return np.array(bounds)
 
 
 def reference_load_series(path) -> np.ndarray:

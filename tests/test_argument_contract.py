@@ -44,7 +44,8 @@ import wavekernel as wk
 from wavekernel import ConfigError, WavekernelError
 from wavekernel.cli import main, write_series
 from wavekernel.evaluation import split_segments, summarize, wk_method
-from wavekernel.predictor import History, normalized_weights, scaling_coefficients
+from wavekernel.predictor import (History, kernel_eval, normalized_weights,
+                                  scaling_coefficients)
 
 from oracle import Segment, WaveletPyramid, forward_dwt, scale_distance
 
@@ -83,7 +84,7 @@ def synthetic(kind):
 # entry point -> (call with its object-typed arguments bound, valid arguments)
 ENTRIES = {
     "KernelSpec": (wk.KernelSpec, dict(family="gaussian", bandwidth=1.0)),
-    "kernel_eval": (functools.partial(wk.kernel_eval, KERNEL), dict(u=[0.5, 2.0])),
+    "kernel_eval": (functools.partial(kernel_eval, KERNEL), dict(u=[0.5, 2.0])),
     "cv_bandwidth": (wk.cv_bandwidth, dict(segments=SEGS, grid=[0.5, 1.0, 2.0],
                                            kernel_family="laplace",
                                            weight_mode="raw")),
@@ -335,3 +336,24 @@ def test_config_that_is_no_json_text_exits_2(tmp_path, capsys, data):
                    "--h", "1"], capsys)
     assert_exit_contract(rc, err)
     assert rc == 2
+
+
+# one rule and one message for j0 wherever it is checked: a pyramid of J
+# levels has detail scales j0..J-1.  Rows of P = 12 pad to 16, so J = 4
+@pytest.mark.parametrize("j0", [4, 5])
+def test_one_j0_error_at_every_entry_point(tmp_path, capsys, j0):
+    message = f"j0 must be an int in [0, 4), got {j0}"
+    rows = np.arange(36.0).reshape(3, 12)
+    calls = {
+        "History": lambda: History(rows, wk.PipelineConfig(j0=j0)),
+        "forward_dwt": lambda: forward_dwt(Segment(np.arange(16.0)), j0),
+        "WaveletPyramid": lambda: WaveletPyramid(j0=j0, J=4, coarse=[0.0], details=()),
+    }
+    for entry, call in calls.items():
+        with pytest.raises(wk.LevelError) as info:
+            call()
+        assert str(info.value) == message, entry
+    rc, err = run(["predict", "--h", "1", "--p", "12", "--j0", str(j0),
+                   "--input", str(tmp_path / "nope.csv")], capsys)
+    assert_exit_contract(rc, err)
+    assert rc == 2 and err.splitlines()[0] == f"error: --{message}"

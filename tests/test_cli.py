@@ -605,9 +605,10 @@ class TestConfigFile:
      "--external-forecast applies to eval only"),
     (["predict", "--h", "-1"], "bandwidth must be positive"),
     (["predict", "--h", "nan"], "bandwidth must be positive"),
-    (["predict", "--h", "1", "--j0", "5"], "got j0=5"),  # P=12 pads to 16: J = 4
-    (["predict", "--h", "1", "--j0", "-1"], "got j0=-1"),
-    (["predict", "--h", "1", "--j0", "4"], "got j0=4"),  # the finest scale is 3
+    # P=12 pads to 16: J = 4, and the finest scale is 3
+    (["predict", "--h", "1", "--j0", "5"], "--j0 must be an int in [0, 4), got 5"),
+    (["predict", "--h", "1", "--j0", "-1"], "--j0 must be an int in [0, 4), got -1"),
+    (["predict", "--h", "1", "--j0", "4"], "--j0 must be an int in [0, 4), got 4"),
     (["predict", "--h", "1", "--filter", "db4"], "unknown --filter 'db4'"),
     (["cv", "--kernel", "cosine"], "unknown --kernel 'cosine'"),
     (["interval", "--h", "1", "--rolling"], "--rolling applies to eval only"),

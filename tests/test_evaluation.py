@@ -350,6 +350,13 @@ class TestGenSynthetic:
         with pytest.raises(ConfigError):
             gen_synthetic(kind, **args)
 
+    # the message states the range it enforces, which holds no infinity
+    @pytest.mark.parametrize("noise", [-1.0, float("inf")])
+    def test_noise_error_states_its_range(self, noise):
+        with pytest.raises(ConfigError) as info:
+            gen_synthetic("seasonal_ar", 5, 8, noise, seed=0)
+        assert str(info.value) == f"noise must be a finite real >= 0, got {noise!r}"
+
     def test_numpy_int_arguments_accepted(self):
         s = gen_synthetic("seasonal_ar", np.int64(5), np.int32(8), 0.1,
                           seed=np.uint64((1 << 64) - 1))

@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,8 @@ from wavekernel import (
 )
 from wavekernel import gen_synthetic, intervals, predictor
 
-from oracle import argsort_weighted_quantile, draw_pseudo_blocks, sorted_draws_quantile
+from oracle import (argsort_weighted_quantile, draw_pseudo_blocks, fraction_quantile,
+                    sorted_draws_quantile)
 
 
 def make_plan(B=500, alpha=0.025, seed=0):
@@ -270,6 +272,20 @@ class TestPredictionInterval:
         for method in ("exact", "monte-carlo"):
             band = band_of(futures, w, alpha, method, B=200_000)
             assert band.lower.tolist() == [0.0, 0.0], method
+
+    # weights in 64ths against the exact-arithmetic oracle, with zero weights,
+    # ties and both signs of zero in the columns.  No alpha lies within 1e-12
+    # of a cumulative weight strictly between 0 and 1, so the library's
+    # tolerance decides nothing; its clamps act at both ends
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-13, 1 / 128, 0.025, 0.3])
+    def test_exact_bounds_equal_the_fraction_oracle(self, alpha):
+        weights = [Fraction(k, 64) for k in (0, 9, 0, 17, 5, 0, 30, 3)]
+        futures = np.random.default_rng(5).choice([-1.0, -0.0, 0.0, 2.0], size=(8, 24))
+        band = band_of(futures, [float(w) for w in weights], alpha)
+        for got, q in ((band.lower, Fraction(alpha)), (band.upper, 1 - Fraction(alpha))):
+            expect = fraction_quantile(futures, weights, q)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in expect.tolist()]
 
     # segments and a center that do not fit each other
     @pytest.mark.parametrize("n, curve, error, match", [

@@ -10,10 +10,9 @@ from wavekernel import (
     ShapeError,
     cv_bandwidth,
     default_bandwidth_grid,
-    kernel_eval,
     predict_one_ahead,
 )
-from wavekernel.predictor import normalized_weights, scaling_coefficients
+from wavekernel.predictor import kernel_eval, normalized_weights, scaling_coefficients
 
 from oracle import Segment, combined_distance, forecast, forward_dwt, pad_to_pow2
 

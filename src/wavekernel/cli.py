@@ -134,86 +134,59 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 def load_series(path) -> np.ndarray:
     """Read the first field of each row as one value (format: README, CLI).
 
-    A leading byte-order mark is skipped, blank rows are skipped and a
-    non-numeric row 1 is a header.  The rows after row 1 are parsed in one
-    C pass that ``np.loadtxt`` reads from the path in chunks.  An
-    unparseable or non-finite value, a quoted row 1 over several lines,
-    or no value at all, sends the file to the row reader instead, which
-    gives the same values and names the first bad row.  So does a name
-    ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, from which numpy
-    would decompress: every file is read as plain text.
+    One loop applies the row rule: a leading byte-order mark is skipped,
+    blank rows are skipped, a non-numeric row 1 is a header, and every
+    other value must parse and be finite, or the first bad row is named.
+    When row 1 ends on line 1, the rows after it are parsed in one C pass
+    that ``np.loadtxt`` reads from the path in chunks; if it parses and
+    every value is finite, those are the values.  Otherwise the loop goes
+    on from row 2; nothing is read again from row 1.  The loop alone reads
+    a name ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, from which
+    numpy would decompress: every file is read as plain text.
     """
     p = Path(path)
     if not p.exists():
         raise InvalidInputError(f"input file not found: {p}")
+    values = []
     try:
         with p.open(newline="") as fh:
-            try:
-                values = _parse_whole(_rewind(fh), p)
-            except ValueError:
-                values = None
-            if values is None or values.size == 0 or not np.isfinite(values).all():
-                values = _parse_rows(_rewind(fh), p)
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
+            reader = csv.reader(fh)
+            for row_no, row in enumerate(reader, start=1):
+                token = row[0].strip() if row else ""
+                if token:
+                    try:
+                        v = float(token)
+                    except ValueError:
+                        if row_no > 1:  # else row 1 is a header
+                            raise InvalidInputError(
+                                f"{p}: cannot parse row {row_no}: {token!r}"
+                            ) from None
+                    else:
+                        if not np.isfinite(v):
+                            raise InvalidInputError(f"{p}: non-finite value at row {row_no}")
+                        values.append(v)
+                # skiprows counts lines, not rows, so row 1 must end on line 1
+                if row_no == 1 and reader.line_num == 1 and p.suffix not in _COMPRESSED:
+                    try:
+                        with warnings.catch_warnings():
+                            # no rows after row 1 read as no values, not a warning
+                            warnings.filterwarnings(
+                                "ignore", "loadtxt: input contained no data", UserWarning)
+                            body = np.loadtxt(os.fspath(p), skiprows=1, encoding=fh.encoding,
+                                              delimiter=",", usecols=0, comments=None,
+                                              quotechar='"', ndmin=1)
+                    except ValueError:
+                        continue  # the loop names the first bad row
+                    if (values or body.size) and np.isfinite(body).all():
+                        return np.concatenate([values, body]) if values else body
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{p}: not {exc.encoding} text: {exc.reason}") from None
     except csv.Error as exc:
         raise InvalidInputError(f"{p}: cannot parse: {exc}") from None
     except OSError as exc:
         raise InvalidInputError(f"cannot read input file {p}: {exc.strerror}") from None
-    return values
-
-
-def _rewind(fh):
-    """Seek ``fh`` to its first character after a leading byte-order mark."""
-    fh.seek(0)
-    if fh.read(1) != "\ufeff":
-        fh.seek(0)
-    return fh
-
-
-def _parse_whole(fh, p: Path) -> np.ndarray | None:
-    """Row 1 as the row reader reads it, then every later row in one C parse
-    of the file at ``p``.  None for a compressed-looking name, and when
-    row 1 spans lines, as ``skiprows`` counts lines, not rows."""
-    if p.suffix in _COMPRESSED:
-        return None
-    reader = csv.reader(fh)
-    row = next(reader, [])
-    if reader.line_num > 1:
-        return None
-    token = row[0].strip() if row else ""
-    try:
-        head = [float(token)] if token else []
-    except ValueError:
-        head = []  # header row
-    with warnings.catch_warnings():
-        # a file without rows after row 1 reads as no values, not a warning
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        body = np.loadtxt(os.fspath(p), skiprows=1, encoding=fh.encoding,
-                          delimiter=",", usecols=0, comments=None, quotechar='"',
-                          ndmin=1)
-    return np.concatenate([head, body]) if head else body
-
-
-def _parse_rows(fh, p: Path) -> np.ndarray:
-    """The row-by-row reader: rejects the first bad value by its row number."""
-    values = []
-    for row_no, row in enumerate(csv.reader(fh), start=1):
-        if not row or not row[0].strip():
-            continue
-        token = row[0].strip()
-        try:
-            v = float(token)
-        except ValueError:
-            if row_no == 1 and not values:
-                continue  # header row
-            raise InvalidInputError(
-                f"{p}: cannot parse row {row_no}: {token!r}"
-            ) from None
-        if not np.isfinite(v):
-            raise InvalidInputError(f"{p}: non-finite value at row {row_no}")
-        values.append(v)
     if not values:
         raise InvalidInputError(f"{p}: no numeric data")
     return np.array(values)
@@ -266,7 +239,7 @@ def _bandwidth(cfg: RunConfig, history: predictor.History):
         return cfg.bandwidth, {}
     grid = cfg.grid(history)
     h_star, cv_values = predictor.cv_bandwidth(history, grid, kernel_family=cfg.kernel)
-    best = int(np.argmin(cv_values))  # the index cv_bandwidth selects
+    best = predictor._cv_choice(grid, cv_values)
     edge = grid.size > 1 and best in (0, grid.size - 1)
     if edge:
         print(f"warning: the CV minimum lies on the {'lower' if best == 0 else 'upper'} "

@@ -436,7 +436,7 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     scheme appropriate for dependent data.  The score averages the
     discrete mean-square prediction error over all cut points with at
     least one candidate pair, and the smallest h attaining the minimum
-    is returned.
+    is returned, whatever the order of ``grid``.
 
     ``segments`` is as in :func:`predict_one_ahead`.  All h share one pass
     over row blocks of the distance matrix.
@@ -462,8 +462,14 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
         raise InvalidInputError(
             "cross-validation scores overflow: squared errors of this "
             "series are not representable; rescale it")
-    best = int(np.argmin(cv_values))  # argmin takes the first, i.e. smallest h
-    return float(grid[best]), cv_values
+    return float(grid[_cv_choice(grid, cv_values)]), cv_values
+
+
+def _cv_choice(grid: np.ndarray, cv_values: np.ndarray) -> int:
+    """Index of the smallest h attaining the least CV score, in any grid
+    order; the first such index where the grid repeats that h."""
+    ties = np.flatnonzero(cv_values == cv_values.min())
+    return int(ties[np.argmin(grid[ties])])
 
 
 def _quantiles(tri: np.ndarray, qs) -> list[float]:

@@ -164,18 +164,6 @@ class TestPredictCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-class TestScaleFlags:
-    @pytest.mark.parametrize("flags", [
-        ["--j0", "5"],          # P=12 pads to 16: levels 0..3 only
-        ["--j0", "4"],          # no detail scale left
-        ["--j0", "-1"],
-    ])
-    def test_out_of_pyramid_is_config_error(self, series_file, tmp_path, flags):
-        rc = main(["predict", "--input", str(series_file), "--p", "12",
-                   "--h", "1.0", "--output-dir", str(tmp_path / "o")] + flags)
-        assert rc == 2
-
-
 class TestCvCommand:
     def test_emits_full_table_with_selection(self, series_file, smoke_file, tmp_path):
         for path in (series_file, smoke_file):
@@ -629,6 +617,7 @@ def test_bad_flags_are_config_errors(tmp_path, capsys, flags, message):
     ["predict", "--h", "1", "--filter", "db4"],
     ["cv", "--kernel", "cosine"],
     ["interval", "--h", "1", "--external-forecast", "x.csv"],
+    ["predict", "--h", "1", "--j0", "-1"],
 ])
 def test_bad_flags_rejected_before_input_is_read(series_file, tmp_path, monkeypatch,
                                                  flags):

@@ -1,4 +1,5 @@
-"""The whole-file series reader against the row-by-row reader it replaced."""
+"""The series reader, whose one row loop hands the rows after row 1 to
+numpy's C parse, against the plain row-by-row reader in the oracle."""
 
 import gzip
 import tempfile
@@ -80,6 +81,9 @@ def csv_files(draw):
 @example("value\n")
 @example("value\n\n\r\n")
 @example('value,"a\n1,"\n2\n3\n')            # quoted row 1 over two lines
+@example("value\n1\nabc\n")                  # header, then a bad row
+@example("\ufeffvalue\n1\ninf\n")            # mark and header, then non-finite
+@example("\n1\nx\n")                         # blank row 1, then a bad row
 def test_matches_row_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x.csv"
@@ -98,7 +102,8 @@ def test_no_data_rejected_without_warning(tmp_path, text):
             load_series(path)
 
 
-# the bad byte in row 1's read, or past it, inside the whole-file parse
+# the bad byte in row 1's read, or past it, where the C parse fails and the
+# row loop meets it on its way from row 2
 @pytest.mark.parametrize("rows", [1, 4096])
 def test_non_utf8_input_is_runtime_error(tmp_path, capsys, rows):
     path = tmp_path / "x.csv"
@@ -117,7 +122,7 @@ def test_directory_input_is_runtime_error(tmp_path, capsys):
 
 
 # a field over csv's 131072-character limit, in row 1 or in a later row
-# whose failed whole-file parse sends the file to the row reader
+# that fails the C parse, so the row loop goes on from row 2 and meets it
 @pytest.mark.parametrize("text", ["1" * 200_000 + "\n1\n2\n",
                                   "value\n1\n2\n" + "x" * 200_000 + "\n3\n"],
                          ids=["row1", "later_row"])
@@ -133,7 +138,7 @@ def test_overlong_field_is_runtime_error(tmp_path, capsys, text):
 # a byte-order mark is not part of the first value, nor of a header
 @pytest.mark.parametrize("text, want", [
     ("\ufeff1.5\n2.5\n3.5\n4.5\n", [1.5, 2.5, 3.5, 4.5]),
-    ("\ufeff1.5\n1_000\n", [1.5, 1000.0]),  # via the row reader
+    ("\ufeff1.5\n1_000\n", [1.5, 1000.0]),  # the C parse fails; the loop reads row 2
     ("\ufeffvalue\n1.5\n2.5\n", [1.5, 2.5]),
 ])
 def test_byte_order_mark_skipped(tmp_path, text, want):

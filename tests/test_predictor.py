@@ -209,6 +209,13 @@ class TestCvBandwidth:
         assert h == 0.25
         np.testing.assert_allclose(cv, 0.0, atol=1e-20)
 
+    # the smallest h among the minimisers, whatever the grid's order
+    @pytest.mark.parametrize("grid", [[2.0, 1.0, 0.5], [1.0, 0.5, 0.5, 2.0]])
+    def test_tie_breaks_to_smallest_in_any_grid_order(self, grid):
+        h, cv = cv_bandwidth(np.tile(np.arange(8.0), (6, 1)), grid)
+        assert h == 0.5
+        np.testing.assert_array_equal(cv, 0.0)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             cv_bandwidth(np.ones((5, 8)), [])

@@ -229,8 +229,8 @@ def _segments(cfg: RunConfig) -> np.ndarray:
 def _bandwidth(cfg: RunConfig, history: predictor.History):
     """``--h``, or h cross-validated on ``history`` over the requested grid;
     return (h, summary fields).  With ``--h`` there are none; else they are
-    the CV table and whether its minimum sits on an edge of the grid, where
-    the best h may lie beyond it (also warned on stderr).
+    the CV table and whether its minimum sits on an edge of a grid where
+    another h scores more, so the best h may lie beyond (warned on stderr).
 
     Grid and CV share the prepared history, so the auto grid's pairwise
     distances are the ones CV reads.
@@ -240,7 +240,7 @@ def _bandwidth(cfg: RunConfig, history: predictor.History):
     grid = cfg.grid(history)
     h_star, cv_values = predictor.cv_bandwidth(history, grid, kernel_family=cfg.kernel)
     best = predictor._cv_choice(grid, cv_values)
-    edge = grid.size > 1 and best in (0, grid.size - 1)
+    edge = bool(best in (0, grid.size - 1) and cv_values.max() > cv_values[best])
     if edge:
         print(f"warning: the CV minimum lies on the {'lower' if best == 0 else 'upper'} "
               f"edge of the bandwidth grid (h = {h_star:.6g})", file=sys.stderr)

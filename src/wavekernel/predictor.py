@@ -158,46 +158,32 @@ def scaling_coefficients(segments) -> tuple[np.ndarray, int]:
 class History:
     """``segments`` prepared once with ``config``: the checked (n, P) rows
     ``segments`` (float input is kept, not copied, so it must not be written
-    while the History is in use) and their wavelet detail blocks.  ``tri``
-    keeps the distances of all pairs m < q, row by row, once
-    :func:`default_bandwidth_grid` built them.
-
-    All rows are padded by one :func:`scaling_coefficients` call into one
-    scale-major (width, n) buffer, which is lifted in place in column
-    chunks of _SCRATCH / (2 width) segments.  The build's scratch beside
-    the buffer, one chunk's finest-level even rows, their prediction and
-    its tap product, is 0.75 _SCRATCH at any width and filter.  Each
-    block, the (2**j, n) details at one scale j in j0..J-1, is a row view
-    of the buffer, scaled in place by 2**-e, e the exponent of the blocks'
-    largest magnitude, and each scale weight 2**-j takes 2**e back.  Both
-    are exact powers of two, so distances are bit-identical to unscaled
-    arithmetic wherever that is finite, and squares no longer overflow
-    near 1e160; one ``np.ldexp`` also lifts all-subnormal blocks past
-    2**1023.  A coefficient that overflowed in the transform, or a weight
-    past the largest double (a coefficient of 2**1023 or more at scale 0),
-    raises InvalidInputError.  So beside its input a History holds the one
-    buffer.
+    while the History is in use) and ``blocks``, which :meth:`rows` sums:
+    the one rule :meth:`_blocks`, scaled by :func:`_scale_blocks`.  Another
+    similarity overrides the rule in a subclass; nothing writes ``blocks``.
+    ``tri`` keeps all pairs' distances once :func:`default_bandwidth_grid` ran.
     """
 
     def __init__(self, segments, config: PipelineConfig = PipelineConfig()):
         self.segments = _segment_rows(segments)
         self.P = self.segments.shape[1]
         self.config = config
-        J = (self.P - 1).bit_length()  # levels of the padded rows, 2**J wide
-        _int(config.j0, "j0", 0, J, error=LevelError)
-        lifted = scaling_coefficients(self.segments)[0].T
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            details = _lift_in_place(lifted, config.j0, config.filter_id,
-                                     max(1, _SCRATCH // (2 << J)))[1]
-        blocks = [(j, details[j]) for j in range(config.j0, J)]
-        top = max(max(float(b.max()), -float(b.min())) for _, b in blocks)
-        e = math.frexp(top)[1]
-        if not math.isfinite(top) or e - config.j0 > 1023:
-            raise InvalidInputError(
-                f"wavelet coefficients of magnitude {top:.3g} are too large for doubles; "
-                "rescale the series")
-        self.blocks = [(math.ldexp(1.0, e - j), np.ldexp(b, -e, out=b)) for j, b in blocks]
+        self.blocks = _scale_blocks(self._blocks())
         self.tri = None
+
+    def _blocks(self) -> list[tuple[float, np.ndarray]]:
+        """The similarity's [(weight, block), ...], each block a (width, n)
+        float array the History owns.  The wavelet rule: one
+        :func:`scaling_coefficients` call pads all rows into a scale-major
+        (2**J, n) buffer, lifted in place in column chunks of _SCRATCH /
+        2**(J+1) segments (scratch 0.75 _SCRATCH); each block, the details at
+        one scale j in j0..J-1 at weight 2**-j, is a row view of the buffer."""
+        J = (self.P - 1).bit_length()  # levels of the padded rows, 2**J wide
+        _int(self.config.j0, "j0", 0, J, error=LevelError)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked by _scale_blocks
+            details = _lift_in_place(scaling_coefficients(self.segments)[0].T, self.config.j0,
+                                     self.config.filter_id, max(1, _SCRATCH // (2 << J)))[1]
+        return [(math.ldexp(1.0, -j), details[j]) for j in range(self.config.j0, J)]
 
     def __len__(self) -> int:
         return self.segments.shape[0]
@@ -351,6 +337,22 @@ class History:
                 if weight_mode == "normalized":
                     F += fut0
             yield r0, r1, F, E[:G]
+
+
+def _scale_blocks(blocks: list) -> list[tuple[float, np.ndarray]]:
+    """Scale each block in place by 2**-e, e the exponent of the largest
+    magnitude over all blocks, and each weight by 2**e.  Both are exact, so
+    distances are bit-identical to unscaled arithmetic wherever that is
+    finite, squares no longer overflow near 1e160, and all-subnormal blocks
+    rise past 2**1023.  A magnitude that is not finite, or a weight past the
+    largest double once scaled, raises InvalidInputError."""
+    top = float(np.max([(b.max(), -b.min()) for _, b in blocks]))
+    e = math.frexp(top)[1]
+    if not math.isfinite(top) or any(math.frexp(w)[1] + e > 1024 for w, _ in blocks):
+        raise InvalidInputError(
+            f"wavelet coefficients of magnitude {top:.3g} are too large for doubles; "
+            "rescale the series")
+    return [(math.ldexp(w, e), np.ldexp(b, -e, out=b)) for w, b in blocks]
 
 
 def _rate_groups(hs: np.ndarray, p: int, a: float):

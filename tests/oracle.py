@@ -11,6 +11,8 @@ By the library computation it pins:
   ``History.rows``'s row block by numpy's reduce of each scale's squared
   differences, ``ufunc_triangle`` the grid's triangle by plain ufuncs per
   row, and ``query_distances`` predict's distances of one row.
+  ``euclidean_distances`` is the distance of one block of the samples, the
+  Euclidean norm with its squares summed in sample order.
 - Forecast: ``forecast`` is ``predict_one_ahead`` from those distances, with
   the kernel and both weightings written out.  ``loop_forecast`` and
   ``loop_cv`` are the causal pass of ``History.forecasts`` and
@@ -48,9 +50,9 @@ from wavekernel.wavelet import (DEFAULT_FILTER, FILTERS, Segment, WaveletPyramid
 
 __all__ = ["Segment", "WaveletPyramid", "pad_to_pow2", "forward_dwt", "scale_distance",
            "combined_distance", "distances", "forecast", "reduce_rows", "ufunc_triangle",
-           "query_distances", "loop_forecast", "loop_cv", "per_origin", "quantile_grid",
-           "naive_lifting_forward", "roll_predict_odds", "roll_forward", "inverse_array",
-           "inverse_dwt", "draw_pseudo_blocks", "sorted_draws_quantile",
+           "query_distances", "euclidean_distances", "loop_forecast", "loop_cv", "per_origin",
+           "quantile_grid", "naive_lifting_forward", "roll_predict_odds", "roll_forward",
+           "inverse_array", "inverse_dwt", "draw_pseudo_blocks", "sorted_draws_quantile",
            "argsort_weighted_quantile", "fraction_quantile", "reference_load_series"]
 
 
@@ -119,6 +121,20 @@ def ufunc_triangle(history):
 def query_distances(X, config, q):
     """Distances from rows 0..q-1 to row q, as predict computes them."""
     return next(History(X[:q + 1], config).rows(q, q + 1))[2][0]
+
+
+def euclidean_distances(segments):
+    """D[q][m] = sqrt(sum_k (x_mk - x_qk)**2) of rows m < q, each square
+    added in sample order, one at a time."""
+    X = np.asarray(segments, dtype=float)
+    out = []
+    for q in range(len(X)):
+        diff = X[:q] - X[q]
+        acc = diff[:, 0] * diff[:, 0]
+        for k in range(1, X.shape[1]):
+            acc = acc + diff[:, k] * diff[:, k]
+        out.append(np.sqrt(acc))
+    return out
 
 
 def loop_forecast(X, q, h, family, config, weight_mode, origin=0.0):

@@ -19,7 +19,7 @@ from wavekernel import (
 )
 from wavekernel import cli
 from wavekernel.cli import load_series, main, write_series
-from wavekernel.evaluation import naive_seasonal, rmae, summarize, wk_method
+from wavekernel.evaluation import _seasonal_profile, naive_seasonal, rmae, summarize, wk_method
 
 
 def read_summary(out_dir):
@@ -216,6 +216,24 @@ class TestCvCommand:
             assert f"warning: the CV minimum lies on the {edge} edge" in err
         assert main(args) == 0
         assert (out / "summary.json").read_bytes() == first
+
+    # every h scores 0.0, so no h beyond either edge can score lower
+    @pytest.mark.parametrize("values", [np.tile(_seasonal_profile(12), 30), np.full(360, 4.0)],
+                             ids=["periodic", "constant"])
+    def test_flat_curve_is_not_on_a_grid_edge(self, tmp_path, capsys, values):
+        path, out = tmp_path / "flat.csv", tmp_path / "out"
+        write_series(path, values)
+        args = ["predict", "--input", str(path), "--p", "12", "--cv-grid", "auto",
+                "--output-dir", str(out)]
+        assert main(args) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        summary = read_summary(out)
+        assert {row["cv"] for row in summary["cv_table"]} == {0.0}
+        assert summary["cv_min_on_grid_edge"] is False
+        assert capsys.readouterr().err == ""
+        assert main(args) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert capsys.readouterr().err == ""
 
 
 class TestIntervalCommand:

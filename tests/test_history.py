@@ -1,4 +1,5 @@
-"""Segments enter the pipeline once: padding, History views, extreme scales."""
+"""Segments enter the pipeline once: padding, History views, extreme scales,
+and the one block rule a History subclass overrides."""
 
 import math
 from unittest import mock
@@ -24,7 +25,7 @@ from wavekernel import (
 from wavekernel.evaluation import wk_method
 from wavekernel.predictor import History, scaling_coefficients
 
-from oracle import Segment, pad_to_pow2
+from oracle import Segment, euclidean_distances, pad_to_pow2
 
 
 class TestScalingCoefficients:
@@ -194,3 +195,73 @@ def test_history_leaves_its_input_unchanged(filter_id):
         hist = History(x, PipelineConfig(filter_id=filter_id))
         assert x.tobytes() == before
         assert not any(np.shares_memory(block, x) for _, block in hist.blocks)
+
+
+class LevelHistory(History):
+    """The wavelet blocks and the segment means, a (1, n) block at weight 0.5."""
+
+    def _blocks(self):
+        return super()._blocks() + [(0.5, self.segments.mean(axis=1)[None])]
+
+
+class SampleHistory(History):
+    """One (P, n) block of the samples at weight 1."""
+
+    def _blocks(self):
+        return [(1.0, self.segments.T.copy())]
+
+
+def full_distances(history):
+    """D[q, m] for every row q, from History.rows; +inf where m >= q."""
+    n = len(history)
+    D = np.full((n, n - 1), np.inf)
+    for r0, r1, block, _ in history.rows(1, n):
+        D[r0:r1, :r1 - 1] = block
+    return D
+
+
+# a level term is one more block that rows sums: no distance code of its own
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [0, 600, -600])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind, P", [("markov_functional", 24), ("seasonal_ar", 12)])
+def test_level_block_adds_the_weighted_level_difference(kind, P, seed, k):
+    segments = np.ldexp(gen_synthetic(kind, 30, P, 0.3, seed=seed).reshape(30, P), k)
+    level = segments.mean(axis=1)
+    for j0 in range((P - 1).bit_length()):
+        config = PipelineConfig(j0=j0)
+        want = (full_distances(History(segments, config))
+                + 0.5 * np.abs(level[:, None] - level[None, :-1]))
+        np.testing.assert_array_equal(full_distances(LevelHistory(segments, config)), want)
+
+
+# the Euclidean distance is one block of the samples; the common 2**-e step
+# keeps it exact from 2**-1000 to 2**1000, where its squares have no double
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [0, 600, -600, 1000, -1000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind, P", [("markov_functional", 24), ("seasonal_ar", 12)])
+def test_sample_block_gives_euclidean_distances(kind, P, seed, k):
+    segments = gen_synthetic(kind, 30, P, 0.3, seed=seed).reshape(30, P)
+    scaled = np.ldexp(segments, k)
+    np.testing.assert_array_equal(np.ldexp(scaled, -k), segments)  # no bit lost
+    got = full_distances(SampleHistory(scaled))
+    for q, want in enumerate(euclidean_distances(segments)):
+        if q:
+            np.testing.assert_array_equal(got[q, :q], np.ldexp(want, k))
+            np.testing.assert_allclose(np.ldexp(got[q, :q], -k),
+                                       np.linalg.norm(segments[:q] - segments[q], axis=1),
+                                       rtol=1e-15, atol=0)
+        assert np.all(got[q, q:] == np.inf)
+
+
+# the scale-0 weight 2**0 times 2**e passes the largest double; from j0 = 1
+# the largest weight is 2**-1 times 2**1024
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("filter_id", ["dd2", "sym6-interp"])
+def test_weight_past_the_largest_double_is_rejected_at_its_boundary(filter_id):
+    rows = np.array([[0, 1.7e308, 0, 0], [0, 1, 0, 0], [0, 2, 1, 0]])
+    with pytest.raises(InvalidInputError, match="too large"):
+        History(rows, PipelineConfig(filter_id=filter_id, j0=0))
+    history = History(rows, PipelineConfig(filter_id=filter_id, j0=1))
+    assert [w for w, _ in history.blocks] == [2.0 ** 1023]

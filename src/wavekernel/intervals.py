@@ -98,7 +98,8 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
 
     ``method`` is "monte-carlo" (B seeded draws with ``center.weights``,
     the default) or "exact" (quantiles over the n-1 observed
-    next-segments weighted by them, the B -> infinity limit).
+    next-segments weighted by them, the B -> infinity limit).  Only
+    Monte Carlo warns when B < 1/alpha; "exact" draws nothing.
     """
     _choice(method, "interval method", {"exact", "monte-carlo"})
     futures = _segment_rows(segments)[1:]
@@ -113,15 +114,15 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
     if np.size(center.curve) != P:
         raise ShapeError(
             f"center curve has {np.size(center.curve)} points, segments have {P}")
-    if plan.B < 1.0 / plan.alpha:  # inf for a subnormal alpha
-        warnings.warn(
-            f"B={plan.B} draws resolve the {plan.alpha} tail poorly (need B >= 1/alpha)",
-            stacklevel=2,
-        )
     qs = (plan.alpha, 1.0 - plan.alpha)
     if method == "exact":
         lower, upper = _type1_quantiles(futures, w, [q - 1e-12 for q in qs])
     else:
+        if plan.B < 1.0 / plan.alpha:  # inf for a subnormal alpha
+            warnings.warn(
+                f"B={plan.B} draws resolve the {plan.alpha} tail poorly (need B >= 1/alpha)",
+                stacklevel=2,
+            )
         # the k-th smallest of the B draws, k = ceil(qB) in [1, B], off the drawn
         # rows' counts; unstable like a sort of the draws: a tied zero's sign is open
         rng = np.random.Generator(np.random.Philox(key=plan.seed))

@@ -160,8 +160,9 @@ class History:
     ``segments`` (float input is kept, not copied, so it must not be written
     while the History is in use) and ``blocks``, which :meth:`rows` sums:
     the one rule :meth:`_blocks`, scaled by :func:`_scale_blocks`.  Another
-    similarity overrides the rule in a subclass; nothing writes ``blocks``.
-    ``tri`` keeps all pairs' distances once :func:`default_bandwidth_grid` ran.
+    similarity overrides the rule in a subclass.  ``tri`` is None until
+    :meth:`triangle` keeps all pairs' distances there, which the grid and CV
+    share; it then drops ``blocks``, so the History holds one form of them.
     """
 
     def __init__(self, segments, config: PipelineConfig = PipelineConfig()):
@@ -188,6 +189,20 @@ class History:
     def __len__(self) -> int:
         return self.segments.shape[0]
 
+    def triangle(self) -> np.ndarray:
+        """All pairs' distances, row q's q values after row q-1's: the
+        n(n-1)/2 doubles of one :meth:`rows` pass, made on the first call
+        and kept as ``tri``, which :meth:`rows` reads from then on.  The
+        blocks, which nothing reads any more, are dropped (``None``)."""
+        if self.tri is None:
+            n = len(self)
+            tri = np.empty(n * (n - 1) // 2)
+            for r0, r1, D, causal in self.rows(1, n):
+                tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2] = D[causal]
+            # rows reads tri once it is set, so it is set only when full
+            self.tri, self.blocks = tri, None
+        return self.tri
+
     def _step(self, lo: int, hi: int, depth: int) -> int:
         """Rows per block of :meth:`rows`, from the budgets it describes."""
         n = len(self)
@@ -196,15 +211,15 @@ class History:
     def rows(self, lo: int, hi: int, depth: int = 1):
         """Yield (r0, r1, D[r0:r1, :r1-1], causal mask) for rows [lo, hi), lo >= 1.
 
-        The one distance arithmetic (direct differences, or their copy in
-        ``tri``), so a row reads bit-identically in any block.  Each scale
-        block is scale-major, (width, n).  Per scale, the squared
-        difference of each coefficient is added into one (rows, cols)
-        plane, in coefficient order, and the plane's square root, times the
-        scale weight, is added into D.  Every entry of D thus sees the same
-        sequence of IEEE operations whatever rows share its block, a lone
-        row included.  Entries m >= q read +inf, zero weight under every
-        kernel.
+        The one distance arithmetic (direct differences of ``blocks``, or,
+        once :meth:`triangle` ran, their copy in ``tri``), so a row reads
+        bit-identically in any block.  Each scale block is scale-major,
+        (width, n).  Per scale, the squared difference of each coefficient
+        is added into one (rows, cols) plane, in coefficient order, and the
+        plane's square root, times the scale weight, is added into D.  Every
+        entry of D thus sees the same sequence of IEEE operations whatever
+        rows share its block, a lone row included.  Entries m >= q read
+        +inf, zero weight under every kernel.
 
         A coefficient's differences x_m - x_q fill their plane as one
         rank-2 product, the (rows, 2) array [1, x_q] times the (2, cols)
@@ -518,18 +533,11 @@ def default_bandwidth_grid(segments, count: int = 32) -> np.ndarray:
     at least a decade, and ending at the largest double where that span
     would pass it.
 
-    ``segments`` is as in :func:`predict_one_ahead`; a :class:`History`
-    keeps the distances for CV.
+    ``segments`` is as in :func:`predict_one_ahead`; the distances are a
+    :class:`History`'s :meth:`~History.triangle`, which CV then reads.
     """
     _int(count, "grid count", 1, _MAX_SIZE)
-    history = _history(segments)
-    if history.tri is None:
-        n = len(history)
-        tri = np.empty(n * (n - 1) // 2)
-        for r0, r1, D, causal in history.rows(1, n):
-            tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2] = D[causal]
-        history.tri = tri
-    quantiles = _quantiles(history.tri, (0.01, 0.99))
+    quantiles = _quantiles(_history(segments).triangle(), (0.01, 0.99))
     if not quantiles:
         # degenerate history (all segments identical): any h works
         return np.logspace(-3, 0, count)

@@ -445,11 +445,15 @@ def test_grid_and_cv_share_history_distances():
         np.testing.assert_array_equal(cv_shared, cv_fresh)
 
 
-def select_long_history():
-    """The History of the select_long benchmark input: n = 1000, P = 24."""
+def select_long_segments():
+    """The rows of the select_long benchmark input: n = 1000, P = 24."""
     n, P = 1000, 24
-    segments = gen_synthetic("markov_functional", n, P, 0.25, seed=1).reshape(n, P)
-    return History(segments)
+    return gen_synthetic("markov_functional", n, P, 0.25, seed=1).reshape(n, P)
+
+
+def select_long_history():
+    """The History of the select_long benchmark input."""
+    return History(select_long_segments())
 
 
 def test_grid_fills_the_triangle_in_place():
@@ -469,15 +473,39 @@ def test_grid_fills_the_triangle_in_place():
     assert peak < 1.3 * history.tri.nbytes
 
 
+def test_a_second_triangle_makes_no_pass():
+    history = select_long_history()
+    tri = history.triangle()
+    with mock.patch.object(History, "rows", side_effect=AssertionError("a second pass")):
+        assert history.triangle() is tri
+        default_bandwidth_grid(history)
+
+
+def test_grid_drops_the_blocks_it_no_longer_reads():
+    # after the grid a History holds its triangle and no wavelet blocks: the
+    # lifted 32 x 1000 buffer (256 KiB) is freed once nothing reads it
+    segments = select_long_segments()
+    tracemalloc.start()
+    try:
+        history = History(segments)
+        default_bandwidth_grid(history)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert history.blocks is None
+    assert held < history.tri.nbytes + 64 * 1024
+
+
 def test_select_long_triangle_matches_reduce_oracle_bit_for_bit():
     # the Hypothesis cases stop at n = 40; here the grid's triangle at
     # n = 1000, 21 rows per block, against the reduce in blocks of 50 rows
-    history = select_long_history()
+    # over the blocks of a History that never built a triangle
+    history, fresh = select_long_history(), select_long_history()
     default_bandwidth_grid(history)
     n = len(history)
     for r0 in range(1, n, 50):
         r1 = min(r0 + 50, n)
-        want = reduce_rows(history, r0, r1)[np.arange(r1 - 1) < np.arange(r0, r1)[:, None]]
+        want = reduce_rows(fresh, r0, r1)[np.arange(r1 - 1) < np.arange(r0, r1)[:, None]]
         got = history.tri[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2]
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -100,10 +100,11 @@ def test_interval_bounds_are_observed_values(request, tmp_path, series, P, flags
 def test_wide_grid_triangle_matches_plain_ufuncs(wide_file):
     # the grid's triangle, bit for bit against plain ufuncs per row: a
     # broadcast subtract, a square, a sum in coefficient order, then sqrt
-    # and weight
-    history = History(load_series(wide_file).reshape(-1, 96))
+    # and weight, over the blocks of a History that never built a triangle
+    segments = load_series(wide_file).reshape(-1, 96)
+    history = History(segments)
     default_bandwidth_grid(history)
-    want = ufunc_triangle(history)
+    want = ufunc_triangle(History(segments))
     assert history.tri.shape == want.shape == (1100 * 1099 // 2,)
     np.testing.assert_array_equal(history.tri.view(np.int64), want.view(np.int64))
 

@@ -255,6 +255,22 @@ def test_sample_block_gives_euclidean_distances(kind, P, seed, k):
         assert np.all(got[q, q:] == np.inf)
 
 
+# CV and predict read the triangle's copy of the distances bit for bit as
+# the blocks' own arithmetic, for the wavelet rule and a subclass's rule
+@pytest.mark.parametrize("cls", [History, LevelHistory])
+def test_triangle_reads_as_the_blocks(cls):
+    segments = gen_synthetic("markov_functional", 1000, 24, 0.25, seed=1).reshape(1000, 24)
+    history, fresh = cls(segments), cls(segments)
+    history.triangle()
+    grid = default_bandwidth_grid(history)
+    (h, got), (h_fresh, want) = (cv_bandwidth(x, grid) for x in (history, fresh))
+    assert h == h_fresh and got.tobytes() == want.tobytes()
+    got, want = (predict_one_ahead(x, KernelSpec(bandwidth=h)) for x in (history, fresh))
+    assert got.curve.tobytes() == want.curve.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert history.blocks is None and fresh.tri is None
+
+
 # the scale-0 weight 2**0 times 2**e passes the largest double; from j0 = 1
 # the largest weight is 2**-1 times 2**1024
 @pytest.mark.filterwarnings("error")

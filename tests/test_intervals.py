@@ -185,6 +185,13 @@ class TestPredictionInterval:
         with pytest.warns(UserWarning):
             prediction_interval(hist, center, plan)
 
+    def test_small_b_does_not_warn_the_exact_method(self):
+        # the exact method draws nothing, so B cannot resolve its tails poorly
+        hist, center = self._setup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prediction_interval(hist, center, ResamplingPlan(10, 0.025, 0), method="exact")
+
     def test_unknown_method(self):
         hist, center = self._setup()
         plan = make_plan()
@@ -251,7 +258,6 @@ class TestPredictionInterval:
         band = band_of([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [0.0, 1.0, 0.0], 0.025)
         assert band.lower.tolist() == band.upper.tolist() == [2.0, 2.0]
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_exact_upper_bound_carries_weight(self):
         # the weights sum to 1 - 9.9987e-13, inside the 1e-12 tolerance, so the
         # sorted cumulative sum ends short of 1 - alpha - 1e-12 at alpha = 5e-324;
@@ -277,7 +283,6 @@ class TestPredictionInterval:
     # ties and both signs of zero in the columns.  No alpha lies within 1e-12
     # of a cumulative weight strictly between 0 and 1, so the library's
     # tolerance decides nothing; its clamps act at both ends
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("alpha", [5e-324, 1e-13, 1 / 128, 0.025, 0.3])
     def test_exact_bounds_equal_the_fraction_oracle(self, alpha):
         weights = [Fraction(k, 64) for k in (0, 9, 0, 17, 5, 0, 30, 3)]

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import evaluation, intervals, predictor
 from .errors import (_ALPHAS, _MAX_SIZE, _MIN_B, _MIN_P, _SEEDS, ConfigError,
-                     InvalidInputError, LevelError, WavekernelError, _choice, _finite,
-                     _floats, _int, _real)
+                     InsufficientHistoryError, InvalidInputError, LevelError, WavekernelError,
+                     _choice, _finite, _floats, _int, _real)
 from .predictor import KernelSpec, PipelineConfig
 from .wavelet import FILTERS, DEFAULT_FILTER
 
@@ -320,7 +320,7 @@ def _run_eval(cfg: RunConfig) -> None:
     n = segments.shape[0]
     need = 3 if cfg.bandwidth is not None else 4  # CV needs a history of 3
     if n < need:
-        raise InvalidInputError(
+        raise InsufficientHistoryError(
             f"eval needs at least {need} segments (the held-out block and a history "
             f"of {need - 1}{'' if need == 3 else ' for cross-validation'}), got {n}")
     forecasts = {}  # each method's forecasts of the scored blocks, by name

@@ -99,13 +99,10 @@ def naive_seasonal(segments, start: int) -> np.ndarray:
 
     Returns the forecasts at origins start..n, each of the block after
     the first ``origin`` segments: segments start-1..n-1, of n >= start
-    rows checked as :class:`~wavekernel.predictor.History` checks them.
+    rows checked as :class:`~wavekernel.predictor.History` checks them, count first.
     """
     _int(start, "start", 1, error=InsufficientHistoryError)
-    segs = _segment_rows(segments)
-    if len(segs) < start:
-        raise InsufficientHistoryError(f"need {start}+ segments, got {len(segs)}")
-    return segs[start - 1:]
+    return _segment_rows(segments, start)[start - 1:]
 
 
 def wk_method(kernel: KernelSpec):
@@ -123,10 +120,8 @@ def wk_method(kernel: KernelSpec):
 
     def method(segments, start):
         _int(start, "start", 2, error=InsufficientHistoryError)
-        history = _history(segments)
+        history = _history(segments, start)
         n = len(history)
-        if n < start:
-            raise InsufficientHistoryError(f"need at least {start} segments, got {n}")
         out = np.empty((n - start + 1, history.P))
         hs = np.array([kernel.bandwidth])
         for r0, r1, F, _ in history.forecasts(hs, kernel.family, "normalized",
@@ -141,8 +136,8 @@ def wk_method(kernel: KernelSpec):
 def rolling_eval(segments, method, min_history: int = 2) -> np.ndarray:
     """Rolling-origin evaluation: score each segment's forecast from the ones before.
 
-    ``segments`` are n > min_history rows, checked as
-    :class:`~wavekernel.predictor.History` checks them.
+    ``segments`` are n >= min_history + 1 rows, checked as
+    :class:`~wavekernel.predictor.History` checks them, count first.
     ``method(segments, start)`` returns the forecasts at origins start..n,
     one row each, and forecasts origin t from ``segments[:t]`` alone, as
     :func:`wk_method` and :func:`naive_seasonal` do.  It is called once,
@@ -151,10 +146,7 @@ def rolling_eval(segments, method, min_history: int = 2) -> np.ndarray:
     after the final segment, has no truth.
     """
     _int(min_history, "min_history", 1)
-    segs = _segment_rows(segments)
-    n = segs.shape[0]
-    if n < min_history + 1:
-        raise InsufficientHistoryError(f"need at least {min_history + 1} segments, got {n}")
+    segs = _segment_rows(segments, min_history + 1)
     return rmae(method(segs, min_history)[:-1], segs[min_history:])
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (_ALPHAS, _MAX_SIZE, _MIN_B, _SEEDS, ConfigError,
-                     InsufficientHistoryError, ShapeError, _choice, _floats, _int, _real)
+from .errors import (_ALPHAS, _MAX_SIZE, _MIN_B, _SEEDS, ConfigError, ShapeError, _choice,
+                     _floats, _int, _real)
 from .predictor import _SCRATCH, PredictionResult, _segment_rows
 
 __all__ = [
@@ -96,16 +96,14 @@ def prediction_interval(segments, center: PredictionResult, plan: ResamplingPlan
                         method: str = "monte-carlo") -> PredictionInterval:
     """Pointwise (1 - 2*alpha) interval around the kernel predictor.
 
-    ``method`` is "monte-carlo" (B seeded draws with ``center.weights``,
-    the default) or "exact" (quantiles over the n-1 observed
-    next-segments weighted by them, the B -> infinity limit).  Only
-    Monte Carlo warns when B < 1/alpha; "exact" draws nothing.
+    ``method`` is "monte-carlo" (B seeded draws with ``center.weights``, the
+    default) or "exact" (quantiles over the n-1 observed next-segments of n >= 2
+    ``segments``, weighted by them, the B -> infinity limit).  Only Monte
+    Carlo warns when B < 1/alpha; "exact" draws nothing.
     """
     _choice(method, "interval method", {"exact", "monte-carlo"})
-    futures = _segment_rows(segments)[1:]
+    futures = _segment_rows(segments, 2)[1:]
     m, P = futures.shape
-    if m == 0:
-        raise InsufficientHistoryError("need at least 2 segments")
     w = _floats(center.weights, "center weights")
     if w.shape != (m,):
         raise ShapeError(f"center has {w.size} weights for {m} candidates")

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (_MAX_SIZE, ConfigError, InsufficientHistoryError, InvalidInputError,
-                     LevelError, ShapeError, _choice, _finite, _floats, _int, _real)
+from .errors import (_MAX_SIZE, _MIN_P, ConfigError, InsufficientHistoryError,
+                     InvalidInputError, LevelError, ShapeError, _choice, _finite, _floats,
+                     _int, _real)
 from .wavelet import DEFAULT_FILTER, FILTERS, _lift_in_place
 
 __all__ = [
@@ -111,8 +112,7 @@ def normalized_weights(kernel_values: np.ndarray, n: int) -> np.ndarray:
     beside such a sum the damping terms are nil.
     """
     _int(n, "n", 0)
-    if n < 2:
-        raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
+    _at_least(2, n)
     k = _floats(kernel_values, "kernel values")
     if k.shape != (n - 1,):
         raise ShapeError(f"expected {n - 1} kernel values, got shape {k.shape}")
@@ -129,14 +129,21 @@ def normalized_weights(kernel_values: np.ndarray, n: int) -> np.ndarray:
     return k / (1.0 / n + total) + 1.0 / ((n - 1) * (1.0 + n * total))
 
 
-def _segment_rows(segments) -> np.ndarray:
-    """``segments`` as a float (n, P) array: n >= 1 rows of P >= 2 finite values."""
+def _at_least(k: int, n: int) -> None:
+    """The one segment-count rule: InsufficientHistoryError unless n >= k."""
+    if n < k:
+        raise InsufficientHistoryError(f"need at least {k} segment{'s' * (k != 1)}, got {n}")
+
+
+def _segment_rows(segments, least: int = 1) -> np.ndarray:
+    """``segments`` as a float (n, P) array, checked in this order: n >= ``least``
+    rows of a 2-d or empty array (:func:`_at_least`), P >= _MIN_P columns, finite values."""
     X = _floats(segments, "segments")
-    if X.ndim > 0 and len(X) == 0:
-        raise InsufficientHistoryError("no segments given")
-    if X.ndim != 2 or X.shape[1] < 2:
+    if X.ndim == 2 or X.size == 0:
+        _at_least(least, len(X))
+    if X.ndim != 2 or X.shape[1] < _MIN_P:
         raise InvalidInputError(
-            f"segments must be vectors of at least 2 samples, got shape {X.shape}")
+            f"segments must be vectors of at least {_MIN_P} samples, got shape {X.shape}")
     _finite("segments", X)
     return X
 
@@ -396,9 +403,11 @@ def _rate_groups(hs: np.ndarray, p: int, a: float):
     return groups
 
 
-def _history(segments) -> History:
-    """A History, which passes through, or segments prepared with the default config."""
-    return segments if isinstance(segments, History) else History(segments)
+def _history(segments, least: int = 1) -> History:
+    """A History as given, or of segments at the default config; n >= ``least`` once built."""
+    history = segments if isinstance(segments, History) else History(segments)
+    _at_least(least, len(history))
+    return history
 
 
 def _finite_forecast(F: np.ndarray) -> None:
@@ -412,9 +421,9 @@ def predict_one_ahead(segments, kernel: KernelSpec,
                       weight_mode: str = "normalized") -> PredictionResult:
     """Forecast the segment after the last of ``segments``.
 
-    ``segments`` is a matrix (or sequence) of n >= 2 equal-length
-    vectors, row n being the current segment, prepared with the default
-    :class:`PipelineConfig`, or a :class:`History`, which carries its own.
+    ``segments`` is a matrix (or sequence) of n >= 2 equal-length vectors
+    (fewer: InsufficientHistoryError), row n the current segment, prepared with
+    the default :class:`PipelineConfig`, or a :class:`History` with its own.
     ``curve`` is the forecast of the causal pass (:meth:`History.forecasts`),
     whose values under the interpolating convention are its scaling
     coefficients; one past the largest double is an InvalidInputError.
@@ -428,10 +437,8 @@ def predict_one_ahead(segments, kernel: KernelSpec,
     prediction tends to zero, but the denominator never drops below 1/n).
     """
     _choice(weight_mode, "weight_mode", _WEIGHT_MODES)
-    history = _history(segments)
+    history = _history(segments, 2)
     n = len(history)
-    if n < 2:
-        raise InsufficientHistoryError(f"need at least 2 segments, got {n}")
     _, _, F, E = next(history.forecasts(
         np.array([kernel.bandwidth]), kernel.family, weight_mode, n - 1, n))
     _finite_forecast(F)
@@ -455,8 +462,8 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
     least one candidate pair, and the smallest h attaining the minimum
     is returned, whatever the order of ``grid``.
 
-    ``segments`` is as in :func:`predict_one_ahead`.  All h share one pass
-    over row blocks of the distance matrix.
+    ``segments`` is as in :func:`predict_one_ahead`, of n >= 3 segments.  All
+    h share one pass over row blocks of the distance matrix.
     """
     grid = _floats(grid, "bandwidth grid", error=ConfigError)
     if grid.ndim != 1 or grid.size == 0:
@@ -465,10 +472,8 @@ def cv_bandwidth(segments, grid, kernel_family: str = "gaussian",
         raise ConfigError("bandwidth grid must be positive and finite")
     _choice(kernel_family, "kernel family", _KERNELS)
     _choice(weight_mode, "weight_mode", _WEIGHT_MODES)
-    history = _history(segments)
+    history = _history(segments, 3)
     n = len(history)
-    if n < 3:
-        raise InsufficientHistoryError(f"cross-validation needs n >= 3, got {n}")
     sq_err = np.zeros(grid.size)
     for r0, r1, F, _ in history.forecasts(grid, kernel_family, weight_mode, 1, n - 1):
         F -= history.segments[r0 + 1:r1 + 1]

@@ -357,3 +357,45 @@ def test_one_j0_error_at_every_entry_point(tmp_path, capsys, j0):
                    "--input", str(tmp_path / "nope.csv")], capsys)
     assert_exit_contract(rc, err)
     assert rc == 2 and err.splitlines()[0] == f"error: --{message}"
+
+
+# one rule and one message for a segment count wherever it is checked: each
+# entry point gets one segment fewer than it needs.  Rows are counted before
+# their width, so one row of one sample is too short a history first
+def segments_of(n, P=12):
+    return 1.0 + np.arange(n * P, dtype=float).reshape(n, P)
+
+
+COUNT_CASES = {  # entry point: (call, segments needed, segments given)
+    "History": (lambda: History([]), 1, 0),
+    "scaling_coefficients": (lambda: scaling_coefficients([]), 1, 0),
+    "default_bandwidth_grid": (lambda: wk.default_bandwidth_grid(np.zeros((0, 12))), 1, 0),
+    "predict_one_ahead": (lambda: wk.predict_one_ahead(segments_of(1), KERNEL), 2, 1),
+    "cv_bandwidth": (lambda: wk.cv_bandwidth(segments_of(2), [1.0]), 3, 2),
+    "wk_method": (lambda: wk_method(KERNEL)(segments_of(2), 3), 3, 2),
+    "naive_seasonal": (lambda: wk.naive_seasonal(segments_of(2), 3), 3, 2),
+    "rolling_eval": (lambda: wk.rolling_eval(segments_of(2), wk.naive_seasonal), 3, 2),
+    "prediction_interval": (
+        lambda: wk.prediction_interval(segments_of(1), CENTER, PLAN), 2, 1),
+    "prediction_interval-one-sample": (
+        lambda: wk.prediction_interval(np.ones((1, 1)), CENTER, PLAN), 2, 1),
+    "normalized_weights": (lambda: normalized_weights([], 1), 2, 1),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_CASES)
+def test_one_segment_count_error_at_every_entry_point(entry):
+    call, need, got = COUNT_CASES[entry]
+    with pytest.raises(wk.InsufficientHistoryError) as info:
+        call()
+    plural = "" if need == 1 else "s"
+    assert str(info.value) == f"need at least {need} segment{plural}, got {got}"
+
+
+# CV needs three segments; the CLI reports the library's line and exits 1
+def test_cv_on_two_segments_exits_1_with_the_count_line(tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    write_series(path, segments_of(2).ravel())
+    rc, err = run(["predict", "--cv-grid", "auto", "--p", "12", "--input", str(path),
+                   "--output-dir", str(tmp_path / "out")], capsys)
+    assert (rc, err) == (1, "error: need at least 3 segments, got 2\n")

@@ -8,6 +8,7 @@ import pytest
 
 from wavekernel import (
     ConfigError,
+    InsufficientHistoryError,
     InvalidInputError,
     KernelSpec,
     WavekernelError,
@@ -353,6 +354,15 @@ class TestEvalCommand:
         assert capsys.readouterr().err == (
             f"error: eval needs at least {need} segments (the held-out block and a "
             f"history of {need - 1}{cv}), got {n}\n")
+
+    # the class every library entry point raises for too few segments
+    def test_eval_runner_raises_insufficient_history(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_series(path, np.arange(1.0, 5.0))
+        cfg = cli.RunConfig(command="eval", input=str(path), p=2, bandwidth=1.0,
+                            output_dir=str(tmp_path / "o"))
+        with pytest.raises(InsufficientHistoryError, match="eval needs at least 3 segments"):
+            cli._RUNNERS["eval"](cfg)
 
     def test_rolling_summary_marks_cv_selected_h_in_sample(self, series_file, tmp_path):
         out = tmp_path / "out"
